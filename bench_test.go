@@ -107,7 +107,10 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			b.Fatal(err)
 		}
 		greedyLen := pg.CableLength()
-		_, annealLen := placement.OptimizeRestarts(pg, 20000, uint64(i+1), 4)
+		_, annealLen, err := placement.OptimizeRestartsCtx(context.Background(), pg, 20000, uint64(i+1), 4)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ratio = float64(annealLen) / float64(greedyLen)
 	}
 	b.ReportMetric(ratio, "len-ratio")
@@ -124,7 +127,7 @@ func BenchmarkKernelAllPairsStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := jf.AllPairsStats(jf.ToRs())
+		st := must(jf.AllPairsStatsCtx(context.Background(), jf.ToRs()))
 		if st.Diameter == 0 {
 			b.Fatal("degenerate stats")
 		}
@@ -140,7 +143,7 @@ func BenchmarkKernelKSPThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trafficsim.KSPThroughput(jf, m, trafficsim.DefaultKSP()); err != nil {
+		if _, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.DefaultKSP()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +228,7 @@ func BenchmarkAblationThroughputProxy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ak, err := trafficsim.KSPThroughput(jf, m, trafficsim.DefaultKSP())
+		ak, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.DefaultKSP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,4 +251,13 @@ func TestBenchCoverageMatchesExperiments(t *testing.T) {
 			t.Fatalf("experiment %s missing from registry", id)
 		}
 	}
+}
+
+// must unwraps a kernel result computed under context.Background(),
+// which cannot cancel, so the error is structurally nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

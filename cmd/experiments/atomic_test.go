@@ -8,16 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/physerr"
 )
 
 func TestAtomicWriteFileReplacesWholesale(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "artifact.json")
-	if err := atomicWriteFile(path, []byte("first")); err != nil {
+	if err := atomicfile.WriteFile(path, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(path, []byte("second")); err != nil {
+	if err := atomicfile.WriteFile(path, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

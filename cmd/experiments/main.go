@@ -30,7 +30,7 @@
 //
 // The manifest (see manifest.go) is the superset of the bench report:
 // per-experiment wall/alloc plus the full span forest (each
-// core.Evaluate's placement/cabling/deploy/twin phase breakdown), kernel
+// core.EvaluateCtx's placement/cabling/deploy/twin phase breakdown), kernel
 // counters, and per-worker task counts.
 package main
 
@@ -46,8 +46,9 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
+	"physdep/internal/atomicfile"
+	"physdep/internal/benchrec"
 	"physdep/internal/core"
 	"physdep/internal/experiments"
 	"physdep/internal/floorplan"
@@ -141,7 +142,7 @@ func run() (exit int) {
 				// The manifest itself is built in-memory by the library
 				// (experiments.BuildManifest — the daemon serves the same
 				// structure from /debug/obs); only this CLI sink writes files.
-				if err := writeJSON(*manifestPath, experiments.BuildManifest(snap, ctx.Err() != nil)); err != nil {
+				if err := atomicfile.WriteJSON(*manifestPath, experiments.BuildManifest(snap, ctx.Err() != nil)); err != nil {
 					fail(fmt.Errorf("manifest: %w", err))
 				}
 			}
@@ -292,7 +293,7 @@ func writeGolden(ctx context.Context, ids []string, dir string) error {
 	}
 	for _, o := range outs {
 		path := filepath.Join(dir, o.ID+".txt")
-		if err := atomicWriteFile(path, []byte(o.Res.Render())); err != nil {
+		if err := atomicfile.WriteFile(path, []byte(o.Res.Render())); err != nil {
 			return err
 		}
 		fmt.Println(path)
@@ -300,31 +301,7 @@ func writeGolden(ctx context.Context, ids []string, dir string) error {
 	return nil
 }
 
-// benchSample is one (worker count → cost) measurement point.
-type benchSample struct {
-	Workers         int     `json:"workers"`
-	WallMS          float64 `json:"wall_ms"` // best of reps
-	Allocs          uint64  `json:"allocs"`
-	AllocBytes      uint64  `json:"alloc_bytes"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// benchEntry is the benchmark record of one experiment (or ablation
-// kernel): its scaling curve over the swept worker counts.
-type benchEntry struct {
-	ID         string        `json:"id"`
-	Title      string        `json:"title"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Reps       int           `json:"reps"`
-	Date       string        `json:"date"`
-	Samples    []benchSample `json:"samples"`
-}
-
 func runBench(ctx context.Context, ids []string, outPath string, reps int, workerList string) error {
-	if reps < 1 {
-		reps = 1
-	}
 	pool := par.Workers()
 	counts, err := parseBenchWorkers(workerList, pool)
 	if err != nil {
@@ -354,40 +331,11 @@ func runBench(ctx context.Context, ids []string, outPath string, reps int, worke
 		run:   func() error { return benchPlacementKernel(ctx) },
 	})
 
-	var entries []benchEntry
+	var entries []benchrec.Entry
 	for _, tk := range tasks {
-		e := benchEntry{
-			ID: tk.id, Title: tk.title,
-			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Reps: reps, Date: time.Now().UTC().Format("2006-01-02"),
-		}
-		for _, w := range counts {
-			par.SetWorkers(w)
-			best := benchSample{Workers: w}
-			for r := 0; r < reps; r++ {
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				t0 := time.Now()
-				if err := tk.run(); err != nil {
-					return fmt.Errorf("%s (workers=%d): %v", tk.id, w, err)
-				}
-				wall := float64(time.Since(t0).Microseconds()) / 1000
-				runtime.ReadMemStats(&m1)
-				if r == 0 || wall < best.WallMS {
-					best.WallMS = wall
-					best.Allocs = m1.Mallocs - m0.Mallocs
-					best.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
-				}
-			}
-			e.Samples = append(e.Samples, best)
-		}
-		if len(e.Samples) > 1 && e.Samples[0].Workers == 1 {
-			serial := e.Samples[0].WallMS
-			for i := range e.Samples[1:] {
-				if e.Samples[i+1].WallMS > 0 {
-					e.Samples[i+1].SpeedupVsSerial = serial / e.Samples[i+1].WallMS
-				}
-			}
+		e, err := benchrec.Measure(tk.id, tk.title, counts, reps, tk.run)
+		if err != nil {
+			return fmt.Errorf("%s: %w", tk.id, err)
 		}
 		entries = append(entries, e)
 		fmt.Fprintf(os.Stderr, "benched %s: %v\n", tk.id, summarize(e))
@@ -395,7 +343,7 @@ func runBench(ctx context.Context, ids []string, outPath string, reps int, worke
 	return writeBench(entries, outPath)
 }
 
-func summarize(e benchEntry) string {
+func summarize(e benchrec.Entry) string {
 	var parts []string
 	for _, s := range e.Samples {
 		parts = append(parts, fmt.Sprintf("w=%d %.1fms", s.Workers, s.WallMS))
@@ -422,52 +370,20 @@ func benchPlacementKernel(ctx context.Context) error {
 	return err
 }
 
-func writeBench(entries []benchEntry, outPath string) error {
+func writeBench(entries []benchrec.Entry, outPath string) error {
 	if strings.Contains(outPath, "*") {
 		for _, e := range entries {
 			path := strings.ReplaceAll(outPath, "*", e.ID)
-			if err := writeJSON(path, e); err != nil {
+			if err := atomicfile.WriteJSON(path, e); err != nil {
 				return err
 			}
 			fmt.Println(path)
 		}
 		return nil
 	}
-	if err := writeJSON(outPath, entries); err != nil {
+	if err := atomicfile.WriteJSON(outPath, entries); err != nil {
 		return err
 	}
 	fmt.Println(outPath)
 	return nil
-}
-
-func writeJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(path, append(b, '\n'))
-}
-
-// atomicWriteFile writes data to path via a temp file in the same
-// directory plus rename, so readers (and a previous good artifact) never
-// see a torn write: a crash or cancellation mid-write leaves the old
-// file byte-for-byte intact.
-func atomicWriteFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

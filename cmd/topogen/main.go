@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,10 +65,19 @@ func main() {
 		}
 		fmt.Printf("emitted: %s\n", *emit)
 	}
-	st := tp.BasicStats()
+	ctx := context.Background()
+	st, err := tp.BasicStatsCtx(ctx)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
 	rng := rand.New(rand.NewPCG(*seed, *seed^0x70706f))
 	gap := tp.SpectralGap(300, rng)
-	bisect := tp.BisectionEstimate(6, rng)
+	bisect, err := tp.BisectionEstimateCtx(ctx, 6, rng)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("topology: %s\n", tp.Name)
 	fmt.Printf("  switches: %d   links: %d   servers: %d\n", st.Switches, st.Links, st.Servers)
 	min, max := tp.MinMaxDegree()
@@ -82,7 +92,7 @@ func main() {
 		if err == nil {
 			fmt.Printf("  uniform-traffic alpha (ECMP): %.3f\n", ae)
 		}
-		ak, err := trafficsim.KSPThroughput(tp, m, trafficsim.DefaultKSP())
+		ak, err := trafficsim.KSPThroughputCtx(ctx, tp, m, trafficsim.DefaultKSP())
 		if err == nil {
 			fmt.Printf("  uniform-traffic alpha (KSP-8): %.3f\n", ak)
 		}

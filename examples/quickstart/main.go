@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	// geometry; default media catalog and cost book; 8 technicians.
 	in := core.DefaultInput(ft, floorplan.DefaultHall(4, 12))
 
-	rep, err := core.Evaluate(in)
+	rep, err := core.EvaluateCtx(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}

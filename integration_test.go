@@ -1,6 +1,7 @@
 package physdep
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -35,7 +36,9 @@ func TestPipelineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement.Optimize(p, 4000, 9)
+	if _, _, err := placement.OptimizeRestartsCtx(context.Background(), p, 4000, 9, 1); err != nil {
+		t.Fatal(err)
+	}
 	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +58,7 @@ func TestPipelineConsistency(t *testing.T) {
 	}
 	m := costmodel.Default()
 	dp := deploy.Build(p, plan, m, deploy.BuildOptions{Prebundle: true})
-	sched, err := deploy.Execute(dp, m, f, deploy.ExecOptions{Techs: 6, Seed: 4})
+	sched, err := deploy.ExecuteCtx(context.Background(), dp, m, f, deploy.ExecOptions{Techs: 6, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestExpandThenReevaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.DefaultInput(jf, floorplan.DefaultHall(4, 12))
-	before, err := core.Evaluate(in)
+	before, err := core.EvaluateCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestExpandThenReevaluate(t *testing.T) {
 	if step.AddedToRs != 3 {
 		t.Fatalf("added %d", step.AddedToRs)
 	}
-	after, err := core.Evaluate(in) // same Input, mutated topology
+	after, err := core.EvaluateCtx(context.Background(), in) // same Input, mutated topology
 	if err != nil {
 		t.Fatal(err)
 	}

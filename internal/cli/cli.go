@@ -4,6 +4,8 @@
 package cli
 
 import (
+	"context"
+
 	"physdep/internal/interchange"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
@@ -94,7 +96,9 @@ func BuildTopology(p TopoParams) (*topology.Topology, error) {
 		if p.File == "" {
 			return nil, physerr.OutOfRange("cli: family %q needs a document path in the file field", p.Name)
 		}
-		t, _, err := interchange.LoadFile(p.File)
+		// BuildTopology takes no context (its signature is shared with the
+		// benchmark harness); a document load is bounded by MaxDocBytes.
+		t, _, err := interchange.LoadFileCtx(context.TODO(), p.File)
 		return t, err
 	}
 	// OutOfRange so the daemon maps a bad family to 422, like every

@@ -25,7 +25,7 @@ import (
 )
 
 // Input bundles everything an evaluation needs. Zero values get sensible
-// defaults (see Evaluate).
+// defaults (see EvaluateCtx).
 type Input struct {
 	Topo    *topology.Topology
 	Hall    floorplan.Hall
@@ -35,7 +35,7 @@ type Input struct {
 	// PlacementSteps > 0 runs simulated-annealing placement refinement.
 	PlacementSteps int
 	// PlacementRestarts > 1 runs that many independently seeded annealing
-	// chains in parallel and keeps the best (placement.OptimizeRestarts).
+	// chains in parallel and keeps the best (placement.OptimizeRestartsCtx).
 	PlacementRestarts int
 	// Techs is the deployment crew size (default 8).
 	Techs int
@@ -106,7 +106,7 @@ type Report struct {
 
 // Validate rejects malformed evaluator inputs: a missing topology or
 // negative tuning knobs (zero means "use the default"). The Hall itself
-// is validated by floorplan.NewFloorplan inside Evaluate.
+// is validated by floorplan.NewFloorplan inside EvaluateCtx.
 func (in Input) Validate() error {
 	if in.Topo == nil {
 		return physerr.OutOfRange("core: nil topology")
@@ -123,18 +123,12 @@ func (in Input) Validate() error {
 	return nil
 }
 
-// Evaluate runs the full pipeline. It is deterministic per Input.Seed.
-func Evaluate(in Input) (*Report, error) {
-	return EvaluateCtx(context.Background(), in)
-}
-
-// EvaluateCtx is Evaluate with cancellation. The context threads into
-// every long-running phase — placement annealing, deployment execution,
-// and the sampled abstract stats (bisection estimate, all-pairs BFS) —
-// so a deadline interrupts an evaluation mid-phase, not just between
-// phases. A canceled evaluation returns a nil report and an error
-// matching physerr.ErrCanceled; a completed one is byte-identical to
-// Evaluate.
+// EvaluateCtx runs the full pipeline. It is deterministic per Input.Seed.
+// The context threads into every long-running phase — placement
+// annealing, deployment execution, and the sampled abstract stats
+// (bisection estimate, all-pairs BFS) — so a deadline interrupts an
+// evaluation mid-phase, not just between phases. A canceled evaluation
+// returns a nil report and an error matching physerr.ErrCanceled.
 func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/floorplan"
@@ -23,7 +24,7 @@ func TestEvaluateEmitsPhaseSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(DefaultInput(ft, floorplan.DefaultHall(2, 8))); err != nil {
+	if _, err := EvaluateCtx(context.Background(), DefaultInput(ft, floorplan.DefaultHall(2, 8))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,13 +73,13 @@ func TestEvaluateOutputIdenticalWithObs(t *testing.T) {
 	in.PlacementRestarts = 2
 
 	obs.Disable()
-	off, err := Evaluate(in)
+	off, err := EvaluateCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs.Reset()
 	obs.Enable()
-	on, err := Evaluate(in)
+	on, err := EvaluateCtx(context.Background(), in)
 	obs.Disable()
 	obs.Reset()
 	if err != nil {

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/cabling"
@@ -79,7 +80,7 @@ func TestPrebundleReducesPullTasksAndMovesLaborOffFloor(t *testing.T) {
 func TestExecuteBasics(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestExecuteBasics(t *testing.T) {
 func TestExecuteMoreTechsFasterWallClock(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s1, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 1, Seed: 1, YieldOverride: 1})
+	s1, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 1, Seed: 1, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 8, Seed: 1, YieldOverride: 1})
+	s8, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 8, Seed: 1, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestExecuteMoreTechsFasterWallClock(t *testing.T) {
 func TestExecutePerfectYieldNoReworks(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +136,14 @@ func TestExecutePerfectYieldNoReworks(t *testing.T) {
 func TestExecuteLowYieldCausesReworks(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 0.5})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Reworks == 0 {
 		t.Error("no reworks at 50% yield")
 	}
-	good, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
+	good, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestExecuteLowYieldCausesReworks(t *testing.T) {
 func TestExecuteDeterministic(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	a, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 3, Seed: 42})
+	a, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 3, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 3, Seed: 42})
+	b, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 3, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestExecuteDeterministic(t *testing.T) {
 func TestExecuteRespectsDependencies(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 6, Seed: 2, YieldOverride: 1})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 6, Seed: 2, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestExecuteRespectsDependencies(t *testing.T) {
 func TestExecuteRejectsZeroTechs(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{})
-	if _, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 0}); err == nil {
+	if _, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 0}); err == nil {
 		t.Error("zero techs accepted")
 	}
 }
@@ -196,7 +197,7 @@ func TestExecuteRejectsZeroTechs(t *testing.T) {
 func TestLaborCostIncludesOffFloor(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 1, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestLaborCostIncludesOffFloor(t *testing.T) {
 func TestWalkTimeCharged(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 2, Seed: 3, YieldOverride: 1})
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 2, Seed: 3, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestMaxWorkersPerRackRespected(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
 	const cap = 1
-	s, err := Execute(dp, fx.model, fx.floor, ExecOptions{
+	s, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{
 		Techs: 8, Seed: 2, YieldOverride: 1, MaxWorkersPerRack: cap})
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +265,11 @@ func TestMaxWorkersPerRackRespected(t *testing.T) {
 func TestWorkerCapSlowsWallClock(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	free, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 12, Seed: 3, YieldOverride: 1})
+	free, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 12, Seed: 3, YieldOverride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Execute(dp, fx.model, fx.floor, ExecOptions{
+	capped, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{
 		Techs: 12, Seed: 3, YieldOverride: 1, MaxWorkersPerRack: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -51,24 +51,20 @@ type ExecOptions struct {
 	MaxWorkersPerRack int
 }
 
-// Execute simulates the plan with a technician crew using critical-path
-// list scheduling: ready tasks are dispatched to the earliest-available
-// technician, longest-remaining-path first, with walking time charged for
-// relocation. Validation failures (per first-pass yield) insert rework +
-// revalidate work on the fly.
-func Execute(p *Plan, m *costmodel.Model, f *floorplan.Floorplan, opts ExecOptions) (Schedule, error) {
-	return ExecuteCtx(context.Background(), p, m, f, opts)
-}
-
 // executeChunkTasks is how many scheduled tasks run between context
 // checks in ExecuteCtx.
 const executeChunkTasks = 1024
 
-// ExecuteCtx is Execute with cancellation, checked every
-// executeChunkTasks dispatches of the scheduling loop. A canceled run
-// discards the half-built schedule (its makespan and labor totals would
-// describe a deployment nobody finished) and returns an error matching
-// physerr.ErrCanceled; a completed run is byte-identical to Execute.
+// ExecuteCtx simulates the plan with a technician crew using
+// critical-path list scheduling: ready tasks are dispatched to the
+// earliest-available technician, longest-remaining-path first, with
+// walking time charged for relocation. Validation failures (per
+// first-pass yield) insert rework + revalidate work on the fly.
+//
+// ctx is checked every executeChunkTasks dispatches of the scheduling
+// loop. A canceled run discards the half-built schedule (its makespan and
+// labor totals would describe a deployment nobody finished) and returns
+// an error matching physerr.ErrCanceled.
 func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.Floorplan, opts ExecOptions) (Schedule, error) {
 	defer obs.Time("deploy.execute")()
 	if err := p.Validate(); err != nil {

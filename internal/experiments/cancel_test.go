@@ -32,12 +32,22 @@ func TestRunManyCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// noCancelCheckpoint lists the experiments that reach no ctx checkpoint:
+// their work is pure arithmetic or runs kernels that take no context
+// (E14's twin.CheckAll), so an already-canceled context does not stop
+// them. When one of them gains a checkpoint, drop it from this list.
+var noCancelCheckpoint = map[string]bool{
+	"E2": true, "E3": true, "E4": true, "E5": true, "E9": true,
+	"E10": true, "E12": true, "E13": true, "E14": true, "E15": true,
+	"E20": true, "E22": true,
+}
+
 // TestEveryRunnerReturnsPromptlyWhenPreCanceled is the per-kernel
 // acceptance check of DESIGN.md §9 at the experiment granularity: every
 // registered experiment, handed an already-canceled context, must come
 // back with an ErrCanceled-classified error (never a partial table).
-// Experiments whose work is too small to hit a cancellation checkpoint
-// may legitimately complete; they must then return a full, valid table.
+// Only the noCancelCheckpoint experiments complete instead, and they must
+// then return a full table.
 func TestEveryRunnerReturnsPromptlyWhenPreCanceled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipping in -short mode")
@@ -48,12 +58,9 @@ func TestEveryRunnerReturnsPromptlyWhenPreCanceled(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			res, err := Get(id)(ctx)
-			if err == nil {
-				// Tiny experiments (pure arithmetic, no chunked kernel) can
-				// finish before any checkpoint; a complete table is fine, a
-				// truncated one is not.
-				if res == nil || len(res.Lines) < 2 {
-					t.Fatalf("%s returned neither an error nor a full table", id)
+			if noCancelCheckpoint[id] {
+				if err != nil || res == nil || len(res.Lines) < 2 {
+					t.Fatalf("%s has no ctx checkpoint but returned err %v without a full table", id, err)
 				}
 				return
 			}

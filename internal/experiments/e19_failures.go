@@ -33,11 +33,11 @@ func E19FailureDegradation(ctx context.Context) (*Result, error) {
 	fracs := []float64{0, 0.02, 0.05, 0.10, 0.20}
 	res.Lines = append(res.Lines, fmt.Sprintf("%10s | %12s %10s | %12s %10s",
 		"fail_frac", "fattree_a", "retained", "jelly_a", "retained"))
-	fpts, err := trafficsim.FailureDegradation(ft, trafficsim.Uniform(32, 400), fracs, 5, false, 7)
+	fpts, err := trafficsim.FailureDegradationCtx(ctx, ft, trafficsim.Uniform(32, 400), fracs, 5, false, 7)
 	if err != nil {
 		return nil, err
 	}
-	jpts, err := trafficsim.FailureDegradation(jf, trafficsim.Uniform(80, 200), fracs, 5, true, 7)
+	jpts, err := trafficsim.FailureDegradationCtx(ctx, jf, trafficsim.Uniform(80, 200), fracs, 5, true, 7)
 	if err != nil {
 		return nil, err
 	}

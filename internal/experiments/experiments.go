@@ -127,17 +127,12 @@ type Outcome struct {
 	Err error
 }
 
-// RunMany executes the given experiments concurrently (bounded by
+// RunManyCtx executes the given experiments concurrently (bounded by
 // par.Workers()) and returns their outcomes in input order, which is how
 // cmd/experiments keeps its output byte-identical to a serial run.
-// Unknown IDs yield an error outcome.
-func RunMany(ids []string) []Outcome {
-	return RunManyCtx(context.Background(), ids)
-}
-
-// RunManyCtx is RunMany with cancellation: ctx gates experiment hand-out
-// (par contract) and threads into each running experiment's kernels, so
-// a deadline stops a batch mid-experiment. Experiments the batch never
+// Unknown IDs yield an error outcome. ctx gates experiment hand-out (par
+// contract) and threads into each running experiment's kernels, so a
+// deadline stops a batch mid-experiment. Experiments the batch never
 // started (and ones the cancellation cut short) carry an error matching
 // physerr.ErrCanceled in their outcome; experiments that finished before
 // the cancellation keep their real results, so a partial manifest still

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -68,7 +69,7 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, o := range RunMany(Order()) {
+	for _, o := range RunManyCtx(context.Background(), Order()) {
 		o := o
 		t.Run(o.ID, func(t *testing.T) {
 			if o.Err != nil {

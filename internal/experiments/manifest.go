@@ -13,7 +13,7 @@ import (
 // superset of the -bench-json report. Where bench mode records only
 // wall/alloc scaling points, the manifest carries the full observability
 // snapshot — per-experiment spans (with the placement/cabling/deploy
-// phase breakdown from core.Evaluate), kernel counters, per-worker task
+// phase breakdown from core.EvaluateCtx), kernel counters, per-worker task
 // counts, and the environment the run happened in.
 //
 // Building a Manifest is a pure in-memory distillation of an

@@ -131,7 +131,7 @@ func TestQuickRunManyPreservesInputOrder(t *testing.T) {
 			// Nonexistent experiment IDs; E900–E999 are never registered.
 			ids[i] = fmt.Sprintf("E9%02d", p%100)
 		}
-		outs := RunMany(ids)
+		outs := RunManyCtx(context.Background(), ids)
 		if len(outs) != len(ids) {
 			return false
 		}

@@ -194,30 +194,22 @@ func (g *Graph) allNodes(nodes []int) []int {
 	return nodes
 }
 
-// AllPairsStats runs BFS from every node in nodes (or all nodes if nodes is
-// nil) and aggregates diameter and mean hop count restricted to pairs
-// within the set. Topology comparisons use ToR-to-ToR stats, so the subset
-// form matters.
+// AllPairsStatsCtx runs BFS from every node in nodes (or all nodes if
+// nodes is nil) and aggregates diameter and mean hop count restricted to
+// pairs within the set. Topology comparisons use ToR-to-ToR stats, so the
+// subset form matters.
 //
 // The per-source BFS sweeps fan out across par.Workers() goroutines with
 // per-worker reusable dist buffers. The aggregate is exact integer state
 // (sum, max, counts), so the result is identical to the serial sweep for
-// any worker count.
+// any worker count. ctx is checked before each source's BFS (the unit of
+// work), so a canceled sweep stops within one source and returns an
+// error matching physerr.ErrCanceled; cancellation is its only failure.
 //
 // The sweep is Θ(|nodes| · (N + E)): exact, but quadratic-ish in the node
-// set. Fleet-scale callers (10k+ sources) should use AllPairsStatsSampled,
-// which bounds the sweep at a fixed source sample with documented error.
-func (g *Graph) AllPairsStats(nodes []int) PathStats {
-	// A background context cannot cancel, and the sweep has no other
-	// failure mode, so the error is structurally nil here.
-	st, _ := g.AllPairsStatsCtx(context.Background(), nodes)
-	return st
-}
-
-// AllPairsStatsCtx is AllPairsStats with cancellation: ctx is checked
-// before each source's BFS (the unit of work), so a canceled sweep stops
-// within one source and returns an error matching physerr.ErrCanceled.
-// A sweep that completes is byte-identical to AllPairsStats.
+// set. Fleet-scale callers (10k+ sources) should use
+// AllPairsStatsSampledCtx, which bounds the sweep at a fixed source
+// sample with documented error.
 func (g *Graph) AllPairsStatsCtx(ctx context.Context, nodes []int) (PathStats, error) {
 	defer obs.Time("graph.allpairs")()
 	nodes = g.allNodes(nodes)

@@ -91,7 +91,7 @@ type freezeBase struct {
 // two paths are byte-identical by construction and pinned so by test,
 // so callers cannot observe which one ran except through the counters.
 //
-// The read-only kernels (AllPairsStats, BisectionEstimate, SpectralGap,
+// The read-only kernels (AllPairsStatsCtx, BisectionEstimateCtx, SpectralGap,
 // trafficsim's KSP) freeze on entry, so callers never need to call Freeze
 // explicitly — it exists for code that wants to pay the build outside a
 // timed or latency-sensitive region.

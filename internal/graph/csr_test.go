@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -101,7 +102,7 @@ func TestFreezeInvalidation(t *testing.T) {
 	}
 	for i, o := range ops {
 		// Kernel call freezes…
-		g.AllPairsStats(nil)
+		must(g.AllPairsStatsCtx(context.Background(), nil))
 		if !g.Frozen() {
 			t.Fatalf("before %q: AllPairsStats did not freeze", o.name)
 		}
@@ -112,7 +113,7 @@ func TestFreezeInvalidation(t *testing.T) {
 		}
 		// …and the re-frozen kernels must match a never-mutated twin.
 		fresh := rebuild(i + 1)
-		if got, want := g.AllPairsStats(nil), fresh.AllPairsStats(nil); got != want {
+		if got, want := must(g.AllPairsStatsCtx(context.Background(), nil)), must(fresh.AllPairsStatsCtx(context.Background(), nil)); got != want {
 			t.Errorf("after %q: AllPairsStats = %+v, fresh graph gives %+v", o.name, got, want)
 		}
 		for u := 0; u < g.N; u++ {
@@ -122,7 +123,7 @@ func TestFreezeInvalidation(t *testing.T) {
 		}
 		gr := rand.New(rand.NewPCG(7, 9))
 		fr := rand.New(rand.NewPCG(7, 9))
-		if got, want := g.BisectionEstimate(3, gr), fresh.BisectionEstimate(3, fr); got != want {
+		if got, want := must(g.BisectionEstimateCtx(context.Background(), 3, gr)), must(fresh.BisectionEstimateCtx(context.Background(), 3, fr)); got != want {
 			t.Errorf("after %q: BisectionEstimate = %v, fresh graph gives %v", o.name, got, want)
 		}
 		gr = rand.New(rand.NewPCG(3, 4))
@@ -338,7 +339,7 @@ func TestDeltaFreezeConcurrent(t *testing.T) {
 func TestAllPairsStatsDisconnected(t *testing.T) {
 	g := New(5) // edgeless
 	for _, nodes := range [][]int{nil, {0, 2, 4}} {
-		st := g.AllPairsStats(nodes)
+		st := must(g.AllPairsStatsCtx(context.Background(), nodes))
 		n := 5
 		if nodes != nil {
 			n = len(nodes)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -134,7 +135,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestAllPairsStatsCycle(t *testing.T) {
 	g := cycle(6)
-	st := g.AllPairsStats(nil)
+	st := must(g.AllPairsStatsCtx(context.Background(), nil))
 	if st.Diameter != 3 {
 		t.Errorf("C6 diameter = %d, want 3", st.Diameter)
 	}
@@ -149,7 +150,7 @@ func TestAllPairsStatsCycle(t *testing.T) {
 
 func TestAllPairsStatsSubset(t *testing.T) {
 	g := path(5)
-	st := g.AllPairsStats([]int{0, 4})
+	st := must(g.AllPairsStatsCtx(context.Background(), []int{0, 4}))
 	if st.Diameter != 4 {
 		t.Errorf("subset diameter = %d, want 4", st.Diameter)
 	}
@@ -211,7 +212,7 @@ func TestSpectralGapCompleteVsCycle(t *testing.T) {
 func TestBisectionEstimateCycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	// A cycle's balanced min cut is exactly 2.
-	got := cycle(12).BisectionEstimate(8, rng)
+	got := must(cycle(12).BisectionEstimateCtx(context.Background(), 8, rng))
 	if got != 2 {
 		t.Errorf("cycle bisection = %v, want 2", got)
 	}
@@ -228,7 +229,7 @@ func TestBisectionEstimateTwoCliques(t *testing.T) {
 	}
 	g.AddEdge(0, 4, 1)
 	rng := rand.New(rand.NewPCG(5, 6))
-	if got := g.BisectionEstimate(16, rng); got != 1 {
+	if got := must(g.BisectionEstimateCtx(context.Background(), 16, rng)); got != 1 {
 		t.Errorf("two-clique bisection = %v, want 1", got)
 	}
 }
@@ -306,7 +307,7 @@ func TestQuickDistanceMonotonicity(t *testing.T) {
 			}
 		}
 		before := g.BFS(0)
-		st := g.AllPairsStats(nil)
+		st := must(g.AllPairsStatsCtx(context.Background(), nil))
 		if st.Reachable > 0 && st.MeanHops > float64(st.Diameter) {
 			return false
 		}

@@ -36,8 +36,8 @@ func testExpander(n int) *Graph {
 
 func TestSampledExactFallbackMatchesExhaustive(t *testing.T) {
 	g := testExpander(200) // well under DefaultExhaustiveBelow
-	want := g.AllPairsStats(nil)
-	got := g.AllPairsStatsSampled(nil, SampleSpec{Seed: 9})
+	want := must(g.AllPairsStatsCtx(context.Background(), nil))
+	got := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Seed: 9}))
 	if !got.Exact {
 		t.Fatalf("200 nodes should take the exhaustive fallback, got sampled")
 	}
@@ -53,7 +53,7 @@ func TestSampledFallbackWhenSampleCoversSet(t *testing.T) {
 	// Forcing sampling but asking for >= n sources must also fall back:
 	// a "sample" of everything is the exhaustive sweep.
 	g := testExpander(100)
-	got := g.AllPairsStatsSampled(nil, SampleSpec{Sources: 100, Seed: 3, ExhaustiveBelow: -1})
+	got := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Sources: 100, Seed: 3, ExhaustiveBelow: -1}))
 	if !got.Exact {
 		t.Fatalf("sources >= n should take the exhaustive fallback")
 	}
@@ -66,8 +66,8 @@ func TestSampledFallbackWhenSampleCoversSet(t *testing.T) {
 // itself is tight (within 2% of the mean).
 func TestSampledAccuracyBound(t *testing.T) {
 	g := testExpander(1500)
-	exact := g.AllPairsStats(nil)
-	est := g.AllPairsStatsSampled(nil, SampleSpec{Seed: 12345, ExhaustiveBelow: -1})
+	exact := must(g.AllPairsStatsCtx(context.Background(), nil))
+	est := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Seed: 12345, ExhaustiveBelow: -1}))
 	if est.Exact {
 		t.Fatal("expected a sampled run")
 	}
@@ -100,7 +100,7 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	runAt := func(workers int) SampledStats {
 		par.SetWorkers(workers)
 		defer par.SetWorkers(0)
-		return g.AllPairsStatsSampled(nil, spec)
+		return must(g.AllPairsStatsSampledCtx(context.Background(), nil, spec))
 	}
 	serial := runAt(1)
 	parallel := runAt(8)
@@ -114,9 +114,9 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 // repeated is identical — the "pure function of (nodes, spec)" contract.
 func TestSampledSeedContract(t *testing.T) {
 	g := testExpander(900)
-	a := g.AllPairsStatsSampled(nil, SampleSpec{Seed: 1, ExhaustiveBelow: -1})
-	a2 := g.AllPairsStatsSampled(nil, SampleSpec{Seed: 1, ExhaustiveBelow: -1})
-	b := g.AllPairsStatsSampled(nil, SampleSpec{Seed: 2, ExhaustiveBelow: -1})
+	a := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Seed: 1, ExhaustiveBelow: -1}))
+	a2 := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Seed: 1, ExhaustiveBelow: -1}))
+	b := must(g.AllPairsStatsSampledCtx(context.Background(), nil, SampleSpec{Seed: 2, ExhaustiveBelow: -1}))
 	if a != a2 {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, a2)
 	}
@@ -152,11 +152,11 @@ func TestSampledCtxExpiredDeadline(t *testing.T) {
 }
 
 // TestSampledCtxMatchesContextFree: a live, never-fired cancellable
-// context must not move a number versus the context-free API.
+// context must not move a number versus context.Background().
 func TestSampledCtxMatchesContextFree(t *testing.T) {
 	g := testExpander(700)
 	spec := SampleSpec{Seed: 11, ExhaustiveBelow: -1}
-	want := g.AllPairsStatsSampled(nil, spec)
+	want := must(g.AllPairsStatsSampledCtx(context.Background(), nil, spec))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got, err := g.AllPairsStatsSampledCtx(ctx, nil, spec)
@@ -164,7 +164,7 @@ func TestSampledCtxMatchesContextFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable run %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable run %+v != uncancellable %+v", got, want)
 	}
 }
 

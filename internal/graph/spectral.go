@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 
@@ -72,10 +73,11 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 		deflate(x, pi)
 		// y = (x + P x)/2, with P(u,v) = (#edges u–v)/deg(u).
 		if blocks > 1 && par.Workers() > 1 {
-			// par: discard ok — the block fn never errors and no context is
-			// threaded here (each matvec is microseconds; SpectralGap's
-			// callers bound it by iteration count, not by deadline).
-			_ = par.For(blocks, func(b int) error {
+			// par: discard ok — the block fn never errors and context.TODO
+			// never cancels: SpectralGap takes no context (each matvec is
+			// microseconds; callers bound it by iteration count, not by
+			// deadline).
+			_ = par.ForCtx(context.TODO(), blocks, func(b int) error {
 				hi := (b + 1) * blockNodes
 				if hi > g.N {
 					hi = g.N

@@ -14,7 +14,7 @@
 //
 // # Round-trip contract
 //
-// Emit → Load → evaluate is byte-identical to evaluating the original
+// Emit → LoadCtx → evaluate is byte-identical to evaluating the original
 // generator-built topology. Two properties make that true:
 //
 //   - Emit writes live edges in slot order, and loading re-adds them in
@@ -28,7 +28,7 @@
 //
 // # Validation
 //
-// Load is strict: unknown fields, trailing data, a foreign or
+// LoadCtx is strict: unknown fields, trailing data, a foreign or
 // future-versioned header, out-of-range sizes (the topology.MaxSwitches
 // cap and the MaxLinks link cap), non-canonical node IDs, unknown roles,
 // self-edges, and negative quantities are all rejected with errors
@@ -48,8 +48,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/floorplan"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
@@ -63,7 +63,7 @@ const (
 	Format  = "physdep-topology"
 	Version = 1
 
-	// MaxDocBytes bounds how much LoadFile will read: documents are a few
+	// MaxDocBytes bounds how much LoadFileCtx will read: documents are a few
 	// dozen bytes per switch and per link, so even a MaxSwitches-sized
 	// fabric fits comfortably, and a runaway or hostile file fails fast
 	// instead of exhausting memory.
@@ -190,39 +190,21 @@ func Emit(w io.Writer, t *topology.Topology) error {
 	return err
 }
 
-// EmitFile writes d to path atomically (temp file in path's directory +
-// rename), so a crash mid-write can never leave a torn document where a
-// good one was — the same discipline as every other artifact writer in
-// the repo.
+// EmitFile writes d to path with atomicfile.WriteFile, so a crash
+// mid-write can never leave a torn document where a good one was.
 func EmitFile(path string, d *Document) error {
 	b, err := d.Encode()
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.WriteFile(path, b)
 }
 
 // Decode parses data as a document, strictly: unknown fields and
 // trailing bytes are errors (a typoed field must not silently become a
 // default), and the header must name exactly this format and version.
 // Decode performs the full structural validation; the returned document
-// is ready for Topology.
+// is ready to build.
 func Decode(data []byte) (*Document, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -308,19 +290,15 @@ func (d *Document) Validate() error {
 	return nil
 }
 
-// Topology builds the fabric the document describes. The document must
-// already have passed Validate (Decode guarantees it); the built
-// topology additionally passes topology.Validate — port fit and
-// connectivity — so a document claiming more links than its switches
-// have ports, or describing a disconnected fabric, is rejected here.
-func (d *Document) Topology() (*topology.Topology, error) {
-	return d.topologyCtx(context.Background())
-}
-
-// topologyCtx is Topology with cancellation polled at coarse strides
-// (every few thousand nodes/edges), so loading a fleet-scale document
-// respects the caller's deadline without per-element overhead.
-func (d *Document) topologyCtx(ctx context.Context) (*topology.Topology, error) {
+// build makes the fabric the document describes. The document must
+// already have passed Validate (Decode guarantees it); the built topology
+// additionally passes topology.Validate — port fit and connectivity — so
+// a document claiming more links than its switches have ports, or
+// describing a disconnected fabric, is rejected here. ctx is polled at
+// coarse strides (every few thousand nodes/edges), so loading a
+// fleet-scale document respects the caller's deadline without
+// per-element overhead.
+func (d *Document) build(ctx context.Context) (*topology.Topology, error) {
 	const stride = 8192
 	poll := ctx.Done() != nil
 	t := topology.NewTopology(d.Name)
@@ -358,14 +336,9 @@ func (d *Document) topologyCtx(ctx context.Context) (*topology.Topology, error) 
 	return t, nil
 }
 
-// Load decodes, validates, and builds in one step, returning both the
-// topology and the document (for its hall geometry and provenance).
-func Load(data []byte) (*topology.Topology, *Document, error) {
-	return LoadCtx(context.Background(), data)
-}
-
-// LoadCtx is Load with cancellation. A canceled load returns an error
-// matching physerr.ErrCanceled.
+// LoadCtx decodes, validates, and builds in one step, returning both the
+// topology and the document (for its hall geometry and provenance). A
+// canceled load returns an error matching physerr.ErrCanceled.
 func LoadCtx(ctx context.Context, data []byte) (*topology.Topology, *Document, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, physerr.Canceled(err)
@@ -374,20 +347,15 @@ func LoadCtx(ctx context.Context, data []byte) (*topology.Topology, *Document, e
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := d.topologyCtx(ctx)
+	t, err := d.build(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	return t, d, nil
 }
 
-// LoadFile reads and loads a document from path, refusing files larger
-// than MaxDocBytes before reading them whole.
-func LoadFile(path string) (*topology.Topology, *Document, error) {
-	return LoadFileCtx(context.Background(), path)
-}
-
-// LoadFileCtx is LoadFile with cancellation.
+// LoadFileCtx reads and loads a document from path, refusing files
+// larger than MaxDocBytes before reading them whole.
 func LoadFileCtx(ctx context.Context, path string) (*topology.Topology, *Document, error) {
 	data, err := ReadDocFile(path)
 	if err != nil {

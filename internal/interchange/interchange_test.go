@@ -14,8 +14,8 @@ import (
 	"physdep/internal/cli"
 	"physdep/internal/core"
 	"physdep/internal/floorplan"
-	"physdep/internal/physerr"
 	"physdep/internal/interchange"
+	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
 
@@ -67,7 +67,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
-			loaded, _, err := interchange.Load(encoded)
+			loaded, _, err := interchange.LoadCtx(context.Background(), encoded)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -82,11 +82,11 @@ func TestRoundTripByteIdentical(t *testing.T) {
 
 			// Evaluation: full pipeline reports must serialize to the same
 			// bytes.
-			origReport, err := core.Evaluate(core.DefaultInput(orig, hall))
+			origReport, err := core.EvaluateCtx(context.Background(), core.DefaultInput(orig, hall))
 			if err != nil {
 				t.Fatalf("evaluate original: %v", err)
 			}
-			loadedReport, err := core.Evaluate(core.DefaultInput(loaded, hall))
+			loadedReport, err := core.EvaluateCtx(context.Background(), core.DefaultInput(loaded, hall))
 			if err != nil {
 				t.Fatalf("evaluate loaded: %v", err)
 			}
@@ -129,7 +129,7 @@ func TestRoundTripFile(t *testing.T) {
 	if err := interchange.EmitFile(path, doc); err != nil {
 		t.Fatalf("emit: %v", err)
 	}
-	loaded, d2, err := interchange.LoadFile(path)
+	loaded, d2, err := interchange.LoadFileCtx(context.Background(), path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestLoaderRejections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = interchange.Load(b)
+			_, _, err = interchange.LoadCtx(context.Background(), b)
 			if err == nil {
 				t.Fatal("corrupt document accepted")
 			}
@@ -247,12 +247,12 @@ func TestLoaderRejections(t *testing.T) {
 	t.Run("trailing data", func(t *testing.T) {
 		m := validDocJSON(t)
 		b, _ := json.Marshal(m)
-		if _, _, err := interchange.Load(append(b, []byte("{}")...)); err == nil || !errors.Is(err, physerr.ErrOutOfRange) {
+		if _, _, err := interchange.LoadCtx(context.Background(), append(b, []byte("{}")...)); err == nil || !errors.Is(err, physerr.ErrOutOfRange) {
 			t.Fatalf("trailing data: err = %v, want ErrOutOfRange", err)
 		}
 	})
 	t.Run("not json", func(t *testing.T) {
-		if _, _, err := interchange.Load([]byte("rows: 6\nslots: 16\n")); err == nil || !errors.Is(err, physerr.ErrOutOfRange) {
+		if _, _, err := interchange.LoadCtx(context.Background(), []byte("rows: 6\nslots: 16\n")); err == nil || !errors.Is(err, physerr.ErrOutOfRange) {
 			t.Fatalf("yaml-ish input: err = %v, want ErrOutOfRange", err)
 		}
 	})
@@ -282,7 +282,7 @@ func TestParallelEdgesAreLegal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, _, err := interchange.Load(b)
+	tp, _, err := interchange.LoadCtx(context.Background(), b)
 	if err != nil {
 		t.Fatalf("parallel trunk rejected: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestParallelEdgesAreLegal(t *testing.T) {
 
 func TestLoadFileBounds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.json")
-	if _, _, err := interchange.LoadFile(path); err == nil {
+	if _, _, err := interchange.LoadFileCtx(context.Background(), path); err == nil {
 		t.Error("missing file accepted")
 	}
 	// A canceled context must short-circuit with the canceled kind.
@@ -318,7 +318,7 @@ func TestPodRoundTrip(t *testing.T) {
 	if strings.Contains(string(encoded), `"pod": -1`) {
 		t.Fatal("pod -1 leaked into the document; it must be omitted")
 	}
-	loaded, _, err := interchange.Load(encoded)
+	loaded, _, err := interchange.LoadCtx(context.Background(), encoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func seedDocs(t *testing.T) map[string][]byte {
 // be a loadable document (the fuzzer mutates from valid starting points).
 func TestFuzzSeedsLoad(t *testing.T) {
 	for name, b := range seedDocs(t) {
-		if _, _, err := interchange.Load(b); err != nil {
+		if _, _, err := interchange.LoadCtx(context.Background(), b); err != nil {
 			t.Errorf("seed %s does not load: %v", name, err)
 		}
 	}
@@ -384,7 +384,7 @@ func FuzzInterchangeLoad(f *testing.F) {
 		// Contract under arbitrary input: never panic, and either return a
 		// structured error or a topology that passes its own validation
 		// and re-emits to a document that loads again.
-		tp, doc, err := interchange.Load(data)
+		tp, doc, err := interchange.LoadCtx(context.Background(), data)
 		if err != nil {
 			if tp != nil || doc != nil {
 				t.Fatal("non-nil results alongside an error")
@@ -398,7 +398,7 @@ func FuzzInterchangeLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		if _, _, err := interchange.Load(re); err != nil {
+		if _, _, err := interchange.LoadCtx(context.Background(), re); err != nil {
 			t.Fatalf("re-emitted document does not load: %v", err)
 		}
 	})

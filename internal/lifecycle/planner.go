@@ -290,18 +290,13 @@ type workOrder struct {
 	racks          []int
 }
 
-// PlanGrowth plans cfg's schedule for the topology using the grower's
-// family rules. The input topology is cloned and never mutated.
-func PlanGrowth(t *topology.Topology, g Grower, cfg PlannerConfig) (*Plan, error) {
-	return PlanGrowthCtx(context.Background(), t, g, cfg)
-}
-
-// PlanGrowthCtx is PlanGrowth with cancellation, checked on entry,
-// between stages, and inside the ordering anneal. A canceled run returns
-// an error matching physerr.ErrCanceled and commits nothing — the
-// caller's topology is untouched either way (the planner works on a
-// clone). A run that completes is byte-identical for any worker count
-// and whether obs collection is on or off.
+// PlanGrowthCtx plans cfg's schedule for the topology using the grower's
+// family rules. The input topology is cloned and never mutated. ctx is
+// checked on entry, inside each stage's all-pairs sweep, and inside the
+// ordering anneal. A canceled run returns an error matching
+// physerr.ErrCanceled and commits nothing. A run that completes is
+// byte-identical for any worker count and whether obs collection is on or
+// off.
 func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg PlannerConfig) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -325,9 +320,6 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 	stageStats := make([]StageReport, len(cfg.Stages))
 	addIdx := 0
 	for si, st := range cfg.Stages {
-		if err := ctx.Err(); err != nil {
-			return nil, physerr.Canceled(err)
-		}
 		for k := 0; k < st.AddToRs; k++ {
 			chooser := newSpliceChooser(cfg, rng, par.SeedAt(cfg.Seed^plannerSeedMix, addIdx))
 			id, rewires, err := g.AddToR(work, addIdx, chooser)
@@ -346,7 +338,10 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 		}
 		// Stage evaluation freezes the working graph: a trunk-only stage
 		// rides the CSR delta path, a splice stage forces a full repack.
-		ps := work.AllPairsStats(nil)
+		ps, err := work.AllPairsStatsCtx(ctx, nil)
+		if err != nil {
+			return nil, err
+		}
 		stageStats[si] = StageReport{
 			Stage:    si,
 			Switches: work.N,

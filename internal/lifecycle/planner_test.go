@@ -69,7 +69,7 @@ func TestPlannerConfigValidate(t *testing.T) {
 func TestPlanGrowthCapacity(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
 	cfg.Floor.Rows, cfg.Floor.Cols = 2, 3 // 6 racks × 4 ToRs < 27 switches
-	if _, err := PlanGrowth(jf, g, cfg); !errors.Is(err, physerr.ErrCapacity) {
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); !errors.Is(err, physerr.ErrCapacity) {
 		t.Fatalf("undersized floor: err = %v, want ErrCapacity", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestPlanGrowthCancel(t *testing.T) {
 func TestPlanGrowthInputUntouched(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
 	n, edges := jf.N, jf.NumEdges()
-	if _, err := PlanGrowth(jf, g, cfg); err != nil {
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if jf.N != n || jf.NumEdges() != edges {
@@ -176,11 +176,11 @@ func TestPlannedOrderingNoWorseThanNaive(t *testing.T) {
 	cfg.Stages = []GrowthStage{{AddToRs: 4, AddTrunks: 4}, {AddToRs: 2, AddTrunks: 2}}
 	naiveCfg := cfg
 	naiveCfg.AnnealSteps = 0
-	naive, err := PlanGrowth(jf, g, naiveCfg)
+	naive, err := PlanGrowthCtx(context.Background(), jf, g, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := PlanGrowth(jf, g, cfg)
+	planned, err := PlanGrowthCtx(context.Background(), jf, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestXpanderGrowerLegality(t *testing.T) {
 		Costs:       DefaultActionCosts(costmodel.Default()),
 		RewireTries: 16, Seed: 7,
 	}
-	plan, err := PlanGrowth(x, g, cfg)
+	plan, err := PlanGrowthCtx(context.Background(), x, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPlanGrowthDeltaFreeze(t *testing.T) {
 		obs.Reset()
 	}()
 	before := obs.TakeSnapshot().Counters
-	plan, err := PlanGrowth(jf, JellyfishGrower{Cfg: cfg}, pcfg)
+	plan, err := PlanGrowthCtx(context.Background(), jf, JellyfishGrower{Cfg: cfg}, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

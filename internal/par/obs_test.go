@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -25,7 +26,7 @@ func TestForWorkerTaskAccounting(t *testing.T) {
 			defer SetWorkers(0)
 
 			const n = 100
-			if err := For(n, func(i int) error { return nil }); err != nil {
+			if err := ForCtx(context.Background(), n, func(i int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			s := obs.TakeSnapshot()
@@ -68,7 +69,7 @@ func TestForWorkerTaskAccountingOnError(t *testing.T) {
 	defer SetWorkers(0)
 
 	boom := errors.New("boom")
-	err := For(50, func(i int) error {
+	err := ForCtx(context.Background(), 50, func(i int) error {
 		if i == 9 {
 			return boom
 		}
@@ -87,7 +88,7 @@ func TestForWorkerTaskAccountingOnError(t *testing.T) {
 func TestForDisabledCollectionRecordsNothing(t *testing.T) {
 	obs.Reset()
 	obs.Disable()
-	if err := For(10, func(i int) error { return nil }); err != nil {
+	if err := ForCtx(context.Background(), 10, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if s := obs.TakeSnapshot(); len(s.Counters) != 0 {

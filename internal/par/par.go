@@ -6,22 +6,22 @@
 //
 // The contract is kept by construction, not by locking discipline:
 //
-//   - Map/For assign work by index and deliver results by index, so
+//   - MapCtx/ForCtx assign work by index and deliver results by index, so
 //     output ordering never depends on scheduling.
 //   - Errors are reported from the lowest failing index, the same error a
 //     serial left-to-right sweep would surface.
-//   - Randomized kernels draw a per-index seed (ForRand/Rand) instead of
+//   - Randomized kernels draw a per-index seed (Rand/SeedAt) instead of
 //     sharing one stream, so each work item sees the same random sequence
 //     no matter which worker runs it.
 //   - Reductions that need associativity (sums, mins, maxes over exact
-//     integer state) are the caller's job; ForWorker exposes a stable
+//     integer state) are the caller's job; ForWorkerCtx exposes a stable
 //     worker id so per-worker partials can be combined in worker order.
-//   - Cancellation (the Ctx variants) is checked at task hand-out, never
-//     inside a running task, so a loop that completes under a live
-//     context produced exactly the task executions — and therefore
-//     exactly the bytes — of the context-free path. A canceled loop
-//     reports physerr.ErrCanceled from the first index it refused to
-//     hand out, through the same lowest-index channel as task errors.
+//   - Cancellation is checked at task hand-out, never inside a running
+//     task, so a loop that completes under a live context produced
+//     exactly the task executions — and therefore exactly the bytes — of
+//     a loop under a context that cannot cancel. A canceled loop reports
+//     physerr.ErrCanceled from the first index it refused to hand out,
+//     through the same lowest-index channel as task errors.
 //
 // Worker count defaults to GOMAXPROCS and is overridable — upward too,
 // for scheduling experiments — via SetWorkers or the PHYSDEP_WORKERS
@@ -110,32 +110,23 @@ func SetWorkers(n int) {
 	workerOverride.Store(int64(n))
 }
 
-// For runs fn(i) for i in [0, n), fanning out across Workers() goroutines.
-// On error it returns the error from the lowest failing index and stops
-// handing out higher indices (some may already be in flight). With one
-// worker it degenerates to a plain loop with zero goroutine overhead.
-func For(n int, fn func(i int) error) error {
-	return ForWorker(n, func(_, i int) error { return fn(i) })
-}
-
-// ForCtx is For with cancellation: ctx is checked before each index is
-// handed out, and a done context fails the loop with an error matching
-// physerr.ErrCanceled (and ctx.Err() itself). Tasks already in flight
-// run to completion — cancellation never interrupts fn mid-task, which
-// is what keeps a completed ForCtx run byte-identical to For.
+// ForCtx runs fn(i) for i in [0, n), fanning out across Workers()
+// goroutines. On error it returns the error from the lowest failing
+// index and stops handing out higher indices (some may already be in
+// flight). ctx is checked before each index is handed out, and a done
+// context fails the loop with an error matching physerr.ErrCanceled (and
+// ctx.Err() itself). Tasks already in flight run to completion —
+// cancellation never interrupts fn mid-task, which keeps every completed
+// run byte-identical whatever context it ran under. With one worker it
+// degenerates to a plain loop with zero goroutine overhead.
 func ForCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return ForWorkerCtx(ctx, n, func(_, i int) error { return fn(i) })
 }
 
-// ForWorker is For with a stable worker id in [0, Workers()) passed to
-// fn, so callers can keep per-worker reusable scratch (BFS dist buffers,
-// KSP enumeration state) without synchronization: a worker id is never
-// active on two goroutines at once.
-func ForWorker(n int, fn func(worker, i int) error) error {
-	return ForWorkerCtx(context.Background(), n, fn)
-}
-
-// ForWorkerCtx is ForWorker with hand-out cancellation (see ForCtx).
+// ForWorkerCtx is ForCtx with a stable worker id in [0, Workers())
+// passed to fn, so callers can keep per-worker reusable scratch (BFS
+// dist buffers, KSP enumeration state) without synchronization: a worker
+// id is never active on two goroutines at once.
 func ForWorkerCtx(ctx context.Context, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -155,8 +146,8 @@ func ForWorkerCtx(ctx context.Context, n int, fn func(worker, i int) error) erro
 		obs.SetGauge("par.workers", float64(Workers()))
 	}
 	// A context that can never be canceled (Background, TODO) has a nil
-	// Done channel; skipping its Err() call keeps the context-free
-	// entry points at their old per-item cost.
+	// Done channel; skipping its Err() call keeps such loops free of any
+	// per-item cancellation cost.
 	cancellable := ctx.Done() != nil
 	if w <= 1 {
 		i := 0
@@ -207,8 +198,8 @@ func ForWorkerCtx(ctx context.Context, n int, fn func(worker, i int) error) erro
 				}
 				// Hand-out check: a done context refuses index i before any
 				// of its work runs, so every executed task is a complete
-				// task and the completed prefix is bit-for-bit the one the
-				// context-free loop would have produced.
+				// task and the completed prefix is bit-for-bit the one an
+				// uncancellable loop would have produced.
 				if cancellable {
 					if err := ctx.Err(); err != nil {
 						fail(i, physerr.Canceled(err))
@@ -242,7 +233,7 @@ func countTasks(collect bool, wk, ran int) {
 // once, and an over-capacity TryEnter fails immediately instead of
 // queueing. It is the admission-control primitive the evaluation daemon
 // (internal/serve) layers over the worker pools — each admitted request
-// fans out through For/Map under the shared Workers() budget, so
+// fans out through ForCtx/MapCtx under the shared Workers() budget, so
 // bounding admissions bounds the number of loops competing for that
 // budget; a burst past the gate's capacity is refused up front (HTTP
 // 429) rather than oversubscribing the pools.
@@ -290,15 +281,10 @@ func (g *Gate) InFlight() int { return int(g.cur.Load()) }
 // Cap returns the gate's admission capacity.
 func (g *Gate) Cap() int { return int(g.cap) }
 
-// Map runs fn(i) for i in [0, n) in parallel and returns the results in
-// input order. On error the results are discarded and the lowest failing
+// MapCtx runs fn(i) for i in [0, n) in parallel (see ForCtx) and returns
+// the results in input order. On error — a task's, or an ErrCanceled
+// from a done context — the results are discarded and the lowest failing
 // index's error is returned.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with hand-out cancellation (see ForCtx): a done context
-// discards the partial results and returns an ErrCanceled-kinded error.
 func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForCtx(ctx, n, func(i int) error {
@@ -322,18 +308,6 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 func Rand(seed uint64, i int) *rand.Rand {
 	s := splitmix64(seed + uint64(i)*0x9e3779b97f4a7c15)
 	return rand.New(rand.NewPCG(s, splitmix64(s)))
-}
-
-// ForRand is For with the per-index seeded stream handed to fn.
-func ForRand(n int, seed uint64, fn func(i int, rng *rand.Rand) error) error {
-	return For(n, func(i int) error { return fn(i, Rand(seed, i)) })
-}
-
-// ForRandCtx is ForRand with hand-out cancellation (see ForCtx). Seeds
-// are per-index, so the tasks a canceled run did complete drew exactly
-// the streams they would have drawn in a full run.
-func ForRandCtx(ctx context.Context, n int, seed uint64, fn func(i int, rng *rand.Rand) error) error {
-	return ForCtx(ctx, n, func(i int) error { return fn(i, Rand(seed, i)) })
 }
 
 // SeedAt derives the scalar seed for chain/work-item i under base seed —

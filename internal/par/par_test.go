@@ -1,9 +1,9 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -22,7 +22,7 @@ func withWorkers(t *testing.T, n int, body func()) {
 func TestMapPreservesOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 8, 33} {
 		withWorkers(t, w, func() {
-			out, err := Map(100, func(i int) (int, error) { return i * i, nil })
+			out, err := MapCtx(context.Background(), 100, func(i int) (int, error) { return i * i, nil })
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
@@ -38,7 +38,7 @@ func TestMapPreservesOrder(t *testing.T) {
 func TestForReportsLowestFailingIndex(t *testing.T) {
 	for _, w := range []int{1, 4, 16} {
 		withWorkers(t, w, func() {
-			err := For(64, func(i int) error {
+			err := ForCtx(context.Background(), 64, func(i int) error {
 				if i%7 == 3 { // fails at 3, 10, 17, ...
 					return fmt.Errorf("fail@%d", i)
 				}
@@ -55,7 +55,7 @@ func TestForStopsAfterError(t *testing.T) {
 	withWorkers(t, 4, func() {
 		var ran atomic.Int64
 		sentinel := errors.New("boom")
-		err := For(10000, func(i int) error {
+		err := ForCtx(context.Background(), 10000, func(i int) error {
 			ran.Add(1)
 			if i == 0 {
 				return sentinel
@@ -76,7 +76,7 @@ func TestForWorkerIDsAreExclusiveScratchSlots(t *testing.T) {
 		// Per-worker counters must never race: a worker id is owned by one
 		// goroutine at a time. Run under -race this is a real check.
 		counters := make([]int, Workers())
-		err := ForWorker(1000, func(w, i int) error {
+		err := ForWorkerCtx(context.Background(), 1000, func(w, i int) error {
 			counters[w]++
 			return nil
 		})
@@ -98,7 +98,8 @@ func TestRandStreamsAreStableAcrossWorkerCounts(t *testing.T) {
 		var out []float64
 		withWorkers(t, workers, func() {
 			out = make([]float64, 50)
-			err := ForRand(50, 42, func(i int, rng *rand.Rand) error {
+			err := ForCtx(context.Background(), 50, func(i int) error {
+				rng := Rand(42, i)
 				out[i] = rng.Float64() + float64(rng.IntN(1000))
 				return nil
 			})
@@ -169,7 +170,7 @@ func TestResetEnvCacheConcurrentWithWorkers(t *testing.T) {
 			resetEnvCache()
 		}
 	}()
-	if err := For(200, func(int) error { _ = Workers(); return nil }); err != nil {
+	if err := ForCtx(context.Background(), 200, func(int) error { _ = Workers(); return nil }); err != nil {
 		t.Fatalf("For returned %v", err)
 	}
 	<-done

@@ -128,31 +128,6 @@ func (s *annealState) Propose(rng *rand.Rand) (float64, func(), bool) {
 	}, true
 }
 
-// Optimize improves the placement by simulated annealing, returning the
-// cable-length before and after. The placement is modified in place.
-func Optimize(p *Placement, steps int, seed uint64) (before, after units.Meters) {
-	// A background context cannot cancel, so the error is structurally
-	// nil here.
-	before, after, _ = OptimizeCtx(context.Background(), p, steps, seed)
-	return before, after
-}
-
-// OptimizeCtx is Optimize with cancellation (checked between annealing
-// chunks; see solver.AnnealCtx). Single-chain annealing mutates p in
-// place, so a canceled run leaves p at the last accepted move — a valid,
-// typically already-improved placement — and returns an error matching
-// physerr.ErrCanceled. Callers that need all-or-nothing semantics under
-// cancellation should use OptimizeRestartsCtx, which works on clones.
-func OptimizeCtx(ctx context.Context, p *Placement, steps int, seed uint64) (before, after units.Meters, err error) {
-	defer obs.Time("placement.optimize")()
-	before = p.CableLength()
-	st := newAnnealState(p)
-	_, err = solver.AnnealCtx(ctx, st, annealConfig(before, steps, seed))
-	after = p.CableLength()
-	obs.Add("placement.optimize.saved_m", int64(before-after))
-	return before, after, err
-}
-
 func annealConfig(before units.Meters, steps int, seed uint64) solver.AnnealConfig {
 	cfg := solver.AnnealConfig{Steps: steps, T0: float64(before) / 200, T1: 0.05, Seed: seed}
 	if cfg.T0 <= cfg.T1 {
@@ -161,30 +136,22 @@ func annealConfig(before units.Meters, steps int, seed uint64) solver.AnnealConf
 	return cfg
 }
 
-// OptimizeRestarts is Optimize's multi-restart mode: restarts
-// independently seeded annealing chains run in parallel, each on its own
-// clone of p, and the chain with the shortest final cable length (ties
-// broken by lowest chain index) is installed back into p. Chain 0 runs
-// the exact schedule Optimize(p, steps, seed) would, so the result is
-// never worse than single-chain annealing, and the outcome is identical
-// for any worker count. restarts <= 1 is exactly Optimize.
-func OptimizeRestarts(p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters) {
-	// A background context cannot cancel, so the error is structurally
-	// nil here.
-	before, after, _ = OptimizeRestartsCtx(context.Background(), p, steps, seed, restarts)
-	return before, after
-}
-
-// OptimizeRestartsCtx is OptimizeRestarts with cancellation. The chains
-// run on clones, so cancellation is all-or-nothing for p: a canceled run
-// abandons the clones, leaves p exactly as it was, and returns an error
-// matching physerr.ErrCanceled (before and after both report the
-// untouched length). A run that completes is byte-identical to
-// OptimizeRestarts.
+// OptimizeRestartsCtx improves the placement by simulated annealing,
+// returning the cable length before and after. restarts independently
+// seeded chains run in parallel, each on its own clone of p, and the
+// chain with the shortest final cable length (ties broken by lowest chain
+// index) is installed back into p. Chain 0 runs the single-chain
+// schedule (restarts <= 1 runs only that one), so more restarts are never
+// worse than one, and the outcome is identical for any worker count.
+//
+// The chains run on clones, so cancellation is all-or-nothing for p: a
+// canceled run abandons the clones, leaves p exactly as it was, and
+// returns an error matching physerr.ErrCanceled (before and after both
+// report the untouched length).
 func OptimizeRestartsCtx(ctx context.Context, p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters, err error) {
 	if restarts <= 1 {
-		// Mirror OptimizeRestarts' all-or-nothing contract even for the
-		// single-chain case: anneal a clone, adopt only on completion.
+		// Anneal a clone, adopt only on completion: the same all-or-nothing
+		// contract as the multi-chain path.
 		defer obs.Time("placement.optimize")()
 		before = p.CableLength()
 		clone := p.Clone()

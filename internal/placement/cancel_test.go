@@ -57,11 +57,14 @@ func TestOptimizeRestartsCtxPreCanceledLeavesPlacementUntouched(t *testing.T) {
 
 // TestOptimizeRestartsCtxLiveUncanceledMatches: with a live cancellable
 // context the multi-restart optimizer must land on the identical
-// placement as the context-free API.
+// placement as under a context that cannot cancel.
 func TestOptimizeRestartsCtxLiveUncanceledMatches(t *testing.T) {
 	a := cancelFixture(t)
 	b := cancelFixture(t)
-	_, wantAfter := OptimizeRestarts(a, 5000, 1, 2)
+	_, wantAfter, err := OptimizeRestartsCtx(context.Background(), a, 5000, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, gotAfter, err := OptimizeRestartsCtx(ctx, b, 5000, 1, 2)
@@ -69,7 +72,7 @@ func TestOptimizeRestartsCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotAfter != wantAfter {
-		t.Fatalf("cancellable after %v != context-free %v", gotAfter, wantAfter)
+		t.Fatalf("cancellable after %v != uncancellable %v", gotAfter, wantAfter)
 	}
 	for r := range a.SlotOfRack {
 		if a.SlotOfRack[r] != b.SlotOfRack[r] {

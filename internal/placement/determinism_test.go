@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/floorplan"
@@ -33,7 +34,10 @@ func TestOptimizeRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 		par.SetWorkers(workers)
 		defer par.SetWorkers(0)
 		p := restartPlacement(t)
-		_, after := OptimizeRestarts(p, 3000, 7, 6)
+		_, after, err := OptimizeRestartsCtx(context.Background(), p, 3000, 7, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return append([]int(nil), p.SlotOfRack...), float64(after)
 	}
 	slots1, after1 := layoutAt(1)
@@ -50,12 +54,19 @@ func TestOptimizeRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestOptimizeRestartsNoWorseThanSingleChain: chain 0 replays the exact
 // single-chain schedule, so the best-of-N result can never lose to
-// Optimize with the same seed.
+// a single chain with the same seed.
 func TestOptimizeRestartsNoWorseThanSingleChain(t *testing.T) {
+	ctx := context.Background()
 	pSingle := restartPlacement(t)
-	_, afterSingle := Optimize(pSingle, 3000, 7)
+	_, afterSingle, err := OptimizeRestartsCtx(ctx, pSingle, 3000, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pMulti := restartPlacement(t)
-	_, afterMulti := OptimizeRestarts(pMulti, 3000, 7, 6)
+	_, afterMulti, err := OptimizeRestartsCtx(ctx, pMulti, 3000, 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if afterMulti > afterSingle {
 		t.Fatalf("multi-restart ended at %v, worse than single-chain %v", afterMulti, afterSingle)
 	}
@@ -69,7 +80,9 @@ func TestOptimizeRestartsPreservesRUAccounting(t *testing.T) {
 	for i := 0; i < p.Floor.NumRacks(); i++ {
 		wantTotal += p.Floor.UsedRU(i)
 	}
-	OptimizeRestarts(p, 2000, 3, 4)
+	if _, _, err := OptimizeRestartsCtx(context.Background(), p, 2000, 3, 4); err != nil {
+		t.Fatal(err)
+	}
 	gotTotal := 0
 	used := 0
 	for i := 0; i < p.Floor.NumRacks(); i++ {

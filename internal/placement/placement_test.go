@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/cabling"
@@ -169,7 +170,10 @@ func TestOptimizeReducesCableLength(t *testing.T) {
 		}
 		p.SlotOfRack[i], p.SlotOfRack[j] = sb, sa
 	}
-	before, after := Optimize(p, 8000, 3)
+	before, after, err := OptimizeRestartsCtx(context.Background(), p, 8000, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after >= before {
 		t.Errorf("anneal did not improve: %v -> %v", before, after)
 	}

@@ -24,14 +24,14 @@ func TestSimulateCtxPreCanceled(t *testing.T) {
 }
 
 // TestSimulateCtxLiveUncanceledMatches: a cancellable-but-quiet context
-// must reproduce the context-free run exactly — same failures, same
+// must reproduce the uncancellable run exactly — same failures, same
 // availability, to the last bit.
 func TestSimulateCtxLiveUncanceledMatches(t *testing.T) {
 	sys, err := SwitchFleet(4, 32, 8, 2000, 500, 60, 120, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(sys, 8760, 4, 21)
+	want, err := SimulateCtx(context.Background(), sys, 8760, 4, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +42,6 @@ func TestSimulateCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable run %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable run %+v != uncancellable %+v", got, want)
 	}
 }

@@ -145,22 +145,17 @@ func (q *eventQueue) Pop() any {
 	return x
 }
 
-// Simulate runs the failure/repair process for the given horizon with a
-// crew of techs technicians. Deterministic per seed.
-func Simulate(sys *System, horizon units.Hours, techs int, seed uint64) (Results, error) {
-	return SimulateCtx(context.Background(), sys, horizon, techs, seed)
-}
-
 // simulateChunkEvents is how many simulation events process between
 // context checks in SimulateCtx — cheap enough to vanish into the heap
 // work, frequent enough that a deadline stops a runaway horizon fast.
 const simulateChunkEvents = 4096
 
-// SimulateCtx is Simulate with cancellation, checked every
-// simulateChunkEvents events of the discrete-event loop. A canceled run
-// discards its partial tallies (they would be statistically meaningless
-// truncated mid-horizon) and returns an error matching
-// physerr.ErrCanceled; a completed run is byte-identical to Simulate.
+// SimulateCtx runs the failure/repair process for the given horizon with
+// a crew of techs technicians. Deterministic per seed. ctx is checked
+// every simulateChunkEvents events of the discrete-event loop; a canceled
+// run discards its partial tallies (they would be statistically
+// meaningless truncated mid-horizon) and returns an error matching
+// physerr.ErrCanceled.
 func SimulateCtx(ctx context.Context, sys *System, horizon units.Hours, techs int, seed uint64) (Results, error) {
 	if techs < 1 {
 		return Results{}, fmt.Errorf("repair: need at least one technician")
@@ -271,14 +266,9 @@ func SimulateCtx(ctx context.Context, sys *System, horizon units.Hours, techs in
 	return res, nil
 }
 
-// SimulateMany averages runs across seeds for tighter estimates.
-func SimulateMany(sys *System, horizon units.Hours, techs, runs int, seed uint64) (Results, error) {
-	return SimulateManyCtx(context.Background(), sys, horizon, techs, runs, seed)
-}
-
-// SimulateManyCtx is SimulateMany with cancellation: each run checks ctx
-// at its event chunks (SimulateCtx), so a sweep of many seeds stops
-// within one chunk of one run. The per-run seeds are derived, not
+// SimulateManyCtx averages runs across seeds for tighter estimates. Each
+// run checks ctx at its event chunks (SimulateCtx), so a sweep of many
+// seeds stops within one chunk of one run. The per-run seeds are derived, not
 // sequential draws, so the runs a canceled sweep did complete are the
 // same runs a full sweep would have produced.
 func SimulateManyCtx(ctx context.Context, sys *System, horizon units.Hours, techs, runs int, seed uint64) (Results, error) {

@@ -93,44 +93,6 @@ func (c *lruCache[V]) add(k cacheKey, v V) (evicted bool) {
 	return true
 }
 
-// getOrAdd returns the existing value for k, or stores and returns v if
-// none exists — atomically, so concurrent first users of a key agree on
-// one canonical value (the topology store's single-flight depends on
-// this). evicted reports whether the insert pushed out an LRU entry.
-func (c *lruCache[V]) getOrAdd(k cacheKey, v V) (actual V, loaded, evicted bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true, false
-	}
-	c.items[k] = c.order.PushFront(&lruEntry[V]{key: k, val: v})
-	if c.order.Len() <= c.max {
-		return v, false, false
-	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*lruEntry[V]).key)
-	return v, false, true
-}
-
-// removeIf drops k only if match approves the value currently stored
-// under it, reporting whether it did — the identity-guarded removal the
-// topology store's failure path needs (topoStore.dropFailed): key
-// equality alone cannot distinguish a stale failed entry from a healthy
-// one rebuilt under the same key.
-func (c *lruCache[V]) removeIf(k cacheKey, match func(V) bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok || !match(el.Value.(*lruEntry[V]).val) {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.items, k)
-	return true
-}
-
 // snapshotOldestFirst returns the cache's keys and values ordered least
 // recently used first, so replaying them through add() in order
 // reproduces both the contents and the recency order — the persistence
@@ -201,6 +163,8 @@ func (c *resultCache) peek(k cacheKey) ([]byte, bool) {
 	return c.lru.get(k)
 }
 
+// put stores body under k. It is the result flight table's keep, so it
+// runs under that table's lock and must not call back into it.
 func (c *resultCache) put(k cacheKey, body []byte) {
 	obs.Inc("serve.cache.store")
 	if c.lru.add(k, body) {

@@ -159,15 +159,3 @@ func TestLRUGetRefreshesRecency(t *testing.T) {
 		t.Fatal("recently touched entry was evicted")
 	}
 }
-
-// TestLRUGetOrAdd: concurrent first users of a key must agree on one
-// canonical value — the second arrival loads the first's.
-func TestLRUGetOrAdd(t *testing.T) {
-	c := newLRU[int](4)
-	if v, loaded, _ := c.getOrAdd(key(1), 10); loaded || v != 10 {
-		t.Fatalf("first getOrAdd = %d,%v, want 10,false", v, loaded)
-	}
-	if v, loaded, _ := c.getOrAdd(key(1), 99); !loaded || v != 10 {
-		t.Fatalf("second getOrAdd = %d,%v, want 10,true", v, loaded)
-	}
-}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -69,7 +70,7 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t, _, err := interchange.Load(data)
+	t, _, err := interchange.LoadCtx(r.Context(), data)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -111,7 +112,9 @@ func (s *Server) buildTopo(p cli.TopoParams) (*topology.Topology, error) {
 		return nil, physerr.OutOfRange(
 			"serve: document %s is not resident; upload it via POST /v1/documents", p.File)
 	}
-	t, _, err := interchange.Load(data)
+	// The build is shared by every request waiting on it, so no one
+	// request's context may cancel it.
+	t, _, err := interchange.LoadCtx(context.TODO(), data)
 	return t, err
 }
 

@@ -199,9 +199,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKe
 		// Follower: the leader is computing these exact bytes right now.
 		select {
 		case <-f.done:
-			if f.body != nil {
+			if f.ok {
 				obs.Inc("serve.cache.coalesced")
-				writeJSONBody(w, f.body, "coalesced")
+				writeJSONBody(w, f.val, "coalesced")
 				return
 			}
 			// The leader produced no response. A later flight may have
@@ -232,17 +232,18 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKe
 // leader occupies an admission slot — N coalesced requests cost one
 // unit of kernel work, so they owe one slot between them. The
 // successful response value is marshaled once; those exact bytes go to
-// the cache, to every follower, and onto this request's wire, keeping
-// miss, coalesced, and hit responses byte-identical.
+// the cache (the flight table's keep), to every follower, and onto this
+// request's wire, keeping miss, coalesced, and hit responses
+// byte-identical.
 func (s *Server) serveAsLeader(w http.ResponseWriter, ctx context.Context, key cacheKey,
-	f *flight, compute func(ctx context.Context) (any, error)) {
+	f *flight[[]byte], compute func(ctx context.Context) (any, error)) {
 	// The flight must complete on every exit path — error, panic
 	// (net/http recovers handler panics), admission refusal — or the
 	// followers would wait on a leader that is never coming back.
 	completed := false
 	defer func() {
 		if !completed {
-			s.flights.finish(key, f, nil)
+			s.flights.finish(key, f, nil, false)
 		}
 	}()
 
@@ -277,8 +278,7 @@ func (s *Server) serveAsLeader(w http.ResponseWriter, ctx context.Context, key c
 		return
 	}
 	body = append(body, '\n')
-	s.cache.put(key, body)
-	s.flights.finish(key, f, body)
+	s.flights.finish(key, f, body, true)
 	completed = true
 	writeJSONBody(w, body, "miss")
 }
@@ -384,7 +384,7 @@ func (s *Server) computeExperiment(ctx context.Context, id string) (any, error) 
 }
 
 func (s *Server) computeTopologyEvaluate(ctx context.Context, norm EvaluateRequest) (any, error) {
-	topo, err := s.store.load(*norm.Topo)
+	topo, err := s.store.load(ctx, *norm.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +425,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		topo, err := s.store.load(*norm.Topo)
+		topo, err := s.store.load(ctx, *norm.Topo)
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +482,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		topo, err := s.store.load(*norm.Topo)
+		topo, err := s.store.load(ctx, *norm.Topo)
 		if err != nil {
 			return nil, err
 		}

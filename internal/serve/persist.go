@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/obs"
 )
 
@@ -19,7 +19,7 @@ import (
 // naming the format and version, then one checksummed entry per cached
 // response, least recently used first (so replaying the file through
 // add() reproduces the LRU recency order, not just the contents). The
-// file is written whole, temp+rename, on graceful shutdown — there is
+// file is written whole, with atomicfile, on graceful shutdown — there is
 // no torn-tail case by construction — and loaded entry by entry at
 // startup, skipping (and counting) anything whose checksum does not
 // match, so a bit-rotted entry costs one cold miss instead of the whole
@@ -53,52 +53,32 @@ func entrySum(k cacheKey, body []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SaveCache snapshots the result cache to path, temp+rename in path's
-// directory, and returns the number of entries written. Concurrent
-// requests keep being served during the snapshot; entries added after
-// the snapshot is taken are simply not in this save.
+// SaveCache snapshots the result cache to path with atomicfile.Write
+// and returns the number of entries written. Concurrent requests keep
+// being served during the snapshot; entries added after the snapshot is
+// taken are simply not in this save.
 func (s *Server) SaveCache(path string) (int, error) {
 	keys, bodies := s.cache.lru.snapshotOldestFirst()
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".physdepd-cache-*")
+	err := atomicfile.Write(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(persistHeader{Format: persistFormat, Version: persistVersion, Entries: len(keys)}); err != nil {
+			return err
+		}
+		for i, k := range keys {
+			e := persistEntry{
+				Key:  hex.EncodeToString(k[:]),
+				Sum:  entrySum(k, bodies[i]),
+				Body: base64.StdEncoding.EncodeToString(bodies[i]),
+			}
+			if err := enc.Encode(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	tmpName := tmp.Name()
-	renamed := false
-	defer func() {
-		if !renamed {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(persistHeader{Format: persistFormat, Version: persistVersion, Entries: len(keys)}); err != nil {
-		return 0, err
-	}
-	for i, k := range keys {
-		e := persistEntry{
-			Key:  hex.EncodeToString(k[:]),
-			Sum:  entrySum(k, bodies[i]),
-			Body: base64.StdEncoding.EncodeToString(bodies[i]),
-		}
-		if err := enc.Encode(e); err != nil {
-			return 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return 0, err
-	}
-	renamed = true
 	obs.Add("serve.persist.saved", int64(len(keys)))
 	return len(keys), nil
 }

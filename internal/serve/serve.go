@@ -85,7 +85,7 @@ type Server struct {
 	cfg     Config
 	gate    *par.Gate
 	cache   *resultCache
-	flights *flightTable
+	flights *flightTable[[]byte]
 	store   *topoStore
 	docs    *lruCache[[]byte] // uploaded interchange documents by content digest
 	mux     *http.ServeMux
@@ -99,11 +99,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	obs.Enable()
 	cfg = cfg.withDefaults()
+	cache := newResultCache(cfg.CacheEntries)
 	s := &Server{
 		cfg:     cfg,
 		gate:    par.NewGate(cfg.MaxInFlight),
-		cache:   newResultCache(cfg.CacheEntries),
-		flights: newFlightTable(),
+		cache:   cache,
+		flights: newFlightTable(cache.put),
 		store:   newTopoStore(cfg.StoreEntries),
 		docs:    newLRU[[]byte](cfg.DocEntries),
 		start:   time.Now(),

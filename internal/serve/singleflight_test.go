@@ -245,6 +245,58 @@ func TestFailedLeaderReleasesFollowers(t *testing.T) {
 	}
 }
 
+// TestTopologyFollowerDeadline504: a request for a different endpoint on
+// the same fabric does not coalesce on the result flight, but it does
+// wait on the topology build another request is running. That wait
+// honours its own timeout_ms: it gets 504 while the build is still
+// blocked, and the leader then completes normally.
+func TestTopologyFollowerDeadline504(t *testing.T) {
+	s := New(Config{MaxInFlight: 16})
+	h := s.Handler()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var once sync.Once
+	inner := s.store.build
+	s.store.build = func(spec cli.TopoParams) (*topology.Topology, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return inner(spec)
+	}
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	leaderDone := make(chan int, 1)
+	go func() { leaderDone <- do(h, nil, "POST", "/v1/stats", `{"topo":`+smallTopo+`}`).Code }()
+	<-started
+
+	followerDone := make(chan int, 1)
+	go func() {
+		followerDone <- do(h, nil, "POST", "/v1/whatif", `{"topo":`+smallTopo+`,"timeout_ms":50}`).Code
+	}()
+	select {
+	case code := <-followerDone:
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("follower status = %d, want 504", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower ignored its 50ms deadline while parked behind a topology build")
+	}
+	select {
+	case code := <-leaderDone:
+		t.Fatalf("leader finished (%d) before its build was released", code)
+	default:
+	}
+	close(release)
+	if code := <-leaderDone; code != http.StatusOK {
+		t.Fatalf("leader status = %d, want 200", code)
+	}
+}
+
 type followerResult struct {
 	code  int
 	state string

@@ -1,44 +1,45 @@
 package serve
 
 import (
-	"sync"
+	"context"
 
 	"physdep/internal/cli"
 	"physdep/internal/obs"
+	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
 
 // topoStore shares one built topology — and therefore one frozen CSR
 // graph.Snapshot — per distinct topology spec, across every concurrent
-// request that names it. Loading is per-entry single-flight (the first
-// request builds and freezes; concurrent requests for the same spec
-// block on that one build), and the store itself is a bounded LRU so a
+// request that names it. Building is single-flight on the daemon's
+// flight table (the first request builds and freezes; concurrent
+// requests for the same spec wait for that one build, each within its
+// own deadline), and completed topologies live in a bounded LRU so a
 // scan over thousands of distinct specs cannot grow memory without
-// bound.
+// bound. A build in progress is not in the LRU, so eviction never
+// touches one.
 //
 // Entries are never mutated in place: handlers only read the stored
 // topology (evaluation, stats, and what-if trials all work on reads or
 // on clones), which is what makes sharing the frozen snapshot safe. The
-// only "mutation" the daemon offers is invalidate(): the entry is
-// dropped and the next request rebuilds a fresh topology and a fresh
-// snapshot. Requests already holding the old pointer keep reading the
-// old immutable snapshot — exactly the graph.Freeze() contract.
+// only "mutation" the daemon offers is invalidate(): the stored topology
+// and any build in progress are dropped and the next request rebuilds a
+// fresh topology and a fresh snapshot. Requests already holding the old
+// pointer keep reading the old immutable snapshot — exactly the
+// graph.Freeze() contract.
 type topoStore struct {
-	entries *lruCache[*topoEntry]
+	entries *lruCache[*topology.Topology]
+	flights *flightTable[*topology.Topology]
 	// build is cli.BuildTopology in production; tests swap in failing or
 	// blocking builders to drive the failure-path and eviction races.
 	build func(cli.TopoParams) (*topology.Topology, error)
 }
 
-type topoEntry struct {
-	once sync.Once
-	topo *topology.Topology
-	err  error
-}
-
 func newTopoStore(entries int) *topoStore {
+	lru := newLRU[*topology.Topology](entries)
 	return &topoStore{
-		entries: newLRU[*topoEntry](entries),
+		entries: lru,
+		flights: newFlightTable(func(k cacheKey, t *topology.Topology) { lru.add(k, t) }),
 		build:   cli.BuildTopology,
 	}
 }
@@ -51,55 +52,71 @@ func specKey(spec cli.TopoParams) (cacheKey, error) {
 }
 
 // load returns the shared topology for spec, building and freezing it
-// on first use.
-func (st *topoStore) load(spec cli.TopoParams) (*topology.Topology, error) {
+// on first use. A request waiting for another request's build gives up
+// when its own ctx is done, with an error matching physerr.ErrCanceled,
+// and the build carries on for the others. A failed build is never
+// stored: its leader gets the error and the waiting requests retry, so a
+// transient failure cannot wedge the key.
+func (st *topoStore) load(ctx context.Context, spec cli.TopoParams) (*topology.Topology, error) {
 	k, err := specKey(spec)
 	if err != nil {
 		return nil, err
 	}
-	// getOrAdd makes concurrent first requests agree on one entry, whose
-	// once.Do makes the build-and-freeze single-flight: the shared
-	// snapshot is built exactly once no matter how many requests race in.
-	e, _, _ := st.entries.getOrAdd(k, &topoEntry{})
-	e.once.Do(func() {
-		obs.Inc("serve.store.build")
-		e.topo, e.err = st.build(spec)
-		if e.err == nil {
-			// Freeze eagerly: the shared snapshot is built exactly once per
-			// loaded topology, outside any request's timed kernel work.
-			e.topo.Freeze()
+	for {
+		if t, ok := st.entries.get(k); ok {
+			return t, nil
 		}
-	})
-	if e.err != nil {
-		// Drop the failed entry so a transient failure can't wedge the key
-		// forever — but drop it by identity, not by key: by the time a
-		// request that observed the failure gets here, a racing request may
-		// have already removed this entry and rebuilt a *healthy* one under
-		// the same key, and an unconditional remove would delete it.
-		st.dropFailed(k, e)
-		return nil, e.err
+		f, leader := st.flights.begin(k)
+		if leader {
+			return st.lead(k, f, spec)
+		}
+		select {
+		case <-f.done:
+			if f.ok {
+				return f.val, nil
+			}
+			// The leader's build failed: loop, and lead a fresh build or
+			// follow one, under this request's own context.
+		case <-ctx.Done():
+			return nil, physerr.Canceled(ctx.Err())
+		}
 	}
-	return e.topo, nil
 }
 
-// dropFailed removes key k only while it still holds the failed entry e
-// (pointer identity), reporting whether it did. Stale removals — a
-// request still holding an old failed entry after the key was rebuilt —
-// are no-ops.
-func (st *topoStore) dropFailed(k cacheKey, e *topoEntry) bool {
-	return st.entries.removeIf(k, func(cur *topoEntry) bool { return cur == e })
+// lead builds and freezes spec as the leader of f. The flight finishes
+// on every exit path, panics included, or its followers would wait for a
+// build that never ends.
+func (st *topoStore) lead(k cacheKey, f *flight[*topology.Topology], spec cli.TopoParams) (topo *topology.Topology, err error) {
+	defer func() { st.flights.finish(k, f, topo, topo != nil) }()
+	// A build that finished between this request's store miss and its
+	// begin was kept before its flight left the table: serve it rather
+	// than building twice.
+	if t, ok := st.entries.get(k); ok {
+		return t, nil
+	}
+	obs.Inc("serve.store.build")
+	t, err := st.build(spec)
+	if err != nil {
+		return nil, err
+	}
+	// Freeze eagerly: the shared snapshot is built exactly once per loaded
+	// topology, outside any request's timed kernel work.
+	t.Freeze()
+	return t, nil
 }
 
-// invalidate drops the cached topology for spec, reporting whether it
-// was loaded. The next load builds a fresh topology and snapshot.
+// invalidate drops the stored topology for spec and any build of it in
+// progress, reporting whether there was either. The next load builds a
+// fresh topology and snapshot.
 func (st *topoStore) invalidate(spec cli.TopoParams) (bool, error) {
 	k, err := specKey(spec)
 	if err != nil {
 		return false, err
 	}
-	dropped := st.entries.remove(k)
-	if dropped {
+	building := st.flights.drop(k)
+	stored := st.entries.remove(k)
+	if building || stored {
 		obs.Inc("serve.store.invalidate")
 	}
-	return dropped, nil
+	return building || stored, nil
 }

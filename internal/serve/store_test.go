@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"physdep/internal/cli"
 	"physdep/internal/obs"
@@ -21,11 +24,10 @@ func specFor(t *testing.T, topoJSON string) cli.TopoParams {
 	return p
 }
 
-// TestStoreDropFailedByIdentity is the regression test for the
-// failure-path race: a request that observed a failed entry must only
-// ever remove *that* entry — a stale removal arriving after a racing
-// request rebuilt a healthy entry under the same key is a no-op.
-func TestStoreDropFailedByIdentity(t *testing.T) {
+// TestStoreFailedBuildIsNeverStored: a failed build leaves nothing
+// behind — no LRU entry, no flight — so the next load builds afresh and
+// its healthy result is the one every later load shares.
+func TestStoreFailedBuildIsNeverStored(t *testing.T) {
 	st := newTopoStore(4)
 	var calls atomic.Int64
 	st.build = func(spec cli.TopoParams) (*topology.Topology, error) {
@@ -35,43 +37,41 @@ func TestStoreDropFailedByIdentity(t *testing.T) {
 		return cli.BuildTopology(spec)
 	}
 	spec := specFor(t, smallTopo)
+	ctx := context.Background()
 	k, err := specKey(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := st.load(spec); err == nil {
+	if _, err := st.load(ctx, spec); err == nil {
 		t.Fatal("first load did not surface the injected failure")
 	}
-	healthy, err := st.load(spec)
+	if n := st.entries.len(); n != 0 {
+		t.Fatalf("store holds %d entries after a failed build, want 0", n)
+	}
+	if _, building := st.flights.inflight[k]; building {
+		t.Fatal("failed build left its flight in the table")
+	}
+	healthy, err := st.load(ctx, spec)
 	if err != nil {
 		t.Fatalf("rebuild after transient failure: %v", err)
 	}
-
-	// The race's stale actor: a request still holding the old failed
-	// entry fires its removal after the healthy rebuild.
-	stale := &topoEntry{err: physerr.OutOfRange("stale failed entry")}
-	if st.dropFailed(k, stale) {
-		t.Fatal("dropFailed removed a healthy entry on key match alone")
-	}
-	got, err := st.load(spec)
+	got, err := st.load(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != healthy {
-		t.Fatal("healthy entry was lost: load rebuilt instead of returning the cached topology")
+		t.Fatal("healthy entry was lost: load rebuilt instead of returning the stored topology")
 	}
 	if n := calls.Load(); n != 2 {
-		t.Fatalf("build calls = %d, want 2 (the stale removal must not force a rebuild)", n)
+		t.Fatalf("build calls = %d, want 2 (the failure and one healthy build)", n)
 	}
 }
 
 // TestStoreFailOnceThenSucceedsConcurrent hammers the failure path
 // under -race: with a builder that fails exactly once, every concurrent
 // loader converges on one shared healthy topology and the store settles
-// with exactly two builds — the failure and the one fresh success
-// (identity removal means the healthy entry can never be deleted by a
-// stale failure observer).
+// with exactly two builds — the failure and the one fresh success.
 func TestStoreFailOnceThenSucceedsConcurrent(t *testing.T) {
 	st := newTopoStore(4)
 	var calls atomic.Int64
@@ -91,7 +91,7 @@ func TestStoreFailOnceThenSucceedsConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for {
-				topo, err := st.load(spec)
+				topo, err := st.load(context.Background(), spec)
 				if err == nil {
 					got[i] = topo
 					return
@@ -108,78 +108,147 @@ func TestStoreFailOnceThenSucceedsConcurrent(t *testing.T) {
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("build calls = %d, want exactly 2 (1 failure + 1 shared success)", n)
 	}
-	if topo, err := st.load(spec); err != nil || topo != got[0] {
+	if topo, err := st.load(context.Background(), spec); err != nil || topo != got[0] {
 		t.Fatalf("post-convergence load rebuilt or failed (err %v)", err)
 	}
 }
 
-// TestStoreEvictMidBuildCompletesAndRebuilds: LRU-evicting a topoEntry
-// whose build is still in flight must not break anyone — the evicted
-// entry's once.Do still completes for the request holding it, and the
-// next load of that spec rebuilds cleanly. The store-build and
-// snapshot-freeze counters pin the exact work: three builds, three
-// freezes (A, B, A-again).
-func TestStoreEvictMidBuildCompletesAndRebuilds(t *testing.T) {
-	obs.Enable()
-	specA := specFor(t, smallTopo)
-	specB := specA
-	specB.Seed = 99
-
-	st := newTopoStore(1) // capacity 1: loading B evicts A
-	release := make(chan struct{})
-	started := make(chan struct{})
-	st.build = func(spec cli.TopoParams) (*topology.Topology, error) {
-		if spec == specA {
+// blockingBuilder makes st's builds of spec block until release is
+// closed, closing started when the first such build begins. Other specs,
+// and builds of spec after the first, go straight through.
+func blockingBuilder(st *topoStore, spec cli.TopoParams) (started, release chan struct{}) {
+	started, release = make(chan struct{}), make(chan struct{})
+	st.build = func(p cli.TopoParams) (*topology.Topology, error) {
+		if p == spec {
 			select {
-			case <-started: // already signaled: the post-eviction rebuild
+			case <-started: // already signaled: a later build
 			default:
 				close(started)
 				<-release
 			}
 		}
-		return cli.BuildTopology(spec)
+		return cli.BuildTopology(p)
 	}
+	return started, release
+}
+
+type loadResult struct {
+	topo *topology.Topology
+	err  error
+}
+
+// loadAsync runs st.load(spec) on its own goroutine.
+func loadAsync(st *topoStore, spec cli.TopoParams) <-chan loadResult {
+	done := make(chan loadResult, 1)
+	go func() {
+		topo, err := st.load(context.Background(), spec)
+		done <- loadResult{topo, err}
+	}()
+	return done
+}
+
+// TestStoreEvictMidBuildCompletesAndRebuilds: a build in progress is
+// not in the LRU, so filling the LRU meanwhile cannot evict it. The
+// build completes, is stored (evicting the older entry in its place),
+// and serves the next load of its spec without a rebuild. The
+// store-build and snapshot-freeze counters pin the exact work: three
+// builds, three freezes (A, B, B again after A evicted it).
+func TestStoreEvictMidBuildCompletesAndRebuilds(t *testing.T) {
+	obs.Enable()
+	specA := specFor(t, smallTopo)
+	specB := specA
+	specB.Seed = 99
+	ctx := context.Background()
+
+	st := newTopoStore(1) // capacity 1
+	started, release := blockingBuilder(st, specA)
 
 	before := obs.TakeSnapshot()
-	type result struct {
-		topo *topology.Topology
-		err  error
-	}
-	holderDone := make(chan result, 1)
-	go func() {
-		topo, err := st.load(specA)
-		holderDone <- result{topo, err}
-	}()
+	holder := loadAsync(st, specA)
 	<-started // A's build is in flight
 
-	if _, err := st.load(specB); err != nil { // evicts A's mid-build entry
+	if _, err := st.load(ctx, specB); err != nil {
 		t.Fatalf("load B: %v", err)
 	}
-	if st.entries.len() != 1 {
-		t.Fatalf("store holds %d entries, want 1 (B evicted mid-build A)", st.entries.len())
+	kA, err := specKey(specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.entries.get(kA); ok || st.entries.len() != 1 {
+		t.Fatalf("store holds %d entries (A stored: %v), want only B while A builds", st.entries.len(), ok)
 	}
 
 	close(release)
-	res := <-holderDone
+	res := <-holder
 	if res.err != nil {
-		t.Fatalf("evicted holder's build failed: %v", res.err)
+		t.Fatalf("mid-build holder's build failed: %v", res.err)
 	}
 	if len(res.topo.ToRs()) == 0 {
-		t.Fatal("evicted holder got an unusable topology")
+		t.Fatal("mid-build holder got an unusable topology")
 	}
-
-	rebuilt, err := st.load(specA)
-	if err != nil {
-		t.Fatalf("rebuild of evicted spec: %v", err)
+	if got, err := st.load(ctx, specA); err != nil || got != res.topo {
+		t.Fatalf("load after A's build rebuilt or failed (err %v)", err)
 	}
-	if rebuilt == res.topo {
-		t.Fatal("load after eviction returned the evicted instance instead of rebuilding")
+	if _, err := st.load(ctx, specB); err != nil { // A's store evicted B
+		t.Fatalf("reload B: %v", err)
 	}
 	after := obs.TakeSnapshot()
 	if d := counterDelta(before, after, "serve.store.build"); d != 3 {
-		t.Fatalf("serve.store.build delta = %d, want 3 (A, B, A rebuilt)", d)
+		t.Fatalf("serve.store.build delta = %d, want 3 (A, B, B rebuilt)", d)
 	}
 	if d := counterDelta(before, after, "graph.freeze.builds"); d != 3 {
 		t.Fatalf("graph.freeze.builds delta = %d, want 3 (each build freezes once)", d)
+	}
+}
+
+// TestStoreInvalidateMidBuildForcesRebuild: a reload that lands while a
+// build is running still forces a rebuild. The running build is handed
+// to the request waiting on it but never stored, so the next load builds
+// a fresh topology.
+func TestStoreInvalidateMidBuildForcesRebuild(t *testing.T) {
+	spec := specFor(t, smallTopo)
+	st := newTopoStore(4)
+	started, release := blockingBuilder(st, spec)
+
+	holder := loadAsync(st, spec)
+	<-started
+	if dropped, err := st.invalidate(spec); err != nil || !dropped {
+		t.Fatalf("invalidate mid-build = %v, %v; want true, nil", dropped, err)
+	}
+	close(release)
+	res := <-holder
+	if res.err != nil {
+		t.Fatalf("holder's build failed: %v", res.err)
+	}
+	if n := st.entries.len(); n != 0 {
+		t.Fatalf("store kept the invalidated build (%d entries)", n)
+	}
+	rebuilt, err := st.load(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt == res.topo {
+		t.Fatal("load after a mid-build reload served the stale build")
+	}
+}
+
+// TestStoreFollowerHonoursItsDeadline: a request waiting on another
+// request's build gives up when its own context is done, and the build
+// carries on for its leader.
+func TestStoreFollowerHonoursItsDeadline(t *testing.T) {
+	spec := specFor(t, smallTopo)
+	st := newTopoStore(4)
+	started, release := blockingBuilder(st, spec)
+
+	holder := loadAsync(st, spec)
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := st.load(ctx, spec); !errors.Is(err, physerr.ErrCanceled) {
+		t.Fatalf("follower past its deadline got %v, want ErrCanceled", err)
+	}
+	close(release)
+	if res := <-holder; res.err != nil {
+		t.Fatalf("leader's build failed after its follower gave up: %v", res.err)
 	}
 }

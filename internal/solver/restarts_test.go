@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -43,13 +44,16 @@ func TestAnnealRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		cfg := DefaultAnnealConfig(500)
 		cfg.Seed = 9
-		best, _ := AnnealRestarts(states, cfg, func(c int) float64 {
+		best, _, err := AnnealRestartsCtx(context.Background(), states, cfg, func(c int) float64 {
 			d := walks[c].x
 			if d < 0 {
 				d = -d
 			}
 			return float64(d)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		finals := make([]int, len(walks))
 		for c, w := range walks {
 			finals[c] = w.x
@@ -68,7 +72,7 @@ func TestAnnealRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestChainZeroMatchesPlainAnneal: AnnealRestarts chain 0 must replay the
+// TestChainZeroMatchesPlainAnneal: AnnealRestartsCtx chain 0 must replay the
 // exact single-chain schedule, so multi-restart can never regress a
 // tuned single-seed run.
 func TestChainZeroMatchesPlainAnneal(t *testing.T) {
@@ -76,11 +80,14 @@ func TestChainZeroMatchesPlainAnneal(t *testing.T) {
 	cfg.Seed = 21
 
 	single := &walkState{x: 50, target: 0}
-	resSingle := Anneal(single, cfg)
+	resSingle := must(AnnealCtx(context.Background(), single, cfg))
 
 	chain := &walkState{x: 50, target: 0}
-	_, chains := AnnealRestarts([]Annealable{chain, &walkState{x: 50, target: 0}}, cfg,
+	_, chains, err := AnnealRestartsCtx(context.Background(), []Annealable{chain, &walkState{x: 50, target: 0}}, cfg,
 		func(c int) float64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if chain.x != single.x {
 		t.Fatalf("chain 0 ended at %d, plain Anneal at %d", chain.x, single.x)
 	}

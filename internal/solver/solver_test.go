@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -37,7 +38,7 @@ func TestAnnealImproves(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	s := newSumState(50, rng)
 	start := s.cost
-	res := Anneal(s, AnnealConfig{Steps: 20000, T0: 5, T1: 0.01, Seed: 42})
+	res := must(AnnealCtx(context.Background(), s, AnnealConfig{Steps: 20000, T0: 5, T1: 0.01, Seed: 42}))
 	if s.cost >= start {
 		t.Errorf("anneal did not improve: %v -> %v", start, s.cost)
 	}
@@ -52,7 +53,7 @@ func TestAnnealImproves(t *testing.T) {
 func TestAnnealZeroSteps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	s := newSumState(5, rng)
-	res := Anneal(s, AnnealConfig{Steps: 0})
+	res := must(AnnealCtx(context.Background(), s, AnnealConfig{Steps: 0}))
 	if res.Accepted != 0 || res.Rejected != 0 {
 		t.Errorf("zero-step anneal did work: %+v", res)
 	}
@@ -99,7 +100,7 @@ func TestZeroDeltaMoveParity(t *testing.T) {
 	HillClimb(hc, steps, 99)
 	// T so small that exp(-delta/T) underflows to 0 for every positive
 	// delta: the Metropolis roll can never accept a worsening move.
-	Anneal(an, AnnealConfig{Steps: steps, T0: 1e-300, T1: 1e-300, Seed: 99})
+	must(AnnealCtx(context.Background(), an, AnnealConfig{Steps: steps, T0: 1e-300, T1: 1e-300, Seed: 99}))
 	want := []float64{0, -1, 0, -0.5, 0}
 	check := func(name string, got []float64) {
 		t.Helper()

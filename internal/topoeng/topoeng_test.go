@@ -1,6 +1,7 @@
 package topoeng
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/trafficsim"
@@ -139,11 +140,11 @@ func TestEngineeredMeshBeatsUniformOnSkewedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	au, err := trafficsim.KSPThroughput(tu, tm, trafficsim.DefaultKSP())
+	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae, err := trafficsim.KSPThroughput(te, tm, trafficsim.DefaultKSP())
+	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,29 +193,22 @@ type Stats struct {
 	ToRMeanCI   float64 `json:"tor_mean_ci"`
 }
 
-// statsSampleSeed fixes the BFS source sample of every BasicStats call:
+// statsSampleSeed fixes the BFS source sample of every BasicStatsCtx call:
 // stats are a property of the fabric, so two calls on the same topology
 // must agree — the seed is part of the estimator's identity, not a knob.
 const statsSampleSeed uint64 = 0x70617468 // "path"
 
-// BasicStats computes switch/link/server counts and ToR path statistics.
-// Bisection and expansion are left to callers because they need a PRNG.
+// BasicStatsCtx computes switch/link/server counts and ToR path
+// statistics. Bisection and expansion are left to callers because they
+// need a PRNG.
 //
-// Path stats come from graph.AllPairsStatsSampled under a fixed seed:
+// Path stats come from graph.AllPairsStatsSampledCtx under a fixed seed:
 // exhaustive (and byte-identical to the historical sweep) up to
 // graph.DefaultExhaustiveBelow ToRs, a bounded-error sample above — which
 // is what lets the E-scale band evaluate 100k-switch fabrics. The Stats
-// provenance fields say which one happened.
-func (t *Topology) BasicStats() Stats {
-	// A background context cannot cancel the all-pairs sweep, so the
-	// error is structurally nil here.
-	st, _ := t.BasicStatsCtx(context.Background())
-	return st
-}
-
-// BasicStatsCtx is BasicStats with cancellation threaded into the
-// all-pairs ToR sweep, the only long-running part. A canceled call
-// returns an error matching physerr.ErrCanceled.
+// provenance fields say which one happened. ctx threads into that sweep,
+// the only long-running part; a canceled call returns an error matching
+// physerr.ErrCanceled.
 func (t *Topology) BasicStatsCtx(ctx context.Context) (Stats, error) {
 	ps, err := t.AllPairsStatsSampledCtx(ctx, t.ToRs(), graph.SampleSpec{Seed: statsSampleSeed})
 	if err != nil {

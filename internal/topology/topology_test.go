@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestFatTreeDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ft.BasicStats()
+	st := must(ft.BasicStatsCtx(context.Background()))
 	// ToR→agg→core→agg→ToR: 4 hops between pods.
 	if st.ToRDiam != 4 {
 		t.Errorf("fat-tree ToR diameter = %d, want 4", st.ToRDiam)
@@ -58,7 +59,7 @@ func TestLeafSpine(t *testing.T) {
 	if got := ls.NumSwitches(); got != 12 {
 		t.Errorf("switches = %d, want 12", got)
 	}
-	st := ls.BasicStats()
+	st := must(ls.BasicStatsCtx(context.Background()))
 	if st.ToRDiam != 2 {
 		t.Errorf("leaf-spine ToR diameter = %d, want 2", st.ToRDiam)
 	}
@@ -311,7 +312,7 @@ func TestFlattenedButterfly(t *testing.T) {
 	if !fb.IsRegular(2 * 3) {
 		t.Error("flattened butterfly not Dims*(C-1)-regular")
 	}
-	st := fb.BasicStats()
+	st := must(fb.BasicStatsCtx(context.Background()))
 	if st.ToRDiam != 2 {
 		t.Errorf("2-D flattened butterfly diameter = %d, want 2 (= Dims)", st.ToRDiam)
 	}
@@ -330,7 +331,7 @@ func TestSlimFlyMMS(t *testing.T) {
 		min, max := sf.MinMaxDegree()
 		t.Errorf("slim fly degrees in [%d,%d], want uniform %d", min, max, wantDeg)
 	}
-	st := sf.BasicStats()
+	st := must(sf.BasicStatsCtx(context.Background()))
 	if st.ToRDiam != 2 {
 		t.Errorf("slim fly diameter = %d, want 2", st.ToRDiam)
 	}
@@ -347,7 +348,7 @@ func TestSlimFlyQ13(t *testing.T) {
 	if !sf.IsRegular(19) {
 		t.Error("q=13 slim fly not 19-regular")
 	}
-	if st := sf.BasicStats(); st.ToRDiam != 2 {
+	if st := must(sf.BasicStatsCtx(context.Background())); st.ToRDiam != 2 {
 		t.Errorf("q=13 diameter = %d, want 2", st.ToRDiam)
 	}
 }
@@ -424,7 +425,7 @@ func TestJupiterDirect(t *testing.T) {
 		t.Errorf("pair width = %d, want 2", got)
 	}
 	// Direct-connect is one "block hop" everywhere.
-	if st := j.AllPairsStats(nil); st.Diameter != 1 {
+	if st := must(j.AllPairsStatsCtx(context.Background(), nil)); st.Diameter != 1 {
 		t.Errorf("direct-connect block diameter = %d, want 1", st.Diameter)
 	}
 }
@@ -455,7 +456,7 @@ func TestExpanderBeatsClosOnPaperMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fts, jfs := ft.BasicStats(), jf.BasicStats()
+	fts, jfs := must(ft.BasicStatsCtx(context.Background())), must(jf.BasicStatsCtx(context.Background()))
 	if jfs.ToRMean >= fts.ToRMean {
 		t.Errorf("jellyfish mean hops %.2f not below fat-tree %.2f", jfs.ToRMean, fts.ToRMean)
 	}
@@ -545,4 +546,13 @@ func TestCrossGenPortCost(t *testing.T) {
 	if direct != 100 || transit != 400 {
 		t.Errorf("port cost = %v/%v, want 100/400", direct, transit)
 	}
+}
+
+// must unwraps a kernel result computed under context.Background(),
+// which cannot cancel, so the error is structurally nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

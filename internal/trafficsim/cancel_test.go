@@ -42,7 +42,7 @@ func TestFailureDegradationCtxPreCanceled(t *testing.T) {
 
 // TestFailureDegradationCtxLiveUncanceledMatches pins the hand-out
 // contract: a sweep that completes under a live cancellable context is
-// bit-identical to the context-free sweep (per-trial reseeding makes
+// bit-identical to the uncancellable sweep (per-trial reseeding makes
 // every trial independent of how many ran before it).
 func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
@@ -51,7 +51,7 @@ func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	}
 	m := Uniform(len(ft.ToRs()), 100)
 	fracs := []float64{0, 0.05, 0.1}
-	want, err := FailureDegradation(ft, m, fracs, 3, true, 7)
+	want, err := FailureDegradationCtx(context.Background(), ft, m, fracs, 3, true, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,21 +63,21 @@ func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("point %d: cancellable %+v != context-free %+v", i, got[i], want[i])
+			t.Fatalf("point %d: cancellable %+v != uncancellable %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestKSPThroughputCtxLiveUncanceledMatches: the §6 contract under a
 // live cancellable context — alpha must be bit-identical to the
-// context-free solve.
+// uncancellable solve.
 func TestKSPThroughputCtxLiveUncanceledMatches(t *testing.T) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Uniform(len(ft.ToRs()), 100)
-	want, err := KSPThroughput(ft, m, DefaultKSP())
+	want, err := KSPThroughputCtx(context.Background(), ft, m, DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,6 @@ func TestKSPThroughputCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable alpha %v != context-free %v", got, want)
+		t.Fatalf("cancellable alpha %v != uncancellable %v", got, want)
 	}
 }

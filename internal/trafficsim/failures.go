@@ -19,23 +19,18 @@ type DegradationPoint struct {
 	Disconnected int     `json:"disconnected"` // trials where some ToR pair became unreachable
 }
 
-// FailureDegradation removes ⌈frac·links⌉ uniformly random links, reruns
-// the throughput model (KSP when useKSP, else ECMP), and aggregates over
-// trials — §3.3's "mitigation techniques generally cannot tolerate large
-// numbers of concurrent failures" made measurable. Trials where the ToR
-// set disconnects score α = 0 and are counted.
-func FailureDegradation(t *topology.Topology, m Matrix, fracs []float64,
-	trials int, useKSP bool, seed uint64) ([]DegradationPoint, error) {
-	return FailureDegradationCtx(context.Background(), t, m, fracs, trials, useKSP, seed)
-}
-
-// FailureDegradationCtx is FailureDegradation with cancellation: the
-// context is polled before each trial is started (hand-out semantics,
-// DESIGN.md §9 — a trial in flight runs to completion) and threads into
-// the KSP water-fill, so a deadline interrupts a long sweep mid-frac.
-// Each trial reseeds from (seed, trial) alone, so a completed run is
-// byte-identical to the context-free path. A canceled run returns nil
-// points and an error matching physerr.ErrCanceled.
+// FailureDegradationCtx removes ⌈frac·links⌉ uniformly random links,
+// reruns the throughput model (KSP when useKSP, else ECMP), and
+// aggregates over trials — §3.3's "mitigation techniques generally cannot
+// tolerate large numbers of concurrent failures" made measurable. Trials
+// where the ToR set disconnects score α = 0 and are counted.
+//
+// The context is polled before each trial is started (hand-out
+// semantics, DESIGN.md §9 — a trial in flight runs to completion) and
+// threads into the KSP water-fill, so a deadline interrupts a long sweep
+// mid-frac. Each trial reseeds from (seed, trial) alone, so a completed
+// run is byte-identical whatever context it ran under. A canceled run
+// returns nil points and an error matching physerr.ErrCanceled.
 func FailureDegradationCtx(ctx context.Context, t *topology.Topology, m Matrix,
 	fracs []float64, trials int, useKSP bool, seed uint64) ([]DegradationPoint, error) {
 	if trials < 1 {

@@ -1,6 +1,7 @@
 package trafficsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,7 +32,7 @@ func FuzzKSPConfig(f *testing.F) {
 		}
 		m := Uniform(4, 10)
 		cfg := KSPConfig{K: k, Slack: slack, Chunks: chunks}
-		alpha, err := KSPThroughput(topo, m, cfg)
+		alpha, err := KSPThroughputCtx(context.Background(), topo, m, cfg)
 		if verr := cfg.Validate(); verr != nil {
 			if err == nil {
 				t.Fatalf("invalid config %+v was accepted", cfg)

@@ -55,7 +55,7 @@ func (cfg KSPConfig) Validate() error {
 // kspScratch is the per-worker reusable state of path enumeration: the
 // BFS buffers for the per-destination distance field, the on-path marks,
 // and the dedup set with its reusable key buffer. One worker owns one
-// scratch at a time (par.ForWorker), so none of it needs locks.
+// scratch at a time (par.ForWorkerCtx), so none of it needs locks.
 type kspScratch struct {
 	dist   []int
 	queue  []int
@@ -146,11 +146,11 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KS
 	return paths
 }
 
-// KSPThroughput routes M over up to K near-shortest node paths per pair
-// using greedy water-filling (each demand increment takes the path whose
-// bottleneck trunk stays coolest — the fluid analogue of MPTCP subflows
-// avoiding hot paths), splitting every hop's load evenly across its
-// parallel trunk members, and returns the scaling margin α, directly
+// KSPThroughputCtx routes M over up to K near-shortest node paths per
+// pair using greedy water-filling (each demand increment takes the path
+// whose bottleneck trunk stays coolest — the fluid analogue of MPTCP
+// subflows avoiding hot paths), splitting every hop's load evenly across
+// its parallel trunk members, and returns the scaling margin α, directly
 // comparable to ECMPThroughput. This is the fair way to evaluate
 // expander fabrics, which ECMP systematically under-serves.
 //
@@ -158,16 +158,10 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KS
 // per (src,dst) pair — fans out across par.Workers() goroutines, one
 // destination per task with per-worker scratch. Load placement stays a
 // strictly sequential commit phase in the serial pair order, so the
-// returned α is byte-identical for any worker count.
-func KSPThroughput(t *topology.Topology, m Matrix, cfg KSPConfig) (float64, error) {
-	return KSPThroughputCtx(context.Background(), t, m, cfg)
-}
-
-// KSPThroughputCtx is KSPThroughput with cancellation: ctx is checked as
+// returned α is byte-identical for any worker count. ctx is checked as
 // enumeration tasks are handed out (par contract) and between
 // water-filling chunks, so a canceled solve stops within one destination
-// BFS or one chunk and returns an error matching physerr.ErrCanceled. A
-// solve that completes is byte-identical to KSPThroughput.
+// BFS or one chunk and returns an error matching physerr.ErrCanceled.
 func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg KSPConfig) (float64, error) {
 	tors := t.ToRs()
 	if len(tors) != m.N {
@@ -274,7 +268,7 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg K
 	for c := 0; c < cfg.Chunks; c++ {
 		// One chunk sweeps every pair once; checking between chunks keeps
 		// the check count independent of pair count, and a completed fill
-		// identical to the context-free path.
+		// identical to an uncancellable one.
 		if cancellable {
 			if err := ctx.Err(); err != nil {
 				return 0, physerr.Canceled(err)

@@ -1,6 +1,7 @@
 package trafficsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -184,7 +185,7 @@ func TestKSPFindsPathsAndBeatsECMPOnExpanders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughput(jf, m, DefaultKSP())
+	ak, err := KSPThroughputCtx(context.Background(), jf, m, DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestKSPEqualsECMPOnUniquePathGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughput(ls, m, KSPConfig{K: 8, Slack: 0})
+	ak, err := KSPThroughputCtx(context.Background(), ls, m, KSPConfig{K: 8, Slack: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +223,10 @@ func TestKSPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KSPThroughput(ft, Uniform(2, 1), DefaultKSP()); err == nil {
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(2, 1), DefaultKSP()); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if _, err := KSPThroughput(ft, Uniform(len(ft.ToRs()), 1), KSPConfig{K: 0}); err == nil {
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(len(ft.ToRs()), 1), KSPConfig{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
 }
@@ -249,7 +250,7 @@ func TestExpanderBeatsFatTreeAtEqualEquipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := KSPThroughput(jf, Uniform(80, 200), DefaultKSP()) // 2 servers × 100G
+	aj, err := KSPThroughputCtx(context.Background(), jf, Uniform(80, 200), DefaultKSP()) // 2 servers × 100G
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestFailureDegradationMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Uniform(32, 300)
-	pts, err := FailureDegradation(jf, m, []float64{0, 0.05, 0.15}, 3, true, 4)
+	pts, err := FailureDegradationCtx(context.Background(), jf, m, []float64{0, 0.05, 0.15}, 3, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +296,10 @@ func TestFailureDegradationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Uniform(12, 100)
-	if _, err := FailureDegradation(jf, m, []float64{0.5}, 0, false, 1); err == nil {
+	if _, err := FailureDegradationCtx(context.Background(), jf, m, []float64{0.5}, 0, false, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := FailureDegradation(jf, m, []float64{1.5}, 1, false, 1); err == nil {
+	if _, err := FailureDegradationCtx(context.Background(), jf, m, []float64{1.5}, 1, false, 1); err == nil {
 		t.Error("fraction >= 1 accepted")
 	}
 }

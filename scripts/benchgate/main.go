@@ -2,10 +2,11 @@
 // the experiments whose committed BENCH_<ID>.json baselines define the
 // perf trajectory (E1, E7, E16, ES1 — the all-pairs BFS, KSP
 // water-filling, topology-engineering, and sampled fleet-scale hot
-// paths), measures wall-clock and allocations the same way
-// `cmd/experiments -bench-json` does, and fails if either regresses past
-// a generous tolerance. check.sh (and therefore CI) runs it on every
-// commit, so a kernel regression cannot ship silently.
+// paths), measures wall-clock and allocations with the same
+// internal/benchrec record and measure loop as `cmd/experiments
+// -bench-json`, and fails if either regresses past a generous
+// tolerance. check.sh (and therefore CI) runs it on every commit, so a
+// kernel regression cannot ship silently.
 //
 // Usage:
 //
@@ -22,19 +23,17 @@
 // pointer-chasing or per-call-allocating path); the wall bound is a
 // backstop for order-of-magnitude slowdowns.
 //
-// Wall-clock is only comparable between runs that had the same
-// parallelism available, so the gate refuses outright — exit 2, not a
-// tolerance verdict — when the current GOMAXPROCS differs from the one
-// the baseline records. A 4-core baseline "gated" on a 1-core runner
-// would either mask a real regression behind honest-looking slowdown or
-// fail spuriously; re-record on matching hardware (-update) or skip
-// (BENCHGATE_SKIP=1) instead. Every verdict table prints the environment
-// (gomaxprocs, num_cpu, baseline date) and the per-sample wall/alloc
-// deltas even when everything passes, so CI logs double as a perf
-// trend record.
+// Allocations are always gated. Wall-clock is only comparable between
+// runs that had the same parallelism available, so it is gated only when
+// the current GOMAXPROCS equals the one the baseline records; on a
+// mismatch the gate prints an environment note and judges allocations
+// alone, rather than either masking a real regression behind
+// honest-looking slowdown or failing spuriously. Every verdict table
+// prints the environment (gomaxprocs, num_cpu, baseline date) and the
+// per-sample wall/alloc deltas even when everything passes, so CI logs
+// double as a perf trend record.
 //
-// -update rewrites each baseline atomically (temp file + rename, the
-// same contract as cmd/experiments' artifact writes), so an interrupted
+// -update rewrites each baseline with atomicfile, so an interrupted
 // update never leaves a torn baseline behind.
 package main
 
@@ -45,34 +44,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
+	"physdep/internal/atomicfile"
+	"physdep/internal/benchrec"
 	"physdep/internal/experiments"
 	"physdep/internal/par"
 )
-
-// sample and entry mirror cmd/experiments' bench-json schema exactly, so
-// the gate reads the committed BENCH_*.json files and -update writes
-// byte-compatible replacements.
-type sample struct {
-	Workers         int     `json:"workers"`
-	WallMS          float64 `json:"wall_ms"`
-	Allocs          uint64  `json:"allocs"`
-	AllocBytes      uint64  `json:"alloc_bytes"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-type entry struct {
-	ID         string   `json:"id"`
-	Title      string   `json:"title"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Reps       int      `json:"reps"`
-	Date       string   `json:"date"`
-	Samples    []sample `json:"samples"`
-}
 
 func main() { os.Exit(run()) }
 
@@ -110,17 +88,6 @@ func run() int {
 				return 2
 			}
 		}
-		if baseline != nil && !*update {
-			// Wall times from different parallel envelopes are not
-			// comparable: refuse rather than emit a meaningless verdict.
-			if gmp := runtime.GOMAXPROCS(0); baseline.GoMaxProcs != gmp {
-				fmt.Fprintf(os.Stderr,
-					"benchgate: %s was recorded at GOMAXPROCS=%d (num_cpu %d) but this run has GOMAXPROCS=%d (num_cpu %d);\n"+
-						"benchgate: cross-parallelism wall-clock comparison is meaningless — re-record on matching hardware with `go run ./scripts/benchgate -update`, or set BENCHGATE_SKIP=1\n",
-					path, baseline.GoMaxProcs, baseline.NumCPU, gmp, runtime.NumCPU())
-				return 2
-			}
-		}
 		counts := []int{1, pool}
 		if pool == 1 {
 			counts = []int{1, 4} // keep a scaling point even on 1-CPU runners
@@ -137,7 +104,7 @@ func run() int {
 			return 2
 		}
 		if *update {
-			if err := writeJSON(path, measured); err != nil {
+			if err := atomicfile.WriteJSON(path, measured); err != nil {
 				fmt.Fprintf(os.Stderr, "benchgate: write %s: %v\n", path, err)
 				return 2
 			}
@@ -160,84 +127,57 @@ func run() int {
 	return 0
 }
 
-func load(path string) (*entry, error) {
+func load(path string) (*benchrec.Entry, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var e entry
+	var e benchrec.Entry
 	if err := json.Unmarshal(b, &e); err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
 	return &e, nil
 }
 
-// measure times one experiment at each worker count: one warm-up run
-// (memoization, lazy tables), then reps timed runs with the best
-// wall-clock kept — the same protocol as cmd/experiments -bench-json.
-func measure(id string, counts []int, reps int) (*entry, error) {
-	if reps < 1 {
-		reps = 1
-	}
+// measure times one experiment at each worker count after one warm-up
+// run (memoization, lazy tables) — the cmd/experiments -bench-json
+// protocol, through the same benchrec.Measure.
+func measure(id string, counts []int, reps int) (*benchrec.Entry, error) {
 	runFn := experiments.Get(id)
-	if _, err := runFn(context.Background()); err != nil {
+	res, err := runFn(context.Background())
+	if err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
-	e := &entry{
-		ID:         id,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Reps:       reps,
-		Date:       time.Now().UTC().Format("2006-01-02"),
+	defer par.SetWorkers(0)
+	e, err := benchrec.Measure(id, res.Title, counts, reps, func() error {
+		_, err := runFn(context.Background())
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, w := range counts {
-		par.SetWorkers(w)
-		best := sample{Workers: w}
-		for r := 0; r < reps; r++ {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			res, err := runFn(context.Background())
-			if err != nil {
-				return nil, fmt.Errorf("workers=%d: %w", w, err)
-			}
-			e.Title = res.Title
-			wall := float64(time.Since(t0).Microseconds()) / 1000
-			runtime.ReadMemStats(&m1)
-			if r == 0 || wall < best.WallMS {
-				best.WallMS = wall
-				best.Allocs = m1.Mallocs - m0.Mallocs
-				best.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
-			}
-		}
-		e.Samples = append(e.Samples, best)
-	}
-	par.SetWorkers(0)
-	if len(e.Samples) > 1 && e.Samples[0].Workers == 1 {
-		serial := e.Samples[0].WallMS
-		for i := range e.Samples[1:] {
-			if e.Samples[i+1].WallMS > 0 {
-				e.Samples[i+1].SpeedupVsSerial = serial / e.Samples[i+1].WallMS
-			}
-		}
-	}
-	return e, nil
+	return &e, nil
 }
 
 // compare prints the experiment's environment line and a per-worker
 // wall/alloc delta table — always, pass or fail, so every CI log carries
 // the full perf picture — and reports whether every measured sample
-// stayed within tolerance of its baseline twin. Worker counts present on
-// only one side are skipped — the sweep is driven by the baseline, so
-// that only happens on a hand-edited file.
-func compare(id string, baseline, measured *entry, wallFactor, allocFactor float64) bool {
+// stayed within tolerance of its baseline twin. Allocations are always
+// judged; wall time only when both runs had the same GOMAXPROCS. Worker
+// counts present on only one side are skipped — the sweep is driven by
+// the baseline, so that only happens on a hand-edited file.
+func compare(id string, baseline, measured *benchrec.Entry, wallFactor, allocFactor float64) bool {
 	ok := true
 	fmt.Printf("benchgate %s: gomaxprocs %d, num_cpu %d (baseline: gomaxprocs %d, num_cpu %d, recorded %s)\n",
 		id, measured.GoMaxProcs, measured.NumCPU, baseline.GoMaxProcs, baseline.NumCPU, baseline.Date)
+	gateWall := measured.GoMaxProcs == baseline.GoMaxProcs
+	if !gateWall {
+		fmt.Println("  note: GOMAXPROCS differs from the baseline's, so wall time is shown but not gated (allocations are)")
+	}
 	fmt.Printf("  %7s %10s %10s %7s %12s %12s %7s %9s %10s\n",
 		"workers", "wall_ms", "base_ms", "Δwall", "allocs", "base_allocs", "Δalloc", "alloc_mb", "verdict")
 	for _, m := range measured.Samples {
-		var b *sample
+		var b *benchrec.Sample
 		for i := range baseline.Samples {
 			if baseline.Samples[i].Workers == m.Workers {
 				b = &baseline.Samples[i]
@@ -248,7 +188,7 @@ func compare(id string, baseline, measured *entry, wallFactor, allocFactor float
 			fmt.Printf("  %7d: no baseline sample, skipped\n", m.Workers)
 			continue
 		}
-		wallBad := b.WallMS > 0 && m.WallMS > b.WallMS*wallFactor
+		wallBad := gateWall && b.WallMS > 0 && m.WallMS > b.WallMS*wallFactor
 		allocBad := b.Allocs > 0 && float64(m.Allocs) > float64(b.Allocs)*allocFactor
 		verdict := "ok"
 		if wallBad || allocBad {
@@ -271,35 +211,4 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func writeJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(path, append(b, '\n'))
-}
-
-// atomicWriteFile writes data via a temp file in the same directory plus
-// rename — the same atomic-write contract cmd/experiments uses for its
-// artifacts, so a crash or ^C mid-update leaves the old baseline intact.
-func atomicWriteFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -23,8 +23,9 @@
 # deeper soak, e.g. FUZZTIME=30s ./scripts/check.sh.
 #
 # Benchgate: scripts/benchgate re-runs the E1/E7/E16/E23/ES1 benchmarks and
-# compares wall-clock and allocations against the committed BENCH_*.json
-# baselines (generous tolerance; allocs are the sharp edge). A real,
+# compares allocations (always) and wall-clock (only when GOMAXPROCS
+# matches the baseline's) against the committed BENCH_*.json baselines
+# (generous tolerance; allocs are the sharp edge). A real,
 # intentional perf change is recorded by committing the output of
 # `go run ./scripts/benchgate -update`. BENCHGATE_SKIP=1 skips the stage
 # on runners too noisy to time anything.
@@ -49,6 +50,11 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== bench module (vet + test)"
+# bench/ is a separate module, so ./... above never reaches it: an API
+# edit that breaks the benchmark harness must fail here instead.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== observability smoke (manifest + trace)"
 tmp="$(mktemp -d)"

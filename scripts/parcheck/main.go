@@ -1,16 +1,16 @@
 // Command parcheck is the repo's go-vet-adjacent guard for the parallel
-// substrate: it flags any call to par.For / par.ForWorker / par.ForRand /
-// par.Map (and their Ctx variants) whose error result is discarded —
+// substrate: it flags any call to par.ForCtx / par.ForWorkerCtx /
+// par.MapCtx whose error result is discarded —
 // either as a bare expression statement or assigned to the blank
 // identifier. Dropped par errors are how cancellation and per-task
-// failures silently vanish (solver.AnnealRestarts shipped exactly that
+// failures silently vanish (solver.AnnealRestartsCtx shipped exactly that
 // bug), so every discard must be deliberate: a comment containing
 // "par:" on the same line or ending on the line directly above the call
 // marks it as audited and documented, e.g.
 //
-//	// par: discard ok — the block fn never errors and no context is
-//	// threaded here.
-//	_ = par.For(blocks, func(b int) error { ... })
+//	// par: discard ok — the block fn never errors and context.TODO
+//	// never cancels.
+//	_ = par.ForCtx(context.TODO(), blocks, func(b int) error { ... })
 //
 // Usage: go run ./scripts/parcheck [dirs...]   (default ".")
 // Exits 1 if any undocumented discard is found.
@@ -30,10 +30,9 @@ import (
 // errResultIndex maps each par entry point to the position of its error
 // result, so multi-result functions (Map) are checked at the right slot.
 var errResultIndex = map[string]int{
-	"For": 0, "ForCtx": 0,
-	"ForWorker": 0, "ForWorkerCtx": 0,
-	"ForRand": 0, "ForRandCtx": 0,
-	"Map": 1, "MapCtx": 1,
+	"ForCtx":       0,
+	"ForWorkerCtx": 0,
+	"MapCtx":       1,
 }
 
 func main() {
