@@ -33,12 +33,12 @@ func TestRunManyCtxPreCanceled(t *testing.T) {
 }
 
 // noCancelCheckpoint lists the experiments that reach no ctx checkpoint:
-// their work is pure arithmetic or runs kernels that take no context
-// (E14's twin.CheckAll), so an already-canceled context does not stop
-// them. When one of them gains a checkpoint, drop it from this list.
+// their work is pure arithmetic or a few kernel calls that take no
+// context, so an already-canceled context does not stop them. When one
+// of them gains a checkpoint, drop it from this list.
 var noCancelCheckpoint = map[string]bool{
 	"E2": true, "E3": true, "E4": true, "E5": true, "E9": true,
-	"E10": true, "E12": true, "E13": true, "E14": true, "E15": true,
+	"E10": true, "E12": true, "E13": true, "E15": true,
 	"E20": true, "E22": true,
 }
 

@@ -7,6 +7,7 @@ import (
 	"physdep/internal/cabling"
 	"physdep/internal/floorplan"
 	"physdep/internal/lifecycle"
+	"physdep/internal/physerr"
 	"physdep/internal/placement"
 	"physdep/internal/topology"
 	"physdep/internal/twin"
@@ -215,6 +216,9 @@ func E14Envelope(ctx context.Context) (*Result, error) {
 	inEnvelope, outEnvelope, physicsViolations := 0, 0, 0
 	const variants = 500
 	for v := 0; v < variants; v++ {
+		if err := ctx.Err(); err != nil {
+			return nil, physerr.Canceled(err)
+		}
 		_, _, m, err := buildTwinFixture()
 		if err != nil {
 			return nil, err

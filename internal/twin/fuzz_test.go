@@ -2,13 +2,15 @@ package twin
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
 // FuzzTwinRules parses arbitrary bytes as a twin document and, when the
 // document is accepted, runs the full schema + rule suite over it. The
 // loader must reject malformed documents with an error (never a panic),
-// and every accepted model — however degenerate — must survive CheckAll.
+// and every accepted model — however degenerate — must survive CheckAll
+// and get the same findings from the scanning reference model.
 func FuzzTwinRules(f *testing.F) {
 	f.Add([]byte(`{"entities":[],"relations":[]}`))
 	f.Add([]byte(`{"entities":[{"ID":"hall","Kind":"hall","Attrs":{"rows":2,"racks_per_row":4}}],"relations":[]}`))
@@ -21,6 +23,12 @@ func FuzzTwinRules(f *testing.F) {
 	f.Add([]byte(`{"relations":[{"From":"ghost","Verb":"feeds","To":"ghost"}]}`))
 	f.Add([]byte(`{"entities":[{"ID":"u","Kind":"ufo"}],"relations":[]}`))
 	f.Add([]byte(`{"entities":[{"ID":"a`))
+	// Duplicate, self and unknown-verb relations, which the index must
+	// list exactly as a scan of the relation slice does.
+	f.Add([]byte(`{"entities":[{"ID":"t","Kind":"tray","Attrs":{"capacity_mm2":1}},` +
+		`{"ID":"b","Kind":"bundle","Attrs":{"cross_section_mm2":1}}],"relations":[` +
+		`{"From":"b","Verb":"routes-through","To":"t"},{"From":"b","Verb":"routes-through","To":"t"},` +
+		`{"From":"t","Verb":"contains","To":"t"},{"From":"b","Verb":"orbits","To":"t"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Model
 		if err := json.Unmarshal(data, &m); err != nil {
@@ -31,6 +39,9 @@ func FuzzTwinRules(f *testing.F) {
 			if v.String() == "" {
 				t.Fatal("violation rendered empty")
 			}
+		}
+		if want := refCheckAll(newRefModel(&m), DefaultSchema()); !reflect.DeepEqual(vs, want) {
+			t.Fatalf("indexed CheckAll diverges from the reference:\n got %v\nwant %v", vs, want)
 		}
 		// A loaded model must round-trip: marshal and re-load.
 		b, err := json.Marshal(&m)

@@ -8,11 +8,7 @@
 // violation by how late it would otherwise have been caught.
 package twin
 
-import (
-	"sort"
-
-	"physdep/internal/physerr"
-)
+import "physdep/internal/physerr"
 
 // Kind classifies entities. The schema pins the closed set of kinds the
 // automation understands; a design needing a new kind is, by definition,
@@ -43,7 +39,10 @@ const (
 )
 
 // Entity is one modeled physical object: typed, with numeric attributes
-// (dimensions, capacities, loads) and free-form string tags.
+// (dimensions, capacities, loads) and free-form string tags. Once the
+// entity is added to a Model, its ID and Kind are fixed: the model's
+// index files it under both. Attrs and Tags stay freely mutable; no
+// index reads them.
 type Entity struct {
 	ID    string
 	Kind  Kind
@@ -65,9 +64,17 @@ type Relation struct {
 }
 
 // Model is the twin: a set of entities and relations.
+//
+// Queries (Related, RelatedTo, EntitiesOfKind, CheckAll and the rules)
+// build an index on first use and cache it in the model, so a Model is
+// not safe for concurrent use, not even by readers alone. Give each
+// goroutine its own model.
 type Model struct {
-	entities  map[string]*Entity
+	entities map[string]*Entity
+	// relations, in insertion order, is the source of truth: schema verb
+	// findings, MarshalJSON and Unrelate's first-match all follow it.
 	relations []Relation
+	idx       *index // nil until a query needs it; every mutator drops it
 }
 
 // NewModel returns an empty twin.
@@ -90,6 +97,7 @@ func (m *Model) Add(e *Entity) error {
 		e.Tags = map[string]string{}
 	}
 	m.entities[e.ID] = e
+	m.idx = nil
 	return nil
 }
 
@@ -109,6 +117,7 @@ func (m *Model) Remove(id string) error {
 		}
 	}
 	m.relations = kept
+	m.idx = nil
 	return nil
 }
 
@@ -121,54 +130,38 @@ func (m *Model) Relate(from string, verb Verb, to string) error {
 		return physerr.OutOfRange("twin: relation to unknown entity %q", to)
 	}
 	m.relations = append(m.relations, Relation{From: from, Verb: verb, To: to})
+	m.idx = nil
 	return nil
 }
 
-// Unrelate removes one matching relation (no-op if absent).
+// Unrelate removes the first matching relation (no-op if absent).
 func (m *Model) Unrelate(from string, verb Verb, to string) {
 	for i, r := range m.relations {
 		if r.From == from && r.Verb == verb && r.To == to {
 			m.relations = append(m.relations[:i], m.relations[i+1:]...)
+			m.idx = nil
 			return
 		}
 	}
 }
 
-// Related returns the IDs related from `from` by verb, sorted.
+// Related returns the IDs related from `from` by verb, sorted. The slice
+// is the caller's.
 func (m *Model) Related(from string, verb Verb) []string {
-	var out []string
-	for _, r := range m.relations {
-		if r.From == from && r.Verb == verb {
-			out = append(out, r.To)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), m.out(from, verb)...)
 }
 
-// RelatedTo returns the IDs with a verb-relation pointing at `to`, sorted.
+// RelatedTo returns the IDs with a verb-relation pointing at `to`,
+// sorted. The slice is the caller's.
 func (m *Model) RelatedTo(to string, verb Verb) []string {
-	var out []string
-	for _, r := range m.relations {
-		if r.To == to && r.Verb == verb {
-			out = append(out, r.From)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), m.in(to, verb)...)
 }
 
 // EntitiesOfKind returns all entities of a kind, sorted by ID for
-// deterministic rule output.
+// deterministic rule output. The slice is the caller's; the entities are
+// the model's own.
 func (m *Model) EntitiesOfKind(k Kind) []*Entity {
-	var out []*Entity
-	for _, e := range m.entities {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append([]*Entity(nil), m.ofKind(k)...)
 }
 
 // NumEntities returns the entity count.

@@ -43,10 +43,10 @@ func (TrayCapacityRule) Name() string { return "tray-capacity" }
 
 func (TrayCapacityRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, tray := range m.EntitiesOfKind(KindTray) {
+	for _, tray := range m.ofKind(KindTray) {
 		cap, _ := tray.Attr("capacity_mm2")
 		used := 0.0
-		for _, id := range m.RelatedTo(tray.ID, VerbRoutesThrough) {
+		for _, id := range m.in(tray.ID, VerbRoutesThrough) {
 			occ := m.Entity(id)
 			if occ == nil {
 				continue
@@ -75,10 +75,10 @@ func (RackSpaceRule) Name() string { return "rack-space" }
 
 func (RackSpaceRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, rack := range m.EntitiesOfKind(KindRack) {
+	for _, rack := range m.ofKind(KindRack) {
 		cap, _ := rack.Attr("ru_capacity")
 		used := 0.0
-		for _, id := range m.Related(rack.ID, VerbContains) {
+		for _, id := range m.out(rack.ID, VerbContains) {
 			if sw := m.Entity(id); sw != nil && sw.Kind == KindSwitch {
 				ru, _ := sw.Attr("ru")
 				used += ru
@@ -102,22 +102,22 @@ func (PlenumRule) Check(m *Model) []Violation {
 	var vs []Violation
 	// Cable → switch → rack attribution.
 	rackOfSwitch := map[string]string{}
-	for _, rack := range m.EntitiesOfKind(KindRack) {
-		for _, id := range m.Related(rack.ID, VerbContains) {
+	for _, rack := range m.ofKind(KindRack) {
+		for _, id := range m.out(rack.ID, VerbContains) {
 			rackOfSwitch[id] = rack.ID
 		}
 	}
 	used := map[string]float64{}
-	for _, cable := range m.EntitiesOfKind(KindCable) {
+	for _, cable := range m.ofKind(KindCable) {
 		d, _ := cable.Attr("diameter_mm")
 		area := math.Pi * d * d / 4
-		for _, sw := range m.Related(cable.ID, VerbConnects) {
+		for _, sw := range m.out(cable.ID, VerbConnects) {
 			if rid, ok := rackOfSwitch[sw]; ok {
 				used[rid] += area
 			}
 		}
 	}
-	for _, rack := range m.EntitiesOfKind(KindRack) {
+	for _, rack := range m.ofKind(KindRack) {
 		cap, _ := rack.Attr("plenum_mm2")
 		if used[rack.ID] > cap {
 			vs = append(vs, Violation{Rule: "rack-plenum", EntityID: rack.ID, Severity: SevError,
@@ -137,9 +137,9 @@ func (BendRadiusRule) Name() string { return "bend-radius" }
 
 func (BendRadiusRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, cable := range m.EntitiesOfKind(KindCable) {
+	for _, cable := range m.ofKind(KindCable) {
 		need, _ := cable.Attr("bend_radius_mm")
-		for _, tid := range m.Related(cable.ID, VerbRoutesThrough) {
+		for _, tid := range m.out(cable.ID, VerbRoutesThrough) {
 			tray := m.Entity(tid)
 			if tray == nil || tray.Kind != KindTray {
 				continue
@@ -162,7 +162,7 @@ func (DoorWidthRule) Name() string { return "door-width" }
 
 func (DoorWidthRule) Check(m *Model) []Violation {
 	var vs []Violation
-	doors := m.EntitiesOfKind(KindDoor)
+	doors := m.ofKind(KindDoor)
 	if len(doors) == 0 {
 		return nil
 	}
@@ -174,7 +174,7 @@ func (DoorWidthRule) Check(m *Model) []Violation {
 			minDoor, tightest = w, d.ID
 		}
 	}
-	for _, rack := range m.EntitiesOfKind(KindRack) {
+	for _, rack := range m.ofKind(KindRack) {
 		w, _ := rack.Attr("width_m")
 		if uw, ok := rack.Attr("unit_width_m"); ok && uw > w {
 			w = uw
@@ -195,11 +195,11 @@ func (PowerRule) Name() string { return "power" }
 
 func (PowerRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, feed := range m.EntitiesOfKind(KindPowerFeed) {
+	for _, feed := range m.ofKind(KindPowerFeed) {
 		cap, _ := feed.Attr("capacity_w")
 		used := 0.0
-		for _, rid := range m.Related(feed.ID, VerbFeeds) {
-			for _, sid := range m.Related(rid, VerbContains) {
+		for _, rid := range m.out(feed.ID, VerbFeeds) {
+			for _, sid := range m.out(rid, VerbContains) {
 				if sw := m.Entity(sid); sw != nil && sw.Kind == KindSwitch {
 					p, _ := sw.Attr("power_w")
 					used += p
@@ -225,10 +225,10 @@ func (LossBudgetRule) Name() string { return "loss-budget" }
 func (LossBudgetRule) Check(m *Model) []Violation {
 	var vs []Violation
 	const connectorLoss = 0.3
-	for _, cable := range m.EntitiesOfKind(KindCable) {
+	for _, cable := range m.ofKind(KindCable) {
 		var panelLoss float64
 		panels := 0
-		for _, pid := range m.Related(cable.ID, VerbRoutesThrough) {
+		for _, pid := range m.out(cable.ID, VerbRoutesThrough) {
 			if p := m.Entity(pid); p != nil && p.Kind == KindPanel {
 				l, _ := p.Attr("loss_db")
 				panelLoss += l

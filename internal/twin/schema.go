@@ -82,7 +82,7 @@ func (s *Schema) Check(m *Model) []Violation {
 	var vs []Violation
 	for _, kind := range []Kind{KindHall, KindRack, KindSwitch, KindCable, KindBundle,
 		KindTray, KindPanel, KindPowerFeed, KindDoor} {
-		for _, e := range m.EntitiesOfKind(kind) {
+		for _, e := range m.ofKind(kind) {
 			for _, attr := range s.Required[e.Kind] {
 				if _, ok := e.Attr(attr); !ok {
 					vs = append(vs, Violation{Rule: "schema:required-attr", EntityID: e.ID,
@@ -120,21 +120,4 @@ func (s *Schema) Check(m *Model) []Violation {
 		}
 	}
 	return vs
-}
-
-func (m *Model) allEntitiesSorted() []*Entity {
-	var out []*Entity
-	for _, e := range m.entities {
-		out = append(out, e)
-	}
-	sortEntities(out)
-	return out
-}
-
-func sortEntities(es []*Entity) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].ID < es[j-1].ID; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }
