@@ -42,8 +42,6 @@ type Input struct {
 	// Prebundle enables pre-built cable bundles (default true via
 	// DefaultInput; zero Input means false — explicit is better here).
 	Prebundle bool
-	// ExtraLoss, if set, gives per-edge mid-span optical loss.
-	ExtraLoss func(edgeID int) units.DB
 	// Seed drives placement annealing and yield rolls.
 	Seed uint64
 }
@@ -165,7 +163,7 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	ps.End()
 
 	cs := sp.Child("cabling")
-	plan, err := cabling.PlanCables(f, in.Catalog, p.Demands(in.ExtraLoss), cabling.Options{})
+	plan, err := cabling.PlanCables(f, in.Catalog, p.Demands(nil), cabling.Options{})
 	if err != nil {
 		return nil, err
 	}

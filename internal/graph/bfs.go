@@ -231,32 +231,3 @@ func (g *Graph) Connected() bool {
 	}
 	return true
 }
-
-// Components returns the connected components as sorted node slices,
-// ordered by their smallest node.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.N)
-	var comps [][]int
-	for s := 0; s < g.N; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, id := range g.adj[u] {
-				w := g.Edges[id].Other(u)
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"physdep/internal/obs"
 )
 
 // messy builds a graph that exercises every CSR packing edge case:
@@ -86,9 +84,8 @@ func TestFreezeInvalidation(t *testing.T) {
 		{"remove self-loop", func(g *Graph) { g.RemoveEdge(loop) }},
 		{"add node + edge", func(g *Graph) { n := g.AddNode(); g.AddEdge(n, 0, 1) }},
 		{"remove edge", func(g *Graph) { g.RemoveEdge(2) }},
-		// Additions after a removal: the first freeze below is a full
-		// rebuild (the removal retired the patch base), the ones after ride
-		// the delta path again — both still must match the fresh twin.
+		// Additions after a removal append to rows the removal shifted;
+		// each re-freeze must still match the fresh twin.
 		{"add parallel edge", func(g *Graph) { g.AddEdge(0, 1, 3) }},
 		{"add isolated node", func(g *Graph) { g.AddNode() }},
 		{"add zero-cap edge", func(g *Graph) { g.AddEdge(4, 0, 0) }},
@@ -111,8 +108,12 @@ func TestFreezeInvalidation(t *testing.T) {
 		if g.Frozen() {
 			t.Fatalf("after %q: mutation left a stale snapshot cached", o.name)
 		}
-		// …and the re-frozen kernels must match a never-mutated twin.
+		// …and the re-frozen snapshot and kernels must match a
+		// never-mutated twin.
 		fresh := rebuild(i + 1)
+		if !snapEqual(g.Freeze(), fresh.Freeze()) {
+			t.Errorf("after %q: re-frozen snapshot differs from a fresh build", o.name)
+		}
 		if got, want := must(g.AllPairsStatsCtx(context.Background(), nil)), must(fresh.AllPairsStatsCtx(context.Background(), nil)); got != want {
 			t.Errorf("after %q: AllPairsStats = %+v, fresh graph gives %+v", o.name, got, want)
 		}
@@ -185,8 +186,8 @@ func TestIncidentEdgesMutationSafe(t *testing.T) {
 }
 
 // snapEqual compares every packed array of two snapshots — the literal
-// "byte-identical" check the delta-freeze contract promises against a
-// full rebuild of the same graph.
+// "byte-identical" check between a re-frozen graph and a fresh build of
+// the same mutation history.
 func snapEqual(a, b *Snapshot) bool {
 	return a.n == b.n &&
 		reflect.DeepEqual(a.off, b.off) &&
@@ -195,142 +196,6 @@ func snapEqual(a, b *Snapshot) bool {
 		reflect.DeepEqual(a.caps, b.caps) &&
 		reflect.DeepEqual(a.nbrOff, b.nbrOff) &&
 		reflect.DeepEqual(a.nbrList, b.nbrList)
-}
-
-func freezeCounters() (builds, deltas int64) {
-	s := obs.TakeSnapshot()
-	return s.Counters["graph.freeze.builds"], s.Counters["graph.freeze.deltas"]
-}
-
-// TestDeltaFreezePatchesAdditions: when only additions happened since the
-// last build, Freeze must take the patch path (graph.freeze.deltas, not
-// .builds) and the patched snapshot must be byte-identical to a full
-// rebuild of an identically-constructed twin — covering parallel edges,
-// self-loops, zero capacities, isolated new nodes, and edges between two
-// new nodes.
-func TestDeltaFreezePatchesAdditions(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer func() { obs.Disable(); obs.Reset() }()
-
-	grow := func(g *Graph) {
-		g.AddEdge(3, 4, 2)
-		g.AddEdge(0, 1, 0) // parallel to an existing pair, zero cap
-		g.AddEdge(4, 4, 7) // self-loop on an old node
-		n := g.AddNode()   // stays isolated
-		m := g.AddNode()
-		g.AddEdge(m, 2, 1)
-		g.AddEdge(m, n, 3)
-	}
-	g := messy()
-	g.Freeze() // full build (messy's RemoveEdge retired any base)
-	b0, d0 := freezeCounters()
-	grow(g)
-	if g.Frozen() {
-		t.Fatal("additions left a stale snapshot cached")
-	}
-	s := g.Freeze()
-	b1, d1 := freezeCounters()
-	if b1 != b0 {
-		t.Errorf("additions-only Freeze did a full pack (builds %d → %d)", b0, b1)
-	}
-	if d1 != d0+1 {
-		t.Errorf("additions-only Freeze deltas %d → %d, want +1", d0, d1)
-	}
-	twin := messy()
-	grow(twin)
-	if !snapEqual(s, twin.Freeze()) {
-		t.Error("delta-freeze snapshot differs from a full rebuild of the same graph")
-	}
-	// Patching a patched snapshot must also stay identical to a from-
-	// scratch full build.
-	g.AddEdge(0, 3, 1)
-	s2 := g.Freeze()
-	_, d2 := freezeCounters()
-	if d2 != d1+1 {
-		t.Errorf("second additions-only Freeze deltas %d → %d, want +1", d1, d2)
-	}
-	twin2 := messy()
-	grow(twin2)
-	twin2.AddEdge(0, 3, 1)
-	if !snapEqual(s2, twin2.Freeze()) {
-		t.Error("patch-of-a-patch snapshot differs from a full rebuild")
-	}
-}
-
-// TestDeltaFreezeRemovalForcesRebuild: any RemoveEdge since the last
-// build retires the patch base — the next Freeze is a full pack — and
-// additions after that rebuild ride the delta path again.
-func TestDeltaFreezeRemovalForcesRebuild(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer func() { obs.Disable(); obs.Reset() }()
-
-	g := messy()
-	g.Freeze()
-	g.AddEdge(3, 4, 1)
-	g.Freeze() // delta
-	id := g.AddEdge(0, 4, 1)
-	g.RemoveEdge(id)
-	b0, d0 := freezeCounters()
-	s := g.Freeze()
-	b1, d1 := freezeCounters()
-	if b1 != b0+1 || d1 != d0 {
-		t.Errorf("freeze after removal: builds %d → %d (want +1), deltas %d → %d (want +0)",
-			b0, b1, d0, d1)
-	}
-	twin := messy()
-	twin.AddEdge(3, 4, 1)
-	tid := twin.AddEdge(0, 4, 1)
-	twin.RemoveEdge(tid)
-	if !snapEqual(s, twin.Freeze()) {
-		t.Error("post-removal rebuild differs from an identically-built twin")
-	}
-	g.AddEdge(1, 5, 1)
-	s2 := g.Freeze()
-	_, d2 := freezeCounters()
-	if d2 != d1+1 {
-		t.Errorf("additions after the rebuild should patch again (deltas %d → %d)", d1, d2)
-	}
-	twin.AddEdge(1, 5, 1)
-	twinFull := messy()
-	twinFull.AddEdge(3, 4, 1)
-	tfid := twinFull.AddEdge(0, 4, 1)
-	twinFull.RemoveEdge(tfid)
-	twinFull.AddEdge(1, 5, 1)
-	if !snapEqual(s2, twinFull.Freeze()) {
-		t.Error("delta after rebuild differs from a from-scratch full pack")
-	}
-}
-
-// TestDeltaFreezeConcurrent hammers the patch path the way
-// TestFreezeConcurrent hammers the full build: many goroutines freezing
-// a graph whose next snapshot comes from patchSnapshot (run under -race
-// in check.sh).
-func TestDeltaFreezeConcurrent(t *testing.T) {
-	g := messy()
-	g.Freeze()
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(0, 2, 2) // next Freeze patches both additions
-	twin := messy()
-	twin.AddEdge(3, 4, 1)
-	twin.AddEdge(0, 2, 2)
-	want := twin.BFS(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				g.Freeze()
-				if got := g.BFS(0); !reflect.DeepEqual(got, want) {
-					t.Errorf("concurrent delta BFS = %v, want %v", got, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestAllPairsStatsDisconnected pins the PathStats aggregation contract

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"physdep/internal/physerr"
 )
 
 // Edge is one undirected link between two nodes. Multigraphs are allowed:
@@ -52,28 +50,16 @@ type Graph struct {
 	// atomic so read-only kernels may freeze lazily while other goroutines
 	// are reading; every mutation clears it.
 	snap atomic.Pointer[Snapshot]
-	// base remembers the last built snapshot and the node/edge counts it
-	// covered, so an additions-only Freeze can patch instead of repack
-	// (csr.go). RemoveEdge retires it; Clone starts the copy fresh.
-	base atomic.Pointer[freezeBase]
 }
 
-// New returns a graph with n nodes and no edges. It panics on negative n;
-// callers taking node counts from user input should use NewChecked.
+// New returns a graph with n nodes and no edges. It panics on negative n,
+// an invariant breach rather than bad input: generators validate their
+// configs and grow graphs through AddNode.
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: New(%d): negative node count", n))
 	}
 	return &Graph{N: n, adj: make([][]int, n)}
-}
-
-// NewChecked is New with the node count treated as user input: negative n
-// becomes an error (wrapping physerr.ErrOutOfRange) instead of a panic.
-func NewChecked(n int) (*Graph, error) {
-	if n < 0 {
-		return nil, physerr.OutOfRange("graph: node count must be >= 0, got %d", n)
-	}
-	return New(n), nil
 }
 
 // AddNode appends one node and returns its ID.
@@ -110,7 +96,6 @@ func (g *Graph) RemoveEdge(id int) {
 		panic(fmt.Sprintf("graph: RemoveEdge(%d): no such live edge", id))
 	}
 	g.invalidateSnapshot()
-	g.dropBase()
 	e := g.Edges[id]
 	g.adj[e.U] = removeVal(g.adj[e.U], id)
 	if e.V != e.U {

@@ -128,8 +128,12 @@ func TestBFSUnreachable(t *testing.T) {
 	if g.Connected() {
 		t.Error("disconnected graph reported connected")
 	}
-	if comps := g.Components(); len(comps) != 2 {
-		t.Errorf("Components = %d, want 2", len(comps))
+	if dist := g.BFS(2); dist[0] != -1 || dist[1] != -1 || dist[2] != 0 {
+		t.Errorf("BFS from isolated node = %v, want [-1 -1 0]", dist)
+	}
+	g.AddEdge(1, 2, 1)
+	if !g.Connected() {
+		t.Error("joining the isolated node left the graph disconnected")
 	}
 }
 
@@ -234,38 +238,59 @@ func TestBisectionEstimateTwoCliques(t *testing.T) {
 	}
 }
 
-func TestECMPDagPathCounts(t *testing.T) {
+// routeECMP runs one ECMPRouteInto pass toward dst with one unit of
+// demand from each src and returns the scratch (whose DAG now points at
+// dst) plus the combined both-direction load per edge ID.
+func routeECMP(g *Graph, srcs []int, dst int) (*ECMPScratch, []float64) {
+	sc := g.NewECMPScratch()
+	weight := make([]float64, g.N)
+	for _, s := range srcs {
+		weight[s]++
+	}
+	dir := make([]float64, 2*len(g.Edges))
+	g.ECMPRouteInto(weight, dst, dir, sc)
+	load := make([]float64, len(g.Edges))
+	for id := range load {
+		load[id] = dir[DirLoad(id, true)] + dir[DirLoad(id, false)]
+	}
+	return sc, load
+}
+
+func TestECMPScratchPathCounts(t *testing.T) {
 	// Diamond: 0–1–3 and 0–2–3. Two shortest paths 0→3.
 	g := New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 3, 1)
-	dag := g.ECMPDag(3)
-	if dag.PathCnt[0] != 2 {
-		t.Errorf("path count 0→3 = %v, want 2", dag.PathCnt[0])
+	sc, _ := routeECMP(g, []int{0}, 3)
+	if sc.dag.Dst != 3 {
+		t.Fatalf("scratch DAG points at %d, want 3", sc.dag.Dst)
 	}
-	if len(dag.NextHops[0]) != 2 {
-		t.Errorf("next hops at 0 = %v, want 2 entries", dag.NextHops[0])
+	if sc.dag.PathCnt[0] != 2 {
+		t.Errorf("path count 0→3 = %v, want 2", sc.dag.PathCnt[0])
+	}
+	if len(sc.dag.NextHops[0]) != 2 {
+		t.Errorf("next hops at 0 = %v, want 2 entries", sc.dag.NextHops[0])
 	}
 }
 
-func TestECMPLinkLoadsEvenSplit(t *testing.T) {
+func TestECMPRouteIntoEvenSplit(t *testing.T) {
 	g := New(4)
 	e01 := g.AddEdge(0, 1, 1)
 	e02 := g.AddEdge(0, 2, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 3, 1)
-	load := g.ECMPLinkLoads([]int{0}, 3)
+	_, load := routeECMP(g, []int{0}, 3)
 	if load[e01] != 0.5 || load[e02] != 0.5 {
 		t.Errorf("uneven ECMP split: %v / %v, want 0.5 / 0.5", load[e01], load[e02])
 	}
 }
 
-func TestECMPLinkLoadsConservation(t *testing.T) {
+func TestECMPRouteIntoConservation(t *testing.T) {
 	g := complete(6)
 	srcs := []int{0, 1, 2, 3, 4}
-	load := g.ECMPLinkLoads(srcs, 5)
+	_, load := routeECMP(g, srcs, 5)
 	into := 0.0
 	for _, id := range g.IncidentEdges(5) {
 		into += load[id]

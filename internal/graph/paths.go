@@ -1,9 +1,9 @@
 package graph
 
-// ShortestPathDAG describes, for a fixed destination t, the equal-cost
+// shortestPathDAG describes, for a fixed destination t, the equal-cost
 // next hops every node may use — exactly what an ECMP-routed fabric
 // installs in its forwarding tables.
-type ShortestPathDAG struct {
+type shortestPathDAG struct {
 	Dst      int
 	Dist     []int   // hop distance to Dst; -1 if unreachable
 	NextHops [][]int // NextHops[u] = neighbors one hop closer to Dst (deduped, adjacency order)
@@ -18,7 +18,7 @@ type ShortestPathDAG struct {
 // scratch was created on — create a new scratch after adding nodes or
 // edges.
 type ECMPScratch struct {
-	dag       ShortestPathDAG
+	dag       shortestPathDAG
 	queue     []int
 	order     []int32 // nodes with finite distance, ascending distance then ID
 	bucketOff []int32 // order[bucketOff[d]:bucketOff[d+1]] = nodes at distance d
@@ -33,7 +33,7 @@ type ECMPScratch struct {
 // NewECMPScratch returns a scratch sized for g.
 func (g *Graph) NewECMPScratch() *ECMPScratch {
 	return &ECMPScratch{
-		dag: ShortestPathDAG{
+		dag: shortestPathDAG{
 			Dist:     make([]int, g.N),
 			NextHops: make([][]int, g.N),
 			PathCnt:  make([]float64, g.N),
@@ -44,12 +44,12 @@ func (g *Graph) NewECMPScratch() *ECMPScratch {
 	}
 }
 
-// fillECMPDag (re)builds dag toward dst by walking g's frozen CSR rows.
+// fillDAG (re)builds dag toward dst by walking g's frozen CSR rows.
 // The packed rows preserve adjacency slot order, so next-hop order and
 // every path-count accumulation match the historical pointer-chasing
 // build bit for bit. NextHops rows are truncated and reused (append
 // allocates only on first use or growth).
-func (g *Graph) fillECMPDag(snap *Snapshot, dag *ShortestPathDAG, dst int, sc *ECMPScratch) {
+func (g *Graph) fillDAG(snap *Snapshot, dag *shortestPathDAG, dst int, sc *ECMPScratch) {
 	dag.Dst = dst
 	sc.queue = g.BFSInto(dst, dag.Dist, sc.queue)
 	for u := range dag.PathCnt {
@@ -128,19 +128,6 @@ func (sc *ECMPScratch) sortByDistance(dist []int) int32 {
 	return int32(maxd)
 }
 
-// ECMPDag builds the shortest-path DAG toward dst, including the number of
-// distinct shortest paths from each node (parallel edges multiply path
-// counts, as they multiply ECMP hash buckets). The returned DAG is freshly
-// allocated; repeated routing passes should use NewECMPScratch +
-// ECMPRouteInto, which reuse one DAG's buffers across destinations.
-func (g *Graph) ECMPDag(dst int) *ShortestPathDAG {
-	snap := g.Freeze()
-	sc := g.NewECMPScratch()
-	g.fillECMPDag(snap, &sc.dag, dst, sc)
-	dag := sc.dag // hand the scratch's buffers to the caller; scratch is dropped
-	return &dag
-}
-
 // DirLoad indexes directional edge loads: links are full duplex, so each
 // edge has independent capacity in its U→V and V→U directions.
 // A directional load slice has length 2×len(Edges); entry DirLoad(id,
@@ -151,40 +138,6 @@ func DirLoad(edgeID int, fromU bool) int {
 		return 2 * edgeID
 	}
 	return 2*edgeID + 1
-}
-
-// ECMPLinkLoads splits one unit of demand from each src in srcs toward dst
-// along the ECMP DAG (even split across next-hop *edges*) and returns the
-// combined (both-direction) load on each edge ID — a convenience view for
-// hot-spot inspection. For capacity math use ECMPLinkLoadsWeighted, which
-// keeps directions separate.
-func (g *Graph) ECMPLinkLoads(srcs []int, dst int) []float64 {
-	w := make(map[int]float64, len(srcs))
-	for _, s := range srcs {
-		w[s] += 1
-	}
-	dir := g.ECMPLinkLoadsWeighted(w, dst)
-	load := make([]float64, len(g.Edges))
-	for id := range load {
-		load[id] = dir[2*id] + dir[2*id+1]
-	}
-	return load
-}
-
-// ECMPLinkLoadsWeighted routes weight[s] units of traffic from each
-// source s to dst, fluid-split across equal-cost next-hop edges, and
-// returns directional loads (see DirLoad). This is the one-shot map form;
-// the hot path (trafficsim's per-destination throughput loop) uses
-// ECMPRouteInto with a node-indexed weight slice and a reused scratch.
-func (g *Graph) ECMPLinkLoadsWeighted(weight map[int]float64, dst int) []float64 {
-	sc := g.NewECMPScratch()
-	wv := make([]float64, g.N)
-	for s, w := range weight {
-		wv[s] += w
-	}
-	load := make([]float64, 2*len(g.Edges))
-	g.ECMPRouteInto(wv, dst, load, sc)
-	return load
 }
 
 // ECMPRouteInto routes weight[u] units from every node u with a non-zero
@@ -199,7 +152,7 @@ func (g *Graph) ECMPLinkLoadsWeighted(weight map[int]float64, dst int) []float64
 // adjacency slot order. Allocation-free after the first call on a scratch.
 func (g *Graph) ECMPRouteInto(weight []float64, dst int, load []float64, sc *ECMPScratch) {
 	snap := g.Freeze()
-	g.fillECMPDag(snap, &sc.dag, dst, sc)
+	g.fillDAG(snap, &sc.dag, dst, sc)
 	dag := &sc.dag
 	for i := range sc.dl {
 		sc.dl[i] = 0

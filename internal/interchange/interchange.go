@@ -179,17 +179,6 @@ func (d *Document) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Emit writes t to w as a document. For provenance or hall geometry,
-// build the Document with FromTopology and encode it yourself.
-func Emit(w io.Writer, t *topology.Topology) error {
-	b, err := FromTopology(t).Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // EmitFile writes d to path with atomicfile.WriteFile, so a crash
 // mid-write can never leave a torn document where a good one was.
 func EmitFile(path string, d *Document) error {

@@ -20,17 +20,14 @@ import (
 // internal/solver — over rewire choices (which live links each added ToR
 // splices) and work ordering (the crew's route across the floor) for a
 // cheap feasible plan, and returns the plan as typed steps with
-// cumulative labor, cable, and downtime. Stage-by-stage evaluation rides
-// graph.Freeze's delta path: trunk-only stages patch the previous CSR
-// snapshot instead of repacking it (csr.go), which is what makes long
-// schedules affordable.
+// cumulative labor, cable, and downtime. Each stage is evaluated with one
+// all-pairs sweep over one fresh CSR snapshot of the working graph.
 
 // GrowthStage is one step of a growth schedule. AddToRs installs new
 // switches by live splicing (the Jellyfish/Xpander incremental
 // procedure: every add breaks existing links). AddTrunks adds capacity
 // without touching any live link: a parallel trunk on an existing pair,
-// terminated on ports reclaimed from the server side — the
-// additions-only action that keeps the CSR snapshot patchable.
+// terminated on ports reclaimed from the server side.
 type GrowthStage struct {
 	AddToRs   int
 	AddTrunks int
@@ -336,8 +333,8 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 			}
 			orders = append(orders, o)
 		}
-		// Stage evaluation freezes the working graph: a trunk-only stage
-		// rides the CSR delta path, a splice stage forces a full repack.
+		// Stage evaluation freezes the working graph once; the stage's
+		// mutations above invalidated the previous snapshot.
 		ps, err := work.AllPairsStatsCtx(ctx, nil)
 		if err != nil {
 			return nil, err
@@ -403,8 +400,7 @@ func distinctRacks(f FloorModel, nodes []int) []int {
 
 // addTrunk performs one pure-addition capacity augment: a parallel trunk
 // on a live pair whose endpoints can each reclaim one server-side port.
-// No live link is touched and no edge is removed, so the next Freeze
-// patches instead of repacking.
+// No live link is touched and no edge is removed.
 func addTrunk(t *topology.Topology, stage int, rng *rand.Rand, f FloorModel) (workOrder, error) {
 	var elig []int
 	for _, e := range t.Edges {

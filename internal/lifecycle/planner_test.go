@@ -252,11 +252,12 @@ func TestXpanderGrowerLegality(t *testing.T) {
 	}
 }
 
-// TestPlanGrowthDeltaFreeze is the incremental-snapshot acceptance: a
-// 50-stage growth schedule dominated by additions-only trunk stages must
-// complete with far fewer full CSR packs than one per stage — the
-// trunk-only stages ride graph.Freeze's delta path.
-func TestPlanGrowthDeltaFreeze(t *testing.T) {
+// TestPlanGrowthFreezesOncePerStage pins the planner's snapshot budget:
+// a 50-stage growth schedule (40 trunk-only stages, 10 ToR adds) must do
+// exactly one full CSR pack per stage, so a stage that freezes its
+// working graph twice — or a kernel that stops sharing the snapshot —
+// fails here.
+func TestPlanGrowthFreezesOncePerStage(t *testing.T) {
 	cfg := topology.JellyfishConfig{N: 40, K: 12, R: 6, Rate: 100, Seed: 5}
 	jf, err := topology.Jellyfish(cfg)
 	if err != nil {
@@ -265,9 +266,9 @@ func TestPlanGrowthDeltaFreeze(t *testing.T) {
 	stages := make([]GrowthStage, 50)
 	for i := range stages {
 		if i%5 == 0 {
-			stages[i] = GrowthStage{AddToRs: 1} // splices → full repack
+			stages[i] = GrowthStage{AddToRs: 1} // live splices
 		} else {
-			stages[i] = GrowthStage{AddTrunks: 1} // additions only → patch
+			stages[i] = GrowthStage{AddTrunks: 1} // additions only
 		}
 	}
 	pcfg := PlannerConfig{
@@ -288,14 +289,8 @@ func TestPlanGrowthDeltaFreeze(t *testing.T) {
 	}
 	after := obs.TakeSnapshot().Counters
 	builds := after["graph.freeze.builds"] - before["graph.freeze.builds"]
-	deltas := after["graph.freeze.deltas"] - before["graph.freeze.deltas"]
-	// 10 ToR stages force full repacks; the 40 trunk stages must not.
-	if builds > 12 {
-		t.Errorf("50-stage schedule did %d full CSR packs — delta path not engaged (deltas=%d)",
-			builds, deltas)
-	}
-	if deltas < 35 {
-		t.Errorf("only %d delta patches across 40 trunk-only stages (builds=%d)", deltas, builds)
+	if builds != int64(len(stages)) {
+		t.Errorf("50-stage schedule did %d CSR packs, want exactly %d (one per stage)", builds, len(stages))
 	}
 	if plan.Trunks != 40 || plan.AddedToRs != 10 {
 		t.Fatalf("plan did %d trunks / %d adds, want 40 / 10", plan.Trunks, plan.AddedToRs)

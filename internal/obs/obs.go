@@ -48,7 +48,8 @@ var registry = struct {
 	start    time.Time // epoch for span start offsets
 	counters map[string]*atomic.Int64
 	gauges   map[string]*atomic.Uint64 // float64 bits
-	roots    []*SpanData               // finished root spans, in end order
+	roots    []*SpanData               // ring of finished root spans (see keepRoot)
+	oldest   int                       // index of the oldest root once the ring is full
 }{
 	start:    time.Now(),
 	counters: map[string]*atomic.Int64{},
@@ -157,15 +158,16 @@ type Snapshot struct {
 	Spans    []*SpanData        `json:"spans,omitempty"`
 }
 
-// TakeSnapshot copies the current counters, gauges, and finished root
-// spans. In-flight (un-ended) spans are not included.
+// TakeSnapshot copies the current counters, gauges, and the retained
+// finished root spans, oldest first in end order. In-flight (un-ended)
+// spans are not included.
 func TakeSnapshot() Snapshot {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	s := Snapshot{
 		Counters: make(map[string]int64, len(registry.counters)),
 		Gauges:   make(map[string]float64, len(registry.gauges)),
-		Spans:    make([]*SpanData, len(registry.roots)),
+		Spans:    make([]*SpanData, 0, len(registry.roots)),
 	}
 	for name, c := range registry.counters {
 		s.Counters[name] = c.Load()
@@ -173,7 +175,8 @@ func TakeSnapshot() Snapshot {
 	for name, g := range registry.gauges {
 		s.Gauges[name] = math.Float64frombits(g.Load())
 	}
-	copy(s.Spans, registry.roots)
+	s.Spans = append(s.Spans, registry.roots[registry.oldest:]...)
+	s.Spans = append(s.Spans, registry.roots[:registry.oldest]...)
 	return s
 }
 
@@ -186,4 +189,5 @@ func Reset() {
 	registry.counters = map[string]*atomic.Int64{}
 	registry.gauges = map[string]*atomic.Uint64{}
 	registry.roots = nil
+	registry.oldest = 0
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -146,5 +147,61 @@ func TestSortSpansStableOrder(t *testing.T) {
 	got := spans[0].Name + spans[1].Name + spans[2].Name
 	if got != "cab" {
 		t.Fatalf("order = %q, want cab", got)
+	}
+}
+
+// TestRootSpansRingBounded: a process that ends root spans forever and
+// never Resets (the daemon) retains at most maxRoots of them — the
+// newest, oldest first — counts every eviction, and Reset empties the
+// ring.
+func TestRootSpansRingBounded(t *testing.T) {
+	reset(t)
+	const total = 10_000
+	for i := 0; i < total; i++ {
+		sp := StartSpan("root")
+		sp.SetAttr("i", int64(i))
+		sp.End()
+	}
+	s := TakeSnapshot()
+	if len(s.Spans) != maxRoots {
+		t.Fatalf("retained %d root spans, want the cap %d", len(s.Spans), maxRoots)
+	}
+	for k, sp := range s.Spans {
+		if want := int64(total - maxRoots + k); sp.Attrs["i"] != want {
+			t.Fatalf("root %d is span #%d, want #%d (newest kept, oldest first)", k, sp.Attrs["i"], want)
+		}
+	}
+	if got := s.Counters["obs.spans.dropped"]; got != total-maxRoots {
+		t.Errorf("obs.spans.dropped = %d, want %d", got, total-maxRoots)
+	}
+	Reset()
+	if n := len(TakeSnapshot().Spans); n != 0 {
+		t.Fatalf("Reset left %d root spans", n)
+	}
+	StartSpan("after").End()
+	if s := TakeSnapshot(); len(s.Spans) != 1 || s.Spans[0].Name != "after" {
+		t.Errorf("after Reset: spans = %+v, want just the new root", s.Spans)
+	}
+
+	// Concurrent ends and snapshots (run under -race in check.sh) keep the
+	// same accounting: every root is either retained or counted dropped.
+	Reset()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < total/4; i++ {
+				StartSpan("root").End()
+				if i%500 == 0 {
+					TakeSnapshot()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s = TakeSnapshot()
+	if kept, dropped := len(s.Spans), s.Counters["obs.spans.dropped"]; kept != maxRoots || int(dropped) != total-maxRoots {
+		t.Errorf("concurrent: kept %d, dropped %d; want %d and %d", kept, dropped, maxRoots, total-maxRoots)
 	}
 }

@@ -74,8 +74,9 @@ func (s *Span) SetAttr(key string, v int64) {
 }
 
 // End closes the span, fixing its duration and attaching the record to
-// its parent — or to the registry's finished roots if it has none.
-// Ending a span twice would double-record it; don't.
+// its parent — or to the registry's finished roots if it has none (see
+// keepRoot for the retention cap). Ending a span twice would
+// double-record it; don't.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -91,8 +92,30 @@ func (s *Span) End() {
 		return
 	}
 	registry.mu.Lock()
-	registry.roots = append(registry.roots, s.data)
+	evicted := keepRoot(s.data)
 	registry.mu.Unlock()
+	if evicted {
+		counterCell("obs.spans.dropped").Add(1)
+	}
+}
+
+// maxRoots caps the finished root spans the registry retains. A
+// long-running process that never calls Reset (physdepd ends a root per
+// evaluated request) would otherwise grow the root list without bound; a
+// full cmd/experiments run ends 44, far below the cap.
+const maxRoots = 1024
+
+// keepRoot records a finished root span, evicting the oldest once
+// maxRoots are held, and reports whether it evicted one. The caller
+// holds registry.mu.
+func keepRoot(d *SpanData) (evicted bool) {
+	if len(registry.roots) < maxRoots {
+		registry.roots = append(registry.roots, d)
+		return false
+	}
+	registry.roots[registry.oldest] = d
+	registry.oldest = (registry.oldest + 1) % maxRoots
+	return true
 }
 
 // SortSpans orders a span forest by start offset, then name — the

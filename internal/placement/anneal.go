@@ -137,33 +137,21 @@ func annealConfig(before units.Meters, steps int, seed uint64) solver.AnnealConf
 }
 
 // OptimizeRestartsCtx improves the placement by simulated annealing,
-// returning the cable length before and after. restarts independently
-// seeded chains run in parallel, each on its own clone of p, and the
-// chain with the shortest final cable length (ties broken by lowest chain
-// index) is installed back into p. Chain 0 runs the single-chain
-// schedule (restarts <= 1 runs only that one), so more restarts are never
-// worse than one, and the outcome is identical for any worker count.
+// returning the cable length before and after. max(restarts, 1)
+// independently seeded chains run in parallel, each on its own clone of
+// p, and the chain with the shortest final cable length (ties broken by
+// lowest chain index) is installed back into p. Chain 0 runs the
+// single-chain schedule (solver.ChainSeed(seed, 0) == seed), so more
+// restarts are never worse than one, and the outcome is identical for
+// any worker count.
 //
 // The chains run on clones, so cancellation is all-or-nothing for p: a
 // canceled run abandons the clones, leaves p exactly as it was, and
 // returns an error matching physerr.ErrCanceled (before and after both
 // report the untouched length).
 func OptimizeRestartsCtx(ctx context.Context, p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters, err error) {
-	if restarts <= 1 {
-		// Anneal a clone, adopt only on completion: the same all-or-nothing
-		// contract as the multi-chain path.
-		defer obs.Time("placement.optimize")()
-		before = p.CableLength()
-		clone := p.Clone()
-		if _, err = solver.AnnealCtx(ctx, newAnnealState(clone), annealConfig(before, steps, seed)); err != nil {
-			return before, before, err
-		}
-		p.adopt(clone)
-		after = p.CableLength()
-		obs.Add("placement.optimize.saved_m", int64(before-after))
-		return before, after, nil
-	}
 	defer obs.Time("placement.optimize")()
+	restarts = max(restarts, 1)
 	before = p.CableLength()
 	clones := make([]*Placement, restarts)
 	states := make([]solver.Annealable, restarts)

@@ -2,10 +2,12 @@ package placement
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"physdep/internal/floorplan"
 	"physdep/internal/par"
+	"physdep/internal/solver"
 	"physdep/internal/topology"
 )
 
@@ -69,6 +71,28 @@ func TestOptimizeRestartsNoWorseThanSingleChain(t *testing.T) {
 	}
 	if afterMulti > afterSingle {
 		t.Fatalf("multi-restart ended at %v, worse than single-chain %v", afterMulti, afterSingle)
+	}
+}
+
+// TestOptimizeRestartsSingleChainMatchesAnneal: restarts 0 and 1 run one
+// chain through the restart machinery, and that chain is seeded with the
+// caller's seed — so the installed layout must equal a direct AnnealCtx
+// run on a clone with the same schedule.
+func TestOptimizeRestartsSingleChainMatchesAnneal(t *testing.T) {
+	const steps, seed = 3000, 7
+	ref := restartPlacement(t).Clone()
+	cfg := annealConfig(ref.CableLength(), steps, seed)
+	if _, err := solver.AnnealCtx(context.Background(), newAnnealState(ref), cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, restarts := range []int{0, 1} {
+		p := restartPlacement(t)
+		if _, _, err := OptimizeRestartsCtx(context.Background(), p, steps, seed, restarts); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.SlotOfRack, ref.SlotOfRack) {
+			t.Errorf("restarts=%d: SlotOfRack %v, direct single chain gives %v", restarts, p.SlotOfRack, ref.SlotOfRack)
+		}
 	}
 }
 

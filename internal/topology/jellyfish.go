@@ -72,8 +72,8 @@ func JellyfishAddToR(t *Topology, cfg JellyfishConfig, rng *rand.Rand) (newID in
 
 // randomRegularWire wires the (currently edge-free among themselves) nodes
 // of t into an r-regular simple graph using free network ports. Nodes may
-// already have edges; "free" means FreePorts(u) > 0 and resulting degree
-// toward the target r.
+// already have edges; a node's free ports are what its degree still
+// lacks of the target r.
 func randomRegularWire(t *Topology, r int, rng *rand.Rand) error {
 	n := t.N
 	free := func(u int) int { return r - t.Degree(u) }

@@ -165,12 +165,6 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// FreePorts returns the unused ports on switch id.
-func (t *Topology) FreePorts(id int) int {
-	n := t.Nodes[id]
-	return n.Radix - t.Degree(id) - n.ServerPorts
-}
-
 // Stats bundles the abstract "goodness" numbers research papers report —
 // the properties the paper says must be weighed against physical cost.
 type Stats struct {
