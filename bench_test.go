@@ -76,7 +76,7 @@ func BenchmarkE24PlannerVsNaive(b *testing.B)     { benchExperiment(b, "E24") }
 
 // The E-scale band: fleet-size fabrics under the sampled path-stats
 // estimator (DESIGN.md §11). These are the multicore headline targets —
-// their all-pairs sweeps dominate, so -bench-workers sweeps show real
+// their all-pairs sweeps dominate, so worker-count sweeps show real
 // scaling where the classic band's small fabrics amortize poorly.
 func BenchmarkES1SampledCalibration(b *testing.B) { benchExperiment(b, "ES1") }
 func BenchmarkES2FleetScale(b *testing.B)         { benchExperiment(b, "ES2") }
@@ -247,7 +247,7 @@ func TestBenchCoverageMatchesExperiments(t *testing.T) {
 		t.Fatalf("bench harness covers %d experiments, registry has %d — add the missing BenchmarkE*", got, want)
 	}
 	for _, id := range experiments.Order() {
-		if experiments.All()[id] == nil {
+		if experiments.Get(id) == nil {
 			t.Fatalf("experiment %s missing from registry", id)
 		}
 	}

@@ -7,8 +7,6 @@
 //	experiments -run E3,E4              # run a subset
 //	experiments -list                   # list experiment IDs and titles
 //	experiments -workers 4              # cap the worker pools (also PHYSDEP_WORKERS)
-//	experiments -bench-json out.json    # benchmark experiments, write one JSON report
-//	experiments -bench-json 'BENCH_*.json'  # …or one BENCH_E<n>.json per experiment
 //	experiments -manifest m.json        # write the machine-readable run manifest
 //	experiments -topo-file fabric.json  # evaluate one interchange document, print the JSON report
 //	experiments -trace                  # print the span tree + counters to stderr
@@ -21,17 +19,12 @@
 // and whether or not observability collection (-manifest/-trace) is on —
 // the golden-corpus tests in internal/experiments enforce both.
 //
-// Bench mode times each selected experiment at every worker count in
-// -bench-workers (default "1,N" where N is the full pool), reporting
-// wall-clock, allocations, and the parallel speedup — the repo's perf
-// trajectory is recorded by committing these BENCH_E*.json files. The
-// placement-annealing ablation kernel is benchmarked alongside under the
-// pseudo-ID ABLATION_PLACEMENT.
-//
-// The manifest (see manifest.go) is the superset of the bench report:
-// per-experiment wall/alloc plus the full span forest (each
-// core.EvaluateCtx's placement/cabling/deploy/twin phase breakdown), kernel
-// counters, and per-worker task counts.
+// The manifest (internal/experiments/manifest.go) records per-experiment
+// wall time and allocations plus the full span forest (each
+// core.EvaluateCtx's placement/cabling/deploy/twin phase breakdown),
+// kernel counters, and per-worker task counts. The committed
+// BENCH_<ID>.json perf baselines are recorded and gated by
+// scripts/benchgate, not by this command.
 package main
 
 import (
@@ -48,7 +41,6 @@ import (
 	"syscall"
 
 	"physdep/internal/atomicfile"
-	"physdep/internal/benchrec"
 	"physdep/internal/core"
 	"physdep/internal/experiments"
 	"physdep/internal/floorplan"
@@ -56,8 +48,6 @@ import (
 	"physdep/internal/obs"
 	"physdep/internal/par"
 	"physdep/internal/physerr"
-	"physdep/internal/placement"
-	"physdep/internal/topology"
 )
 
 func main() {
@@ -78,9 +68,6 @@ func run() (exit int) {
 	runList := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS or PHYSDEP_WORKERS)")
-	benchJSON := flag.String("bench-json", "", "benchmark instead of printing tables; write JSON here ('*' in the name expands per experiment)")
-	benchReps := flag.Int("bench-reps", 3, "repetitions per benchmark point (best wall-clock wins)")
-	benchWorkers := flag.String("bench-workers", "", "comma-separated worker counts to sweep in bench mode (default \"1,<pool>\")")
 	manifestPath := flag.String("manifest", "", "write a machine-readable run manifest (spans, counters, env) to this JSON file")
 	trace := flag.Bool("trace", false, "print the span tree and counters to stderr after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
@@ -197,14 +184,6 @@ func run() (exit int) {
 		}
 	}
 
-	if *benchJSON != "" {
-		if err := runBench(ctx, ids, *benchJSON, *benchReps, *benchWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return diagnoseCancel(ctx, 1)
-		}
-		return diagnoseCancel(ctx, 0)
-	}
-
 	if *updateGolden {
 		if err := writeGolden(ctx, ids, *goldenDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -298,92 +277,5 @@ func writeGolden(ctx context.Context, ids []string, dir string) error {
 		}
 		fmt.Println(path)
 	}
-	return nil
-}
-
-func runBench(ctx context.Context, ids []string, outPath string, reps int, workerList string) error {
-	pool := par.Workers()
-	counts, err := parseBenchWorkers(workerList, pool)
-	if err != nil {
-		return err
-	}
-	defer par.SetWorkers(pool)
-
-	type task struct {
-		id, title string
-		run       func() error
-	}
-	var tasks []task
-	for _, id := range ids {
-		run := experiments.Get(id)
-		o := experiments.RunManyCtx(ctx, []string{id})[0] // warm-up + title
-		if o.Err != nil {
-			return fmt.Errorf("%s failed during warm-up: %v", id, o.Err)
-		}
-		tasks = append(tasks, task{id: id, title: o.Res.Title, run: func() error {
-			_, err := run(ctx)
-			return err
-		}})
-	}
-	tasks = append(tasks, task{
-		id:    "ABLATION_PLACEMENT",
-		title: "Placement annealing, 4 restart chains × 20k steps (bench_test.go ablation)",
-		run:   func() error { return benchPlacementKernel(ctx) },
-	})
-
-	var entries []benchrec.Entry
-	for _, tk := range tasks {
-		e, err := benchrec.Measure(tk.id, tk.title, counts, reps, tk.run)
-		if err != nil {
-			return fmt.Errorf("%s: %w", tk.id, err)
-		}
-		entries = append(entries, e)
-		fmt.Fprintf(os.Stderr, "benched %s: %v\n", tk.id, summarize(e))
-	}
-	return writeBench(entries, outPath)
-}
-
-func summarize(e benchrec.Entry) string {
-	var parts []string
-	for _, s := range e.Samples {
-		parts = append(parts, fmt.Sprintf("w=%d %.1fms", s.Workers, s.WallMS))
-	}
-	return strings.Join(parts, ", ")
-}
-
-// benchPlacementKernel mirrors BenchmarkAblationPlacement: greedy
-// placement of a k=8 fat-tree, then 4 annealing restart chains.
-func benchPlacementKernel(ctx context.Context) error {
-	ft, err := topology.FatTree(topology.FatTreeConfig{K: 8, Rate: 100})
-	if err != nil {
-		return err
-	}
-	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(5, 14))
-	if err != nil {
-		return err
-	}
-	p, err := placement.Greedy(ft, f, placement.Config{})
-	if err != nil {
-		return err
-	}
-	_, _, err = placement.OptimizeRestartsCtx(ctx, p, 20000, 1, 4)
-	return err
-}
-
-func writeBench(entries []benchrec.Entry, outPath string) error {
-	if strings.Contains(outPath, "*") {
-		for _, e := range entries {
-			path := strings.ReplaceAll(outPath, "*", e.ID)
-			if err := atomicfile.WriteJSON(path, e); err != nil {
-				return err
-			}
-			fmt.Println(path)
-		}
-		return nil
-	}
-	if err := atomicfile.WriteJSON(outPath, entries); err != nil {
-		return err
-	}
-	fmt.Println(outPath)
 	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"physdep/internal/cli"
@@ -28,26 +27,15 @@ import (
 	"physdep/internal/floorplan"
 	"physdep/internal/interchange"
 	"physdep/internal/topology"
-	"physdep/internal/units"
 )
 
 func main() {
+	params := cli.RegisterTopoFlags(flag.CommandLine)
 	var (
-		topoName = flag.String("topo", "fattree", strings.Join(cli.Families(), "|"))
-		k        = flag.Int("k", 8, "fat-tree K / fatclique Kf / butterfly dims")
-		n        = flag.Int("n", 64, "jellyfish N / leaf count / flatrandom N")
-		radix    = flag.Int("radix", 16, "switch radix")
-		net      = flag.Int("net", 8, "network ports per ToR (jellyfish/flatrandom R)")
-		d        = flag.Int("d", 8, "xpander D / fatclique Ks / slimfly q")
-		lift     = flag.Int("lift", 6, "xpander lift / fatclique Kb")
-		q        = flag.Int("q", 5, "slim fly q (prime ≡ 1 mod 4)")
-		spines   = flag.Int("spines", 8, "leaf-spine spine count")
-		rate     = flag.Float64("rate", 100, "line rate Gbps")
 		rows     = flag.Int("rows", 6, "hall rows")
 		slots    = flag.Int("slots", 16, "rack slots per row")
 		techs    = flag.Int("techs", 8, "deployment crew size")
 		anneal   = flag.Int("anneal", 0, "placement annealing steps (0 = greedy only)")
-		seed     = flag.Uint64("seed", 1, "random seed")
 		timeout  = flag.Duration("timeout", 0, "cancel the evaluation after this long (0 = no deadline)")
 		topoFile = flag.String("topo-file", "", "evaluate an interchange document instead of generating (overrides -topo)")
 	)
@@ -84,10 +72,7 @@ func main() {
 			}
 		}
 	} else {
-		tp, err = cli.BuildTopology(cli.TopoParams{
-			Name: *topoName, K: *k, N: *n, Radix: *radix, Net: *net, D: *d,
-			Lift: *lift, Q: *q, Spines: *spines, Rate: units.Gbps(*rate), Seed: *seed,
-		})
+		tp, err = cli.BuildTopology(*params)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -96,7 +81,7 @@ func main() {
 	in := core.DefaultInput(tp, floorplan.DefaultHall(hallRows, hallSlots))
 	in.Techs = *techs
 	in.PlacementSteps = *anneal
-	in.Seed = *seed
+	in.Seed = params.Seed
 	rep, err := core.EvaluateCtx(ctx, in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

@@ -18,36 +18,21 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
-	"strings"
 
 	"physdep/internal/cli"
 	"physdep/internal/interchange"
 	"physdep/internal/trafficsim"
-	"physdep/internal/units"
 )
 
 func main() {
+	flags := cli.RegisterTopoFlags(flag.CommandLine)
 	var (
-		topoName = flag.String("topo", "fattree", strings.Join(cli.Families(), "|"))
-		k        = flag.Int("k", 8, "fat-tree K / fatclique Kf / butterfly dims")
-		n        = flag.Int("n", 64, "jellyfish N / leaf count / butterfly C / flatrandom N")
-		radix    = flag.Int("radix", 16, "switch radix")
-		net      = flag.Int("net", 8, "network ports per ToR (flatrandom R)")
-		d        = flag.Int("d", 8, "xpander D / fatclique Ks / vl2 DA")
-		lift     = flag.Int("lift", 6, "xpander lift / fatclique Kb / vl2 DI")
-		q        = flag.Int("q", 5, "slim fly q")
-		spines   = flag.Int("spines", 8, "leaf-spine spines")
-		rate     = flag.Float64("rate", 100, "line rate Gbps")
-		seed     = flag.Uint64("seed", 1, "random seed")
 		tput     = flag.Bool("throughput", false, "also compute uniform-traffic throughput (slower)")
 		emit     = flag.String("emit", "", "also write the fabric as an interchange document to this path")
 		topoFile = flag.String("topo-file", "", "profile an interchange document instead of generating (overrides -topo)")
 	)
 	flag.Parse()
-	params := cli.TopoParams{
-		Name: *topoName, K: *k, N: *n, Radix: *radix, Net: *net, D: *d,
-		Lift: *lift, Q: *q, Spines: *spines, Rate: units.Gbps(*rate), Seed: *seed,
-	}
+	params := *flags
 	if *topoFile != "" {
 		params = cli.TopoParams{Name: "file", File: *topoFile}
 	}
@@ -71,7 +56,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	rng := rand.New(rand.NewPCG(*seed, *seed^0x70706f))
+	rng := rand.New(rand.NewPCG(flags.Seed, flags.Seed^0x70706f))
 	gap := tp.SpectralGap(300, rng)
 	bisect, err := tp.BisectionEstimateCtx(ctx, 6, rng)
 	if err != nil {
@@ -86,7 +71,7 @@ func main() {
 	fmt.Printf("  spectral gap: %.4f   bisection (heuristic): %.0f Gbps\n", gap, bisect)
 	if *tput {
 		tors := tp.ToRs()
-		per := float64(tp.Nodes[tors[0]].ServerPorts) * *rate
+		per := float64(tp.Nodes[tors[0]].ServerPorts) * float64(flags.Rate)
 		m := trafficsim.Uniform(len(tors), per)
 		ae, err := trafficsim.ECMPThroughput(tp, m)
 		if err == nil {

@@ -106,18 +106,6 @@ func TestPathLoss(t *testing.T) {
 	}
 }
 
-func TestRatesSorted(t *testing.T) {
-	rates := DefaultCatalog().Rates()
-	if len(rates) != 3 {
-		t.Fatalf("rates = %v, want 3 distinct", rates)
-	}
-	for i := 1; i < len(rates); i++ {
-		if rates[i] <= rates[i-1] {
-			t.Errorf("rates not ascending: %v", rates)
-		}
-	}
-}
-
 func TestSecondSourceCatalog(t *testing.T) {
 	cat := SecondSourceCatalog()
 	if len(cat.Media) != 2*len(DefaultCatalog().Media) {

@@ -9,7 +9,6 @@ package cabling
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"physdep/internal/physerr"
 	"physdep/internal/units"
@@ -152,20 +151,6 @@ func (c *Catalog) SelectFiltered(rate units.Gbps, length units.Meters, extraLoss
 		return Spec{}, fmt.Errorf("%w for %v over %v (+%v loss)", ErrNoMedia, rate, length, extraLoss)
 	}
 	return c.Media[best], nil
-}
-
-// Rates returns the distinct line rates in the catalog, ascending.
-func (c *Catalog) Rates() []units.Gbps {
-	seen := map[units.Gbps]bool{}
-	var out []units.Gbps
-	for _, s := range c.Media {
-		if !seen[s.Rate] {
-			seen[s.Rate] = true
-			out = append(out, s.Rate)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DefaultCatalog returns a catalog seeded from public figures: the AWS

@@ -5,6 +5,8 @@ package cli
 
 import (
 	"context"
+	"flag"
+	"strings"
 
 	"physdep/internal/interchange"
 	"physdep/internal/physerr"
@@ -25,10 +27,10 @@ type TopoParams struct {
 	Net    int        `json:"net,omitempty"`    // network ports per ToR (jellyfish R, leaf uplinks, flatrandom R)
 	D      int        `json:"d,omitempty"`      // xpander D / fatclique Ks / vl2 DA
 	Lift   int        `json:"lift,omitempty"`   // xpander lift / fatclique Kb / vl2 DI
-	Q      int        `json:"q,omitempty"`      // slim fly q
+	Q      int        `json:"q,omitempty"`      // slim fly q (prime ≡ 1 mod 4)
 	Spines int        `json:"spines,omitempty"` // leaf-spine spine count
-	Rate   units.Gbps `json:"rate,omitempty"`
-	Seed   uint64     `json:"seed,omitempty"`
+	Rate   units.Gbps `json:"rate,omitempty"`   // line rate, Gbps
+	Seed   uint64     `json:"seed,omitempty"`   // random seed
 	// File names an interchange document (internal/interchange) to load
 	// instead of generating: the "file" family. On the CLIs it is a
 	// filesystem path; daemon specs instead reference a previously
@@ -44,6 +46,26 @@ type TopoParams struct {
 func Families() []string {
 	return []string{"fattree", "leafspine", "jellyfish", "xpander",
 		"flatbutterfly", "fatclique", "slimfly", "vl2", "flatrandom", "file"}
+}
+
+// RegisterTopoFlags declares the CLIs' topology flags on fs, one per
+// TopoParams field except File, each named after the field's json tag
+// ("topo" for Name) with the field's comment as its help text. The
+// returned params fill in as fs parses.
+func RegisterTopoFlags(fs *flag.FlagSet) *TopoParams {
+	p := &TopoParams{}
+	fs.StringVar(&p.Name, "topo", "fattree", strings.Join(Families(), "|"))
+	fs.IntVar(&p.K, "k", 8, "fat-tree K / fatclique Kf / butterfly dims")
+	fs.IntVar(&p.N, "n", 64, "jellyfish N / leaf count / butterfly C / flatrandom N")
+	fs.IntVar(&p.Radix, "radix", 16, "switch radix")
+	fs.IntVar(&p.Net, "net", 8, "network ports per ToR (jellyfish R, leaf uplinks, flatrandom R)")
+	fs.IntVar(&p.D, "d", 8, "xpander D / fatclique Ks / vl2 DA")
+	fs.IntVar(&p.Lift, "lift", 6, "xpander lift / fatclique Kb / vl2 DI")
+	fs.IntVar(&p.Q, "q", 5, "slim fly q (prime ≡ 1 mod 4)")
+	fs.IntVar(&p.Spines, "spines", 8, "leaf-spine spine count")
+	fs.Float64Var((*float64)(&p.Rate), "rate", 100, "line rate, Gbps")
+	fs.Uint64Var(&p.Seed, "seed", 1, "random seed")
+	return p
 }
 
 // BuildTopology constructs the requested family from the shared

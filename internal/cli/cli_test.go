@@ -2,7 +2,10 @@ package cli
 
 import (
 	"errors"
+	"flag"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"physdep/internal/interchange"
@@ -108,6 +111,49 @@ func TestLeafSpineDivisibility(t *testing.T) {
 			t.Errorf("%s: non-divisible config accepted", c.name)
 		} else if !errors.Is(err, physerr.ErrOutOfRange) {
 			t.Errorf("%s: error kind = %v, want ErrOutOfRange", c.name, err)
+		}
+	}
+}
+
+// TestRegisterTopoFlagsCoversParams: every TopoParams field except File
+// has a flag named after its json tag ("topo" for Name), setting the flag
+// sets that field, and no other flag is declared.
+func TestRegisterTopoFlagsCoversParams(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	p := RegisterTopoFlags(fs)
+	typ := reflect.TypeOf(*p)
+	declared := 0
+	fs.VisitAll(func(*flag.Flag) { declared++ })
+	if declared != typ.NumField()-1 {
+		t.Errorf("%d flags declared, want one per TopoParams field except File (%d)", declared, typ.NumField()-1)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		if field.Name == "File" {
+			continue
+		}
+		name, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		if name == "name" {
+			name = "topo"
+		}
+		f := fs.Lookup(name)
+		if f == nil {
+			t.Errorf("TopoParams.%s has no -%s flag", field.Name, name)
+			continue
+		}
+		if f.Usage == "" {
+			t.Errorf("-%s has no help text", name)
+		}
+		val := "3"
+		if name == "topo" {
+			val = "slimfly"
+		}
+		before := reflect.ValueOf(*p).Field(i).Interface()
+		if err := fs.Set(name, val); err != nil {
+			t.Fatalf("-%s=%s: %v", name, val, err)
+		}
+		if after := reflect.ValueOf(*p).Field(i).Interface(); reflect.DeepEqual(before, after) {
+			t.Errorf("-%s=%s left TopoParams.%s at %v", name, val, field.Name, before)
 		}
 	}
 }

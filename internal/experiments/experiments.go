@@ -46,31 +46,9 @@ func (r *Result) Render() string {
 // are byte-identical regardless of the context used.
 type Runner func(ctx context.Context) (*Result, error)
 
-var (
-	allOnce sync.Once
-	allMap  map[string]Runner
-)
-
-// shared returns the memoized registry map. Never handed to callers —
-// All copies it so external mutation can't poison later lookups.
-func shared() map[string]Runner {
-	allOnce.Do(func() {
-		allMap = registry()
-	})
-	return allMap
-}
-
-// All returns a fresh copy of the experiment registry. Callers may
-// mutate the returned map freely (delete entries to build subsets, etc.)
-// without affecting Get or later All calls.
-func All() map[string]Runner {
-	src := shared()
-	out := make(map[string]Runner, len(src))
-	for id, run := range src {
-		out[id] = run
-	}
-	return out
-}
+// shared is the memoized registry map. It is never handed to callers,
+// so no caller can poison a later lookup.
+var shared = sync.OnceValue(registry)
 
 // Get returns the runner for id, or nil if the ID is unknown. It reads
 // the shared memoized registry directly, so it stays allocation-free on

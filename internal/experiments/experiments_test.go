@@ -16,7 +16,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipping in -short mode")
 	}
-	all := All()
+	all := registry()
 	order := Order()
 	if len(all) != len(order) {
 		t.Fatalf("registry has %d entries, order lists %d", len(all), len(order))

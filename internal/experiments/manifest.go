@@ -9,12 +9,11 @@ import (
 	"physdep/internal/par"
 )
 
-// Manifest is the machine-readable record of one experiments run: a
-// superset of the -bench-json report. Where bench mode records only
-// wall/alloc scaling points, the manifest carries the full observability
-// snapshot — per-experiment spans (with the placement/cabling/deploy
-// phase breakdown from core.EvaluateCtx), kernel counters, per-worker task
-// counts, and the environment the run happened in.
+// Manifest is the machine-readable record of one experiments run: the
+// full observability snapshot — per-experiment wall time and allocations,
+// spans (with the placement/cabling/deploy phase breakdown from
+// core.EvaluateCtx), kernel counters, per-worker task counts, and the
+// environment the run happened in.
 //
 // Building a Manifest is a pure in-memory distillation of an
 // obs.Snapshot: no sink is implied. cmd/experiments writes it to a file

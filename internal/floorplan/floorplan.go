@@ -161,10 +161,3 @@ func (f *Floorplan) CopyOccupancyFrom(src *Floorplan) {
 	}
 	copy(f.usedRU, src.usedRU)
 }
-
-// FitsThroughDoor reports whether a pre-assembled unit of n conjoined
-// racks fits through the hall door — the paper's "double-wide racks don't
-// always fit through doors" constraint.
-func (f *Floorplan) FitsThroughDoor(conjoinedRacks int) bool {
-	return units.Meters(float64(conjoinedRacks))*f.RackWidth <= f.DoorWidth
-}

@@ -162,27 +162,8 @@ func (t *TrayLoad) Add(r Route, crossSection units.SquareMillimeters) {
 	}
 }
 
-// Remove reverses Add (decommissioning).
-func (t *TrayLoad) Remove(r Route, crossSection units.SquareMillimeters) {
-	for _, s := range r.Segments {
-		t.used[s] -= crossSection
-	}
-}
-
 // Used returns the occupied cross-section of segment s.
 func (t *TrayLoad) Used(s int) units.SquareMillimeters { return t.used[s] }
-
-// Overloaded returns the IDs of segments whose occupancy exceeds the
-// hall's tray capacity.
-func (t *TrayLoad) Overloaded() []int {
-	var over []int
-	for s, u := range t.used {
-		if u > t.f.TrayCapacity {
-			over = append(over, s)
-		}
-	}
-	return over
-}
 
 // PeakUtilization returns max over segments of used/capacity.
 func (t *TrayLoad) PeakUtilization() float64 {

@@ -37,9 +37,6 @@ type Snapshot struct {
 	nbrList []int32
 }
 
-// NumNodes returns the node count the snapshot was frozen at.
-func (s *Snapshot) NumNodes() int { return s.n }
-
 // Neighbors returns the distinct neighbor nodes of u in ascending order,
 // excluding u itself — the packed equivalent of Graph.Neighbors. The
 // returned slice aliases the snapshot and must not be modified.
@@ -80,10 +77,6 @@ func (g *Graph) Freeze() *Snapshot {
 	g.snap.Store(s)
 	return s
 }
-
-// Frozen reports whether a current snapshot is cached (mutation clears
-// it). Exposed for the invalidation regression tests.
-func (g *Graph) Frozen() bool { return g.snap.Load() != nil }
 
 // invalidateSnapshot drops the cached snapshot; every adjacency mutation
 // calls it so a stale packed view can never be observed.

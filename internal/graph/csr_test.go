@@ -34,7 +34,7 @@ func TestSnapshotMatchesAdjacency(t *testing.T) {
 		legacy[u] = g.BFS(u)
 	}
 	s := g.Freeze()
-	if !g.Frozen() {
+	if g.snap.Load() == nil {
 		t.Fatal("Freeze did not cache a snapshot")
 	}
 	if s2 := g.Freeze(); s2 != s {
@@ -63,8 +63,8 @@ func TestSnapshotMatchesAdjacency(t *testing.T) {
 			t.Errorf("snapshot Neighbors(%d) = %v, graph has %v", u, got, want)
 		}
 	}
-	if s.NumNodes() != g.N {
-		t.Errorf("snapshot has %d nodes, graph %d", s.NumNodes(), g.N)
+	if s.n != g.N {
+		t.Errorf("snapshot has %d nodes, graph %d", s.n, g.N)
 	}
 }
 
@@ -100,12 +100,12 @@ func TestFreezeInvalidation(t *testing.T) {
 	for i, o := range ops {
 		// Kernel call freezes…
 		must(g.AllPairsStatsCtx(context.Background(), nil))
-		if !g.Frozen() {
+		if g.snap.Load() == nil {
 			t.Fatalf("before %q: AllPairsStats did not freeze", o.name)
 		}
 		// …mutation invalidates…
 		o.mutate(g)
-		if g.Frozen() {
+		if g.snap.Load() != nil {
 			t.Fatalf("after %q: mutation left a stale snapshot cached", o.name)
 		}
 		// …and the re-frozen snapshot and kernels must match a
@@ -173,7 +173,7 @@ func TestIncidentEdgesMutationSafe(t *testing.T) {
 	if got := g.IncidentEdges(1); !reflect.DeepEqual(got, before) {
 		t.Fatalf("mutating the returned slice corrupted adjacency: %v, want %v", got, before)
 	}
-	if !g.Frozen() {
+	if g.snap.Load() == nil {
 		t.Error("IncidentEdges invalidated the snapshot; it is a read")
 	}
 	if got := g.Freeze(); got != s {

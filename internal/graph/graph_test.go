@@ -193,14 +193,6 @@ func TestMaxFlowCompleteGraph(t *testing.T) {
 	}
 }
 
-func TestEdgeConnectivityLowerBound(t *testing.T) {
-	g := cycle(8)
-	k := g.EdgeConnectivityLowerBound([][2]int{{0, 4}, {1, 5}})
-	if k != 2 {
-		t.Errorf("cycle edge connectivity = %d, want 2", k)
-	}
-}
-
 func TestSpectralGapCompleteVsCycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	kn := complete(16).SpectralGap(300, rng)

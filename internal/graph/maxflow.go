@@ -108,28 +108,3 @@ func (d *dinic) run(s, t int) float64 {
 	}
 	return flow
 }
-
-// EdgeConnectivityLowerBound probes k-edge-connectivity between sampled
-// node pairs by unit-capacity max-flow and returns the minimum observed.
-// pairs lists the (s, t) pairs to probe; with all capacities forced to 1
-// the s–t max-flow equals the number of edge-disjoint s–t paths.
-func (g *Graph) EdgeConnectivityLowerBound(pairs [][2]int) int {
-	if len(pairs) == 0 {
-		return 0
-	}
-	// Build a unit-capacity clone once per call.
-	unit := g.Clone()
-	for i := range unit.Edges {
-		if unit.Edges[i].U != -1 {
-			unit.Edges[i].Cap = 1
-		}
-	}
-	min := math.MaxInt
-	for _, p := range pairs {
-		f := int(unit.MaxFlow(p[0], p[1]) + 0.5)
-		if f < min {
-			min = f
-		}
-	}
-	return min
-}

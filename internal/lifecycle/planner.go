@@ -488,64 +488,80 @@ func (s *spliceState) Propose(rng *rand.Rand) (float64, func(), bool) {
 	}, true
 }
 
-// newSpliceChooser builds the planner's SpliceChooser: enumerate legal
-// candidate edges, take a random endpoint-disjoint set, optionally
-// hill-climb it toward fewer and closer racks, then apply the splices.
-// rng drives the initial pick (shared planner stream, consumed
-// identically whatever RewireTries is); the hill-climb runs on its own
-// per-add seed so changing the budget cannot shift later adds' streams.
+// newSpliceChooser builds the planner's SpliceChooser: chooseSplices
+// picks the edges, then the splices are applied.
 func newSpliceChooser(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64) SpliceChooser {
 	return func(t *topology.Topology, newID, need int, legal func(graph.Edge) bool) ([]topology.Rewire, error) {
-		var cand []int
-		for _, e := range t.Edges {
-			if e.U == -1 || e.U == newID || e.V == newID || e.U == e.V {
-				continue
-			}
-			if t.HasEdgeBetween(newID, e.U) || t.HasEdgeBetween(newID, e.V) {
-				continue
-			}
-			if !legal(e) {
-				continue
-			}
-			cand = append(cand, e.ID)
+		st, err := chooseSplices(cfg, rng, climbSeed, t, newID, need, legal)
+		if err != nil {
+			return nil, err
 		}
-		order := append([]int(nil), cand...)
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		used := map[int]bool{}
-		var chosen []int
-		for _, id := range order {
-			e := t.Edges[id]
-			if used[e.U] || used[e.V] {
-				continue
-			}
-			chosen = append(chosen, id)
-			used[e.U], used[e.V] = true, true
-			if len(chosen) == need {
-				break
-			}
-		}
-		if len(chosen) < need {
-			return nil, physerr.Infeasible("only %d of %d disjoint splice candidates for new ToR %d",
-				len(chosen), need, newID)
-		}
-		if cfg.RewireTries > 1 {
-			st := &spliceState{t: t, cand: cand, chosen: chosen,
-				newRack: cfg.Floor.rackOf(newID), floor: cfg.Floor, costs: cfg.Costs}
-			st.cur = st.cost(chosen)
-			solver.HillClimb(st, cfg.RewireTries, climbSeed)
-			chosen = st.chosen
-		}
-		rewires := make([]topology.Rewire, 0, need)
-		for _, id := range chosen {
-			e := t.Edges[id]
-			a, b := e.U, e.V
-			t.RemoveEdge(id)
-			t.Link(newID, a)
-			t.Link(newID, b)
-			rewires = append(rewires, topology.Rewire{A: a, B: b})
-		}
-		return rewires, nil
+		return applySplices(t, newID, st.chosen), nil
 	}
+}
+
+// chooseSplices enumerates the legal candidate edges for newID, takes a
+// random endpoint-disjoint set of need, and, when RewireTries > 1,
+// hill-climbs it toward fewer and closer racks. It returns the search
+// state (candidates and final choice) without touching t. rng drives the
+// initial pick (shared planner stream, consumed identically whatever
+// RewireTries is); the hill-climb runs on its own per-add seed so
+// changing the budget cannot shift later adds' streams.
+func chooseSplices(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64, t *topology.Topology, newID, need int, legal func(graph.Edge) bool) (*spliceState, error) {
+	var cand []int
+	for _, e := range t.Edges {
+		if e.U == -1 || e.U == newID || e.V == newID || e.U == e.V {
+			continue
+		}
+		if t.HasEdgeBetween(newID, e.U) || t.HasEdgeBetween(newID, e.V) {
+			continue
+		}
+		if !legal(e) {
+			continue
+		}
+		cand = append(cand, e.ID)
+	}
+	order := append([]int(nil), cand...)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	used := map[int]bool{}
+	var chosen []int
+	for _, id := range order {
+		e := t.Edges[id]
+		if used[e.U] || used[e.V] {
+			continue
+		}
+		chosen = append(chosen, id)
+		used[e.U], used[e.V] = true, true
+		if len(chosen) == need {
+			break
+		}
+	}
+	if len(chosen) < need {
+		return nil, physerr.Infeasible("only %d of %d disjoint splice candidates for new ToR %d",
+			len(chosen), need, newID)
+	}
+	st := &spliceState{t: t, cand: cand, chosen: chosen,
+		newRack: cfg.Floor.rackOf(newID), floor: cfg.Floor, costs: cfg.Costs}
+	if cfg.RewireTries > 1 {
+		st.cur = st.cost(chosen)
+		solver.HillClimb(st, cfg.RewireTries, climbSeed)
+	}
+	return st, nil
+}
+
+// applySplices breaks each chosen edge and terminates both freed ports
+// on newID, returning the rewire records in choice order.
+func applySplices(t *topology.Topology, newID int, chosen []int) []topology.Rewire {
+	rewires := make([]topology.Rewire, 0, len(chosen))
+	for _, id := range chosen {
+		e := t.Edges[id]
+		a, b := e.U, e.V
+		t.RemoveEdge(id)
+		t.Link(newID, a)
+		t.Link(newID, b)
+		rewires = append(rewires, topology.Rewire{A: a, B: b})
+	}
+	return rewires
 }
 
 // orderState is the Annealable over work ordering: swap two orders

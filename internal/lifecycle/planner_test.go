@@ -237,11 +237,11 @@ func TestXpanderGrowerLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := topology.MetaNode(work, id)
+	m := work.Nodes[id].Pod
 	seen := map[int]bool{}
 	for _, rw := range rewires {
 		for _, sw := range [2]int{rw.A, rw.B} {
-			if topology.MetaNode(work, sw) == m {
+			if work.Nodes[sw].Pod == m {
 				t.Errorf("splice endpoint %d is inside the new ToR's meta-node %d", sw, m)
 			}
 			if seen[sw] {

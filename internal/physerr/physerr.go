@@ -56,11 +56,6 @@ func Capacity(format string, args ...any) error {
 	return wrap(ErrCapacity, format, args...)
 }
 
-// InfeasibleMedia returns a formatted error wrapping ErrInfeasibleMedia.
-func InfeasibleMedia(format string, args ...any) error {
-	return wrap(ErrInfeasibleMedia, format, args...)
-}
-
 // Infeasible returns a formatted error wrapping ErrInfeasible.
 func Infeasible(format string, args ...any) error {
 	return wrap(ErrInfeasible, format, args...)

@@ -25,7 +25,6 @@ func TestHelpersWrapTheirKind(t *testing.T) {
 	}{
 		{OutOfRange("K = %d", 3), ErrOutOfRange},
 		{Capacity("rack %s full", "r0.s1"), ErrCapacity},
-		{InfeasibleMedia("no 400G DAC at %dm", 90), ErrInfeasibleMedia},
 		{Infeasible("wiring did not converge"), ErrInfeasible},
 	}
 	for _, c := range cases {

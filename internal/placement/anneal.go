@@ -170,11 +170,3 @@ func OptimizeRestartsCtx(ctx context.Context, p *Placement, steps int, seed uint
 	obs.Add("placement.optimize.saved_m", int64(before-after))
 	return before, after, nil
 }
-
-// HillClimbOptimize is the zero-temperature ablation baseline.
-func HillClimbOptimize(p *Placement, steps int, seed uint64) (before, after units.Meters) {
-	before = p.CableLength()
-	st := newAnnealState(p)
-	solver.HillClimb(st, steps, seed)
-	return before, p.CableLength()
-}

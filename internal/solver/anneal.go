@@ -1,11 +1,11 @@
 // Package solver is physdep's in-repo optimization toolkit. The paper
 // (§5.4) notes that many network-design decisions are "complex enough to
 // require ILP or similar solvers"; with no external solver available, this
-// package supplies the pieces the rest of the repo needs: simulated
-// annealing for large placement/layout searches, the Hungarian algorithm
-// for exact min-cost assignment (minimal-rewiring instances reduce to it),
-// and an exact branch-and-bound for small 0/1 problems used to validate
-// the heuristics in ablations.
+// package supplies the pieces the rest of the repo runs: simulated
+// annealing for placement and work ordering, a zero-temperature hill
+// climb for the expansion planner's splice choice, and an exact
+// branch-and-bound for small 0/1 problems, the oracle the planner's
+// splice-chooser test checks the hill climb against.
 package solver
 
 import (
@@ -33,14 +33,6 @@ type AnnealConfig struct {
 	T0    float64 // initial temperature (in cost units)
 	T1    float64 // final temperature (> 0)
 	Seed  uint64
-}
-
-// DefaultAnnealConfig returns a schedule that works well for the
-// placement problems in this repo: temperatures spanning a couple of
-// orders of magnitude and enough steps to visit each decision variable
-// several times.
-func DefaultAnnealConfig(steps int) AnnealConfig {
-	return AnnealConfig{Steps: steps, T0: 100, T1: 0.1, Seed: 1}
 }
 
 // AnnealResult reports what the search did.

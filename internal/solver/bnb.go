@@ -7,9 +7,9 @@ import "math"
 // completion of a partial assignment (variables < fixed are decided);
 // returning -Inf disables pruning for that node.
 //
-// This is the exact reference used in ablations to validate the greedy
-// and annealing heuristics on instances small enough to enumerate
-// intelligently.
+// It is an oracle, not a shipped path: the lifecycle planner's
+// splice-chooser test encodes small splice choices as BinaryProblems and
+// checks the hill-climbed choice against the exact optimum.
 type BinaryProblem struct {
 	N        int
 	Cost     func(x []bool) float64

@@ -32,7 +32,7 @@ func TestAnnealRestartsCtxPreCanceled(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	states := []Annealable{newSumState(10, rng), newSumState(10, rng)}
 	objectiveCalled := false
-	best, _, err := AnnealRestartsCtx(canceledCtx(), states, DefaultAnnealConfig(1000),
+	best, _, err := AnnealRestartsCtx(canceledCtx(), states, AnnealConfig{Steps: 1000, T0: 100, T1: 0.1, Seed: 1},
 		func(int) float64 { objectiveCalled = true; return 0 })
 	if !errors.Is(err, physerr.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)

@@ -42,8 +42,7 @@ func TestAnnealRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 			walks[c] = &walkState{x: 100, target: 0}
 			states[c] = walks[c]
 		}
-		cfg := DefaultAnnealConfig(500)
-		cfg.Seed = 9
+		cfg := AnnealConfig{Steps: 500, T0: 100, T1: 0.1, Seed: 9}
 		best, _, err := AnnealRestartsCtx(context.Background(), states, cfg, func(c int) float64 {
 			d := walks[c].x
 			if d < 0 {
@@ -76,8 +75,7 @@ func TestAnnealRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 // exact single-chain schedule, so multi-restart can never regress a
 // tuned single-seed run.
 func TestChainZeroMatchesPlainAnneal(t *testing.T) {
-	cfg := DefaultAnnealConfig(400)
-	cfg.Seed = 21
+	cfg := AnnealConfig{Steps: 400, T0: 100, T1: 0.1, Seed: 21}
 
 	single := &walkState{x: 50, target: 0}
 	resSingle := must(AnnealCtx(context.Background(), single, cfg))

@@ -2,10 +2,8 @@ package solver
 
 import (
 	"context"
-	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 // sumState is a toy Annealable: n integers in [0, 9], cost = sum. Optimum
@@ -115,141 +113,6 @@ func TestZeroDeltaMoveParity(t *testing.T) {
 	}
 	check("HillClimb", hc.applied)
 	check("Anneal", an.applied)
-}
-
-func TestAssignIdentity(t *testing.T) {
-	cost := [][]float64{
-		{0, 5, 5},
-		{5, 0, 5},
-		{5, 5, 0},
-	}
-	rc, total, err := Assign(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 0 {
-		t.Errorf("total = %v, want 0", total)
-	}
-	for i, j := range rc {
-		if i != j {
-			t.Errorf("row %d -> col %d, want identity", i, j)
-		}
-	}
-}
-
-func TestAssignKnownOptimum(t *testing.T) {
-	// Classic example: optimum is 1->0(2), 0->1(4)... verify against
-	// brute force below instead of hand-computation.
-	cost := [][]float64{
-		{4, 2, 8},
-		{2, 3, 7},
-		{3, 1, 6},
-	}
-	rc, total, err := Assign(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf := bruteForceAssign(cost); math.Abs(total-bf) > 1e-9 {
-		t.Errorf("total = %v, brute force = %v (perm %v)", total, bf, rc)
-	}
-}
-
-func TestAssignForbidden(t *testing.T) {
-	inf := math.Inf(1)
-	cost := [][]float64{
-		{inf, 1},
-		{1, inf},
-	}
-	rc, total, err := Assign(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 2 || rc[0] != 1 || rc[1] != 0 {
-		t.Errorf("rc = %v total = %v, want cross assignment cost 2", rc, total)
-	}
-}
-
-func TestAssignRejectsNonSquare(t *testing.T) {
-	if _, _, err := Assign([][]float64{{1, 2}}); err == nil {
-		t.Error("non-square accepted")
-	}
-}
-
-func TestAssignRect(t *testing.T) {
-	cost := [][]float64{
-		{10, 1, 10, 10},
-		{1, 10, 10, 10},
-	}
-	rc, total, err := AssignRect(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 2 || rc[0] != 1 || rc[1] != 0 {
-		t.Errorf("rc = %v total = %v", rc, total)
-	}
-	if _, _, err := AssignRect([][]float64{{1}, {1}}); err == nil {
-		t.Error("rows > cols accepted")
-	}
-}
-
-func bruteForceAssign(cost [][]float64) float64 {
-	n := len(cost)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := math.Inf(1)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			t := 0.0
-			for r, c := range perm {
-				t += cost[r][c]
-			}
-			if t < best {
-				best = t
-			}
-			return
-		}
-		for j := i; j < n; j++ {
-			perm[i], perm[j] = perm[j], perm[i]
-			rec(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	rec(0)
-	return best
-}
-
-// Property: Hungarian matches brute force on random small matrices and
-// always returns a permutation.
-func TestQuickAssignMatchesBruteForce(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 17))
-		n := 2 + int(rng.IntN(5))
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				cost[i][j] = float64(rng.IntN(100))
-			}
-		}
-		rc, total, err := Assign(cost)
-		if err != nil {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, j := range rc {
-			if j < 0 || j >= n || seen[j] {
-				return false
-			}
-			seen[j] = true
-		}
-		return math.Abs(total-bruteForceAssign(cost)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSolveBinaryKnapsackStyle(t *testing.T) {

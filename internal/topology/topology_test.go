@@ -278,7 +278,7 @@ func TestXpanderAddToR(t *testing.T) {
 			if sw == newID {
 				t.Errorf("rewire %+v touches the new node", rw)
 			}
-			if MetaNode(x, sw) == 2 {
+			if x.Nodes[sw].Pod == 2 {
 				t.Errorf("rewire %+v touches meta-node 2", rw)
 			}
 			if seen[sw] {

@@ -53,10 +53,6 @@ func Xpander(cfg XpanderConfig) (*Topology, error) {
 	return t, nil
 }
 
-// MetaNode returns the meta-node (Pod) index of switch id in an Xpander;
-// it is simply the Pod field but named for readability at call sites.
-func MetaNode(t *Topology, id int) int { return t.Nodes[id].Pod }
-
 // XpanderAddToR grows a built Xpander by one ToR in meta-node m, using the
 // incremental procedure from the paper: the new ToR steals one endpoint
 // from D/2 existing links whose endpoints lie in other meta-nodes, so the

@@ -1,14 +1,14 @@
 // Package trafficsim evaluates the abstract "goodness" side of the
 // paper's tradeoff: how much traffic a topology carries. It provides
-// traffic-matrix generators (uniform, permutation, skewed/ML) and two
-// throughput proxies — a fluid ECMP scaling factor and a max-flow bound —
-// so E7 can plot throughput-won against deployability-paid.
+// demand matrices (uniform all-to-all, or built entry by entry) and two
+// throughput proxies — a fluid ECMP scaling factor and k-shortest-paths
+// water-filling — so E7 can plot throughput-won against
+// deployability-paid.
 package trafficsim
 
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"physdep/internal/topology"
 )
@@ -35,17 +35,6 @@ func NewMatrix(n int) Matrix {
 	return Matrix{N: n, D: d}
 }
 
-// TotalDemand sums all entries.
-func (m Matrix) TotalDemand() float64 {
-	t := 0.0
-	for i := range m.D {
-		for j := range m.D[i] {
-			t += m.D[i][j]
-		}
-	}
-	return t
-}
-
 // Uniform returns the all-to-all matrix where every ToR sends egress/
 // (n−1) to every other ToR, egress total per ToR as given.
 func Uniform(n int, egress float64) Matrix {
@@ -58,68 +47,6 @@ func Uniform(n int, egress float64) Matrix {
 		for j := 0; j < n; j++ {
 			if i != j {
 				m.D[i][j] = per
-			}
-		}
-	}
-	return m
-}
-
-// Permutation returns a random permutation matrix: each ToR sends its
-// whole egress to exactly one other ToR — the classic worst-ish case for
-// oversubscribed trees.
-func Permutation(n int, egress float64, seed uint64) Matrix {
-	m := NewMatrix(n)
-	if n < 2 {
-		return m
-	}
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e37))
-	// Random derangement by rejection (expected ≤ e tries).
-	for {
-		p := rng.Perm(n)
-		ok := true
-		for i, v := range p {
-			if v == i {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for i, v := range p {
-				m.D[i][v] = egress
-			}
-			return m
-		}
-	}
-}
-
-// Skewed models ML-style hot spots (§3.4: "shifting traffic demands, such
-// as those induced by large-scale machine learning"): hotFrac of ToRs
-// exchange hotShare of all traffic among themselves; the rest is uniform.
-func Skewed(n int, egress, hotFrac, hotShare float64, seed uint64) Matrix {
-	m := NewMatrix(n)
-	if n < 2 {
-		return m
-	}
-	rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
-	hot := map[int]bool{}
-	nHot := int(math.Max(2, hotFrac*float64(n)))
-	for _, i := range rng.Perm(n)[:nHot] {
-		hot[i] = true
-	}
-	total := egress * float64(n)
-	hotTotal := total * hotShare
-	coldTotal := total - hotTotal
-	hotPairs := nHot * (nHot - 1)
-	coldPairs := n*(n-1) - hotPairs
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if hot[i] && hot[j] {
-				m.D[i][j] = hotTotal / float64(hotPairs)
-			} else {
-				m.D[i][j] = coldTotal / float64(coldPairs)
 			}
 		}
 	}
@@ -183,35 +110,4 @@ func alphaFromDirectionalLoads(t *topology.Topology, load []float64) (float64, e
 		return 0, fmt.Errorf("trafficsim: no load was routed (empty matrix?)")
 	}
 	return alpha, nil
-}
-
-// MaxFlowPairBound averages the max-flow value over sampled ToR pairs —
-// an upper bound on per-pair throughput that ignores contention, used as
-// the ablation comparison against the ECMP proxy.
-func MaxFlowPairBound(t *topology.Topology, pairs int, seed uint64) (float64, error) {
-	tors := t.ToRs()
-	if len(tors) < 2 {
-		return 0, fmt.Errorf("trafficsim: need at least two ToRs")
-	}
-	rng := rand.New(rand.NewPCG(seed, seed|1))
-	sum := 0.0
-	for k := 0; k < pairs; k++ {
-		i := rng.IntN(len(tors))
-		j := rng.IntN(len(tors) - 1)
-		if j >= i {
-			j++
-		}
-		sum += t.MaxFlow(tors[i], tors[j])
-	}
-	return sum / float64(pairs), nil
-}
-
-// WorstLinkUtilization routes M at scale 1 and reports the maximum
-// load/capacity over links — the congestion hot-spot view.
-func WorstLinkUtilization(t *topology.Topology, m Matrix) (float64, error) {
-	alpha, err := ECMPThroughput(t, m)
-	if err != nil {
-		return 0, err
-	}
-	return 1 / alpha, nil
 }

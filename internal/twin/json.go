@@ -3,7 +3,6 @@ package twin
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // The wire format keeps the §5.2 promise concrete: a twin is plain,
@@ -67,63 +66,4 @@ func (m *Model) Fingerprint() (string, error) {
 		h *= prime64
 	}
 	return fmt.Sprintf("%016x", h), nil
-}
-
-// Diff reports entity IDs present in exactly one of the two models and
-// attribute mismatches on shared entities — the intended-vs-as-built
-// comparison §5.3 needs ("existing data is often incomplete or wrong").
-type DiffResult struct {
-	OnlyInA []string
-	OnlyInB []string
-	// AttrMismatch maps entity ID → attribute names that differ.
-	AttrMismatch map[string][]string
-}
-
-// Empty reports whether the models matched.
-func (d DiffResult) Empty() bool {
-	return len(d.OnlyInA) == 0 && len(d.OnlyInB) == 0 && len(d.AttrMismatch) == 0
-}
-
-// Diff compares two models structurally.
-func Diff(a, b *Model) DiffResult {
-	res := DiffResult{AttrMismatch: map[string][]string{}}
-	for id := range a.entities {
-		if b.entities[id] == nil {
-			res.OnlyInA = append(res.OnlyInA, id)
-		}
-	}
-	for id := range b.entities {
-		if a.entities[id] == nil {
-			res.OnlyInB = append(res.OnlyInB, id)
-		}
-	}
-	sort.Strings(res.OnlyInA)
-	sort.Strings(res.OnlyInB)
-	for id, ea := range a.entities {
-		eb := b.entities[id]
-		if eb == nil {
-			continue
-		}
-		var bad []string
-		seen := map[string]bool{}
-		for k, v := range ea.Attrs {
-			seen[k] = true
-			if bv, ok := eb.Attrs[k]; !ok || bv != v {
-				bad = append(bad, k)
-			}
-		}
-		for k := range eb.Attrs {
-			if !seen[k] {
-				bad = append(bad, k)
-			}
-		}
-		if ea.Kind != eb.Kind {
-			bad = append(bad, "(kind)")
-		}
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			res.AttrMismatch[id] = bad
-		}
-	}
-	return res
 }

@@ -13,12 +13,6 @@ type Meters float64
 // Millimeters is a small length, used for cable diameters and bend radii.
 type Millimeters float64
 
-// Meters converts to meters.
-func (mm Millimeters) Meters() Meters { return Meters(mm) / 1000 }
-
-// Millimeters converts to millimeters.
-func (m Meters) Millimeters() Millimeters { return Millimeters(m) * 1000 }
-
 // SquareMillimeters is a cross-sectional area, used for tray and rack
 // plenum occupancy accounting.
 type SquareMillimeters float64
@@ -32,12 +26,6 @@ func (m Minutes) Hours() Hours { return Hours(m) / 60 }
 
 // Hours is a duration in hours.
 type Hours float64
-
-// Minutes converts to minutes.
-func (h Hours) Minutes() Minutes { return Minutes(h) * 60 }
-
-// Days converts to 24-hour days.
-func (h Hours) Days() float64 { return float64(h) / 24 }
 
 // USD is a cost in US dollars. All capex and opex figures use USD.
 type USD float64

@@ -1,27 +1,26 @@
-// Command benchgate is the repo's benchmark regression gate: it re-runs
-// the experiments whose committed BENCH_<ID>.json baselines define the
-// perf trajectory (E1, E7, E16, ES1 — the all-pairs BFS, KSP
-// water-filling, topology-engineering, and sampled fleet-scale hot
-// paths), measures wall-clock and allocations with the same
-// internal/benchrec record and measure loop as `cmd/experiments
-// -bench-json`, and fails if either regresses past a generous
+// Command benchgate is the repo's benchmark regression gate and the only
+// writer of the committed BENCH_<ID>.json baselines: it re-runs the
+// experiments whose baselines define the perf trajectory (E1, E7, E16,
+// E23, ES1 — the all-pairs BFS, KSP water-filling, topology-engineering,
+// planner, and sampled fleet-scale hot paths), measures wall-clock and
+// allocations (record.go), and fails if either regresses past a generous
 // tolerance. check.sh (and therefore CI) runs it on every commit, so a
-// kernel regression cannot ship silently.
+// kernel regression cannot ship silently; check.sh's BENCHGATE_SKIP=1
+// skips the stage on runners too noisy to time anything.
 //
 // Usage:
 //
 //	go run ./scripts/benchgate              # gate against committed baselines
 //	go run ./scripts/benchgate -update      # re-measure and rewrite baselines
-//	BENCHGATE_SKIP=1 go run ./scripts/benchgate   # no-op (noisy runners)
 //
 // Tolerances are deliberately loose — wall-clock comparisons across
-// machines and loaded CI runners are noisy — and tunable per run:
-// -wall-factor (default 3.0) bounds measured/baseline wall time,
-// -alloc-factor (default 1.25) bounds measured/baseline allocations.
-// Allocation counts are nearly machine-independent, so the alloc bound is
-// the one that catches real regressions (a kernel quietly reverting to a
-// pointer-chasing or per-call-allocating path); the wall bound is a
-// backstop for order-of-magnitude slowdowns.
+// machines and loaded CI runners are noisy: wallFactor (3.0) bounds
+// measured/baseline wall time, allocFactor (1.25) bounds
+// measured/baseline allocations. Allocation counts are nearly
+// machine-independent, so the alloc bound is the one that catches real
+// regressions (a kernel quietly reverting to a pointer-chasing or
+// per-call-allocating path); the wall bound is a backstop for
+// order-of-magnitude slowdowns.
 //
 // Allocations are always gated. Wall-clock is only comparable between
 // runs that had the same parallelism available, so it is gated only when
@@ -44,40 +43,36 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"physdep/internal/atomicfile"
-	"physdep/internal/benchrec"
 	"physdep/internal/experiments"
 	"physdep/internal/par"
+)
+
+// gateIDs are the gated experiments, each with a BENCH_<ID>.json.
+var gateIDs = []string{"E1", "E7", "E16", "E23", "ES1"}
+
+// reps is the repetitions per point (best wall-clock wins). The gate
+// fails when measured wall_ms exceeds baseline × wallFactor or measured
+// allocs exceed baseline × allocFactor.
+const (
+	reps        = 3
+	wallFactor  = 3.0
+	allocFactor = 1.25
 )
 
 func main() { os.Exit(run()) }
 
 func run() int {
 	dir := flag.String("dir", ".", "directory holding the BENCH_<ID>.json baselines")
-	ids := flag.String("ids", "E1,E7,E16,E23,ES1", "comma-separated experiment IDs to gate")
-	reps := flag.Int("reps", 3, "repetitions per point (best wall-clock wins)")
 	update := flag.Bool("update", false, "re-measure and atomically rewrite the baselines instead of gating")
-	wallFactor := flag.Float64("wall-factor", 3.0, "fail when measured wall_ms exceeds baseline × this")
-	allocFactor := flag.Float64("alloc-factor", 1.25, "fail when measured allocs exceed baseline × this")
 	flag.Parse()
-
-	if os.Getenv("BENCHGATE_SKIP") != "" {
-		fmt.Println("benchgate: skipped (BENCHGATE_SKIP set)")
-		return 0
-	}
 
 	pool := par.Workers()
 	defer par.SetWorkers(0)
 
 	failed := false
-	for _, id := range strings.Split(*ids, ",") {
-		id = strings.TrimSpace(strings.ToUpper(id))
-		if experiments.Get(id) == nil {
-			fmt.Fprintf(os.Stderr, "benchgate: unknown experiment %q\n", id)
-			return 2
-		}
+	for _, id := range gateIDs {
 		path := filepath.Join(*dir, "BENCH_"+id+".json")
 		baseline, err := load(path)
 		if err != nil {
@@ -98,7 +93,7 @@ func run() int {
 				counts = append(counts, s.Workers)
 			}
 		}
-		measured, err := measure(id, counts, *reps)
+		measured, err := measure(id, counts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", id, err)
 			return 2
@@ -111,14 +106,14 @@ func run() int {
 			fmt.Println(path)
 			continue
 		}
-		if !compare(id, baseline, measured, *wallFactor, *allocFactor) {
+		if !compare(id, baseline, measured) {
 			failed = true
 		}
 	}
 	if failed {
 		fmt.Fprintln(os.Stderr, "benchgate: FAIL — a hot kernel regressed past tolerance.")
 		fmt.Fprintln(os.Stderr, "benchgate: if the regression is intentional, rewrite the baselines with `go run ./scripts/benchgate -update` and commit the diff;")
-		fmt.Fprintln(os.Stderr, "benchgate: on a known-noisy runner, set BENCHGATE_SKIP=1.")
+		fmt.Fprintln(os.Stderr, "benchgate: on a known-noisy runner, run scripts/check.sh with BENCHGATE_SKIP=1.")
 		return 1
 	}
 	if !*update {
@@ -127,12 +122,12 @@ func run() int {
 	return 0
 }
 
-func load(path string) (*benchrec.Entry, error) {
+func load(path string) (*entry, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var e benchrec.Entry
+	var e entry
 	if err := json.Unmarshal(b, &e); err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
@@ -140,16 +135,15 @@ func load(path string) (*benchrec.Entry, error) {
 }
 
 // measure times one experiment at each worker count after one warm-up
-// run (memoization, lazy tables) — the cmd/experiments -bench-json
-// protocol, through the same benchrec.Measure.
-func measure(id string, counts []int, reps int) (*benchrec.Entry, error) {
+// run (memoization, lazy tables).
+func measure(id string, counts []int) (*entry, error) {
 	runFn := experiments.Get(id)
 	res, err := runFn(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
 	defer par.SetWorkers(0)
-	e, err := benchrec.Measure(id, res.Title, counts, reps, func() error {
+	e, err := record(id, res.Title, counts, reps, func() error {
 		_, err := runFn(context.Background())
 		return err
 	})
@@ -166,7 +160,7 @@ func measure(id string, counts []int, reps int) (*benchrec.Entry, error) {
 // judged; wall time only when both runs had the same GOMAXPROCS. Worker
 // counts present on only one side are skipped — the sweep is driven by
 // the baseline, so that only happens on a hand-edited file.
-func compare(id string, baseline, measured *benchrec.Entry, wallFactor, allocFactor float64) bool {
+func compare(id string, baseline, measured *entry) bool {
 	ok := true
 	fmt.Printf("benchgate %s: gomaxprocs %d, num_cpu %d (baseline: gomaxprocs %d, num_cpu %d, recorded %s)\n",
 		id, measured.GoMaxProcs, measured.NumCPU, baseline.GoMaxProcs, baseline.NumCPU, baseline.Date)
@@ -177,7 +171,7 @@ func compare(id string, baseline, measured *benchrec.Entry, wallFactor, allocFac
 	fmt.Printf("  %7s %10s %10s %7s %12s %12s %7s %9s %10s\n",
 		"workers", "wall_ms", "base_ms", "Δwall", "allocs", "base_allocs", "Δalloc", "alloc_mb", "verdict")
 	for _, m := range measured.Samples {
-		var b *benchrec.Sample
+		var b *sample
 		for i := range baseline.Samples {
 			if baseline.Samples[i].Workers == m.Workers {
 				b = &baseline.Samples[i]

@@ -27,8 +27,9 @@
 # matches the baseline's) against the committed BENCH_*.json baselines
 # (generous tolerance; allocs are the sharp edge). A real,
 # intentional perf change is recorded by committing the output of
-# `go run ./scripts/benchgate -update`. BENCHGATE_SKIP=1 skips the stage
-# on runners too noisy to time anything.
+# `go run ./scripts/benchgate -update`. BENCHGATE_SKIP=1 (exactly "1",
+# like ESCALE_SKIP) skips the stage on runners too noisy to time
+# anything; this script is the only place that reads it.
 #
 # E-scale smoke: a full ES1 run (10k-switch fabrics under the sampled
 # all-pairs estimator, DESIGN.md §11) proves the fleet-scale band works
@@ -193,7 +194,6 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzKSPConfig          ./internal/trafficsim"
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
-    "FuzzBenchWorkersFlag   ./cmd/experiments"
   )
   for entry in "${fuzz_targets[@]}"; do
     read -r target pkg <<<"$entry"
