@@ -180,11 +180,17 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	ds.End()
 
 	ts := sp.Child("twin")
+	tb := ts.Child("twin.build")
 	model, err := twin.FromNetwork(p, plan)
 	if err != nil {
 		return nil, err
 	}
+	tb.SetAttr("entities", int64(model.NumEntities()))
+	tb.SetAttr("relations", int64(model.NumRelations()))
+	tb.End()
+	tc := ts.Child("twin.check")
 	violations := twin.CheckAll(model, twin.DefaultSchema(), twin.DefaultRules())
+	tc.End()
 	ts.End()
 
 	rep := &Report{Name: in.Topo.Name}

@@ -11,7 +11,8 @@ import (
 
 // TestEvaluateEmitsPhaseSpans: with collection on, one evaluation must
 // produce a root span carrying the placement/cabling/deploy/twin phase
-// children — the breakdown cmd/experiments -manifest promises.
+// children, with twin.build and twin.check under twin — the breakdown
+// cmd/experiments -manifest promises.
 func TestEvaluateEmitsPhaseSpans(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -50,6 +51,29 @@ func TestEvaluateEmitsPhaseSpans(t *testing.T) {
 	for _, c := range root.Children {
 		if c.DurNS < 0 || c.DurNS > root.DurNS {
 			t.Errorf("child %s dur %dns outside parent dur %dns", c.Name, c.DurNS, root.DurNS)
+		}
+	}
+	// The twin phase splits into its build and its check, and the build
+	// records the model's size.
+	var twinSpan *obs.SpanData
+	for _, c := range root.Children {
+		if c.Name == "twin" {
+			twinSpan = c
+		}
+	}
+	if twinSpan == nil {
+		t.Fatal("no twin span")
+	}
+	if got := spanNames(twinSpan.Children); len(got) != 2 || got[0] != "twin.build" || got[1] != "twin.check" {
+		t.Fatalf("twin span children = %v, want [twin.build twin.check]", got)
+	}
+	build := twinSpan.Children[0]
+	if build.Attrs["entities"] <= 0 || build.Attrs["relations"] <= 0 {
+		t.Errorf("twin.build attrs = %v, want positive entities and relations", build.Attrs)
+	}
+	for _, c := range twinSpan.Children {
+		if c.DurNS < 0 || c.DurNS > twinSpan.DurNS {
+			t.Errorf("child %s dur %dns outside twin dur %dns", c.Name, c.DurNS, twinSpan.DurNS)
 		}
 	}
 	// The kernels under Evaluate must have reported through their own

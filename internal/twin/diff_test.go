@@ -298,3 +298,44 @@ func writeDocument(t *testing.T, p cli.TopoParams) string {
 	}
 	return path
 }
+
+// TestZeroModelMatchesNewModel: a zero Model is an empty twin. Seeded
+// ops applied to a zero Model and to NewModel() give the same errors,
+// the same CheckAll findings and the same MarshalJSON bytes, from the
+// untouched models on.
+func TestZeroModelMatchesNewModel(t *testing.T) {
+	schema, rules := DefaultSchema(), DefaultRules()
+	var zero Model
+	fresh := NewModel()
+	ref := newRefModel(fresh)
+	same := func(step string) {
+		t.Helper()
+		if got, want := CheckAll(&zero, schema, rules), CheckAll(fresh, schema, rules); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: CheckAll on the zero Model = %v, NewModel %v", step, got, want)
+		}
+		got, err := zero.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: MarshalJSON of the zero Model diverges:\n got %s\nwant %s", step, got, want)
+		}
+	}
+	same("empty")
+	g := &opGen{rng: rand.New(rand.NewPCG(17, 0x7717))}
+	for i := 0; i < 300; i++ {
+		op := g.draw(ref)
+		step := fmt.Sprintf("step %d (%+v)", i, op)
+		errRef := ref.apply(refOp(op))
+		errZero := applyOp(&zero, refOp(op))
+		errFresh := applyOp(fresh, op)
+		if fmt.Sprint(errZero) != fmt.Sprint(errFresh) || (errFresh == nil) != (errRef == nil) {
+			t.Fatalf("%s: zero Model err %v, NewModel err %v, reference err %v", step, errZero, errFresh, errRef)
+		}
+		same(step)
+	}
+}

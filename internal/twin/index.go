@@ -6,120 +6,157 @@ import (
 )
 
 // index answers the rules' queries without scanning the model. It is
-// built lazily from the entity map and the relation slice, and dropped by
-// every mutator rather than maintained: building the model (FromNetwork)
-// only mutates, so it pays nothing, and a check pays one build. It is
-// never handed out: the public queries copy from it.
+// built lazily from the handle store and the relation slice, and dropped
+// by every mutator rather than maintained: building the model
+// (FromNetwork) only mutates, so it pays nothing, and a check pays one
+// build. It is never handed out: the public queries copy from it.
+//
+// Every list holds handles in ID order, the order sort.Strings gives
+// the IDs themselves: one string sort ranks the live entities, and
+// counting sorts on those ranks order everything else.
 type index struct {
-	out    adjacency          // (from, verb) → sorted to
-	in     adjacency          // (to, verb) → sorted from
-	sorted []*Entity          // every entity, by ID
-	byKind map[Kind][]*Entity // by ID within a kind
+	sorted []int32 // live handles by ID
+	// Kind k's handles, by ID, are byKind[kindEnd[k-1]:kindEnd[k]]
+	// (from 0 for k = 0): a counting sort of sorted by kind code.
+	byKind, kindEnd []int32
+	out, in         adjacency // (from, verb) → to; (to, verb) → from
 }
 
-// relKey names one adjacency list: an entity ID and a verb.
-type relKey struct {
-	id   string
-	verb Verb
-}
-
-// index returns the model's index, building it if a mutation dropped it:
-// one pass over the relations and one over the entities, plus sorts, so
-// O(R log R + E log E).
+// index returns the model's index, building it if a mutation dropped it,
+// in O(E log E + R + H·V) for E live entities, R relations, H handles
+// and V verbs.
 func (m *Model) index() *index {
 	if m.idx != nil {
 		return m.idx
 	}
-	x := &index{
-		out:    newAdjacency(m.relations, false),
-		in:     newAdjacency(m.relations, true),
-		byKind: map[Kind][]*Entity{},
+	if m.ids == nil {
+		m.init(0, 0)
 	}
-	// Appending to nil keeps an empty model's list nil, which MarshalJSON
-	// writes as null, as it always has.
-	for _, e := range m.entities {
-		x.sorted = append(x.sorted, e)
+	type keyed struct {
+		id string
+		h  int32
 	}
-	slices.SortFunc(x.sorted, func(a, b *Entity) int { return strings.Compare(a.ID, b.ID) })
-	for _, e := range x.sorted {
-		x.byKind[e.Kind] = append(x.byKind[e.Kind], e)
+	live := make([]keyed, 0, len(m.ids))
+	for h, e := range m.ents {
+		if e != nil {
+			live = append(live, keyed{e.ID, int32(h)})
+		}
 	}
+	slices.SortFunc(live, func(a, b keyed) int { return strings.Compare(a.id, b.id) })
+	x := &index{sorted: make([]int32, len(live))}
+	rank := make([]int32, len(m.ents)) // retired handles keep rank 0; no relation names them
+	for i, k := range live {
+		x.sorted[i], rank[k.h] = k.h, int32(i)
+	}
+
+	x.byKind, x.kindEnd = make([]int32, len(live)), make([]int32, len(m.kinds.names))
+	for _, h := range x.sorted {
+		x.kindEnd[m.kind[h]]++
+	}
+	toStarts(x.kindEnd)
+	for _, h := range x.sorted {
+		k := m.kind[h]
+		x.byKind[x.kindEnd[k]] = h
+		x.kindEnd[k]++
+	}
+
+	nv := int32(len(m.verbs.names))
+	s := adjScratch{byRank: make([]entry, len(m.rels)), ranks: make([]int32, len(live))}
+	x.out = newAdjacency(m.rels, rank, nv, len(m.ents), false, s)
+	x.in = newAdjacency(m.rels, rank, nv, len(m.ents), true, s)
 	m.idx = x
 	return x
 }
 
-// out, in and ofKind are the non-copying forms of Related, RelatedTo and
-// EntitiesOfKind, for the rules and the schema check. Callers must not
-// modify the returned slices.
-func (m *Model) out(from string, verb Verb) []string { return m.index().out.get(relKey{from, verb}) }
-func (m *Model) in(to string, verb Verb) []string    { return m.index().in.get(relKey{to, verb}) }
-func (m *Model) ofKind(k Kind) []*Entity             { return m.index().byKind[k] }
-
-// allEntitiesSorted returns every entity by ID; callers must not modify it.
-func (m *Model) allEntitiesSorted() []*Entity { return m.index().sorted }
-
-// adjacency holds one sorted ID list per (entity, verb) key, packed into
-// a single array: list g is others[bounds[g]:bounds[g+1]].
-type adjacency struct {
-	group  map[relKey]int32
-	bounds []int32
-	others []string
+// toStarts turns per-key counts into each key's first position in a
+// stable counting sort. Filling the sort then advances each key's
+// cursor from its run's start to its run's end.
+func toStarts(counts []int32) {
+	var sum int32
+	for k, c := range counts {
+		counts[k] = sum
+		sum += c
+	}
 }
 
-// newAdjacency lists, for every (From, Verb) key — (To, Verb) if byTo —
-// the other ends of its relations, sorted with duplicates kept: what a
-// scan of the relation slice followed by sort.Strings returns.
-func newAdjacency(rels []Relation, byTo bool) adjacency {
-	ends := func(r Relation) (key, other string) {
+// ofKind lists kind code k's handles by ID; nil for a kind the model
+// never met (k < 0).
+func (x *index) ofKind(k int32) []int32 {
+	if k < 0 {
+		return nil
+	}
+	lo := int32(0)
+	if k > 0 {
+		lo = x.kindEnd[k-1]
+	}
+	return x.byKind[lo:x.kindEnd[k]:x.kindEnd[k]]
+}
+
+// adjacency holds one ID-ordered handle list per (handle, verb) group,
+// packed into a single array: group g = handle·V + verb ends at end[g].
+type adjacency struct {
+	nv     int32
+	others []int32
+	end    []int32
+}
+
+// entry is one relation seen from one end: its (handle, verb) group and
+// the handle at the other end.
+type entry struct{ group, other int32 }
+
+// adjScratch is the working memory the two directions' builds share.
+type adjScratch struct {
+	byRank []entry // one per relation
+	ranks  []int32 // one per live entity
+}
+
+// newAdjacency lists each relation under its (from, verb) group, or its
+// (to, verb) group if byTo, with two stable counting sorts: first by the
+// other end's rank, then by group. Each list so comes out in ID order
+// with duplicates kept: what a scan of the relations followed by
+// sort.Strings returns.
+func newAdjacency(rels []rel, rank []int32, nv int32, handles int, byTo bool, s adjScratch) adjacency {
+	ends := func(r rel) (key, other int32) {
 		if byTo {
-			return r.To, r.From
+			return r.to, r.from
 		}
-		return r.From, r.To
+		return r.from, r.to
 	}
-	a := adjacency{group: map[relKey]int32{}, others: make([]string, len(rels))}
-	gid := make([]int32, len(rels))
-	var size []int32
-	for i, r := range rels {
-		id, _ := ends(r)
-		k := relKey{id, r.Verb}
-		g, ok := a.group[k]
-		if !ok {
-			g = int32(len(size))
-			a.group[k] = g
-			size = append(size, 0)
-		}
-		size[g]++
-		gid[i] = g
+	clear(s.ranks)
+	for _, r := range rels {
+		_, o := ends(r)
+		s.ranks[rank[o]]++
 	}
-	a.bounds = make([]int32, len(size)+1)
-	for g, n := range size {
-		a.bounds[g+1] = a.bounds[g] + n
+	toStarts(s.ranks)
+	for _, r := range rels {
+		k, o := ends(r)
+		at := &s.ranks[rank[o]]
+		s.byRank[*at] = entry{k*nv + r.verb, o}
+		*at++
 	}
-	next := size // reused as each list's fill cursor
-	copy(next, a.bounds)
-	for i, r := range rels {
-		_, other := ends(r)
-		a.others[next[gid[i]]] = other
-		next[gid[i]]++
+	a := adjacency{nv: nv, others: make([]int32, len(rels)), end: make([]int32, handles*int(nv))}
+	for _, e := range s.byRank {
+		a.end[e.group]++
 	}
-	for g := range size {
-		slices.Sort(a.list(g))
+	toStarts(a.end)
+	for _, e := range s.byRank {
+		a.others[a.end[e.group]] = e.other
+		a.end[e.group]++
 	}
 	return a
 }
 
-// list returns list g, capacity-capped so an append cannot spill into
-// its neighbour.
-func (a adjacency) list(g int) []string {
-	lo, hi := a.bounds[g], a.bounds[g+1]
-	return a.others[lo:hi:hi]
-}
-
-// get returns the list for k, nil if k has no relations.
-func (a adjacency) get(k relKey) []string {
-	g, ok := a.group[k]
-	if !ok {
+// list returns handle h's list for verb code v, capacity-capped so an
+// append cannot spill into its neighbour; nil for a verb the model never
+// met (v < 0).
+func (a adjacency) list(h, v int32) []int32 {
+	if v < 0 {
 		return nil
 	}
-	return a.list(int(g))
+	g := h*a.nv + v
+	lo := int32(0)
+	if g > 0 {
+		lo = a.end[g-1]
+	}
+	return a.others[lo:a.end[g]:a.end[g]]
 }

@@ -18,9 +18,9 @@ type refModel struct {
 // newRefModel deep-copies m's entities and relations, so the two models
 // share no state and each op must be applied to both.
 func newRefModel(m *Model) *refModel {
-	r := &refModel{entities: map[string]*Entity{}, relations: append([]Relation(nil), m.relations...)}
-	for id, e := range m.entities {
-		r.entities[id] = cloneEntity(e)
+	r := &refModel{entities: map[string]*Entity{}, relations: m.Relations()}
+	for id, h := range m.ids {
+		r.entities[id] = cloneEntity(m.ents[h])
 	}
 	return r
 }

@@ -43,21 +43,24 @@ func (TrayCapacityRule) Name() string { return "tray-capacity" }
 
 func (TrayCapacityRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, tray := range m.ofKind(KindTray) {
+	x := m.index()
+	// Each bundle's and cable's cross-section, read once rather than
+	// once per tray it crosses; other kinds occupy nothing.
+	area := make([]float64, len(m.ents))
+	for _, b := range x.ofKind(kBundle) {
+		area[b], _ = m.ents[b].Attr("cross_section_mm2")
+	}
+	for _, c := range x.ofKind(kCable) {
+		d, _ := m.ents[c].Attr("diameter_mm")
+		area[c] = math.Pi * d * d / 4
+	}
+	for _, t := range x.ofKind(kTray) {
+		tray := m.ents[t]
 		cap, _ := tray.Attr("capacity_mm2")
 		used := 0.0
-		for _, id := range m.in(tray.ID, VerbRoutesThrough) {
-			occ := m.Entity(id)
-			if occ == nil {
-				continue
-			}
-			switch occ.Kind {
-			case KindBundle:
-				cs, _ := occ.Attr("cross_section_mm2")
-				used += cs
-			case KindCable:
-				d, _ := occ.Attr("diameter_mm")
-				used += math.Pi * d * d / 4
+		for _, o := range x.in.list(t, vRoutesThrough) {
+			if k := m.kind[o]; k == kBundle || k == kCable {
+				used += area[o]
 			}
 		}
 		if used > cap {
@@ -75,12 +78,14 @@ func (RackSpaceRule) Name() string { return "rack-space" }
 
 func (RackSpaceRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, rack := range m.ofKind(KindRack) {
+	x := m.index()
+	for _, r := range x.ofKind(kRack) {
+		rack := m.ents[r]
 		cap, _ := rack.Attr("ru_capacity")
 		used := 0.0
-		for _, id := range m.out(rack.ID, VerbContains) {
-			if sw := m.Entity(id); sw != nil && sw.Kind == KindSwitch {
-				ru, _ := sw.Attr("ru")
+		for _, s := range x.out.list(r, vContains) {
+			if m.kind[s] == kSwitch {
+				ru, _ := m.ents[s].Attr("ru")
 				used += ru
 			}
 		}
@@ -100,28 +105,33 @@ func (PlenumRule) Name() string { return "rack-plenum" }
 
 func (PlenumRule) Check(m *Model) []Violation {
 	var vs []Violation
-	// Cable → switch → rack attribution.
-	rackOfSwitch := map[string]string{}
-	for _, rack := range m.ofKind(KindRack) {
-		for _, id := range m.out(rack.ID, VerbContains) {
-			rackOfSwitch[id] = rack.ID
+	x := m.index()
+	// Cable → switch → rack attribution, by handle; -1 is no rack.
+	rackOf := make([]int32, len(m.ents))
+	for i := range rackOf {
+		rackOf[i] = -1
+	}
+	for _, r := range x.ofKind(kRack) {
+		for _, s := range x.out.list(r, vContains) {
+			rackOf[s] = r
 		}
 	}
-	used := map[string]float64{}
-	for _, cable := range m.ofKind(KindCable) {
-		d, _ := cable.Attr("diameter_mm")
+	used := make([]float64, len(m.ents))
+	for _, c := range x.ofKind(kCable) {
+		d, _ := m.ents[c].Attr("diameter_mm")
 		area := math.Pi * d * d / 4
-		for _, sw := range m.out(cable.ID, VerbConnects) {
-			if rid, ok := rackOfSwitch[sw]; ok {
-				used[rid] += area
+		for _, s := range x.out.list(c, vConnects) {
+			if r := rackOf[s]; r >= 0 {
+				used[r] += area
 			}
 		}
 	}
-	for _, rack := range m.ofKind(KindRack) {
+	for _, r := range x.ofKind(kRack) {
+		rack := m.ents[r]
 		cap, _ := rack.Attr("plenum_mm2")
-		if used[rack.ID] > cap {
+		if used[r] > cap {
 			vs = append(vs, Violation{Rule: "rack-plenum", EntityID: rack.ID, Severity: SevError,
-				Detail: fmt.Sprintf("%.0f mm² of cable in %.0f mm² plenum", used[rack.ID], cap)})
+				Detail: fmt.Sprintf("%.0f mm² of cable in %.0f mm² plenum", used[r], cap)})
 		}
 	}
 	return vs
@@ -137,17 +147,25 @@ func (BendRadiusRule) Name() string { return "bend-radius" }
 
 func (BendRadiusRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, cable := range m.ofKind(KindCable) {
+	x := m.index()
+	// Each tray's tightest bend, read once rather than once per cable
+	// through it; +Inf, which no radius exceeds, where it sets none.
+	avail := make([]float64, len(m.ents))
+	for _, t := range x.ofKind(kTray) {
+		if b, ok := m.ents[t].Attr("min_bend_mm"); ok {
+			avail[t] = b
+		} else {
+			avail[t] = math.Inf(1)
+		}
+	}
+	for _, c := range x.ofKind(kCable) {
+		cable := m.ents[c]
 		need, _ := cable.Attr("bend_radius_mm")
-		for _, tid := range m.out(cable.ID, VerbRoutesThrough) {
-			tray := m.Entity(tid)
-			if tray == nil || tray.Kind != KindTray {
-				continue
-			}
-			if avail, ok := tray.Attr("min_bend_mm"); ok && need > avail {
+		for _, t := range x.out.list(c, vRoutesThrough) {
+			if m.kind[t] == kTray && need > avail[t] {
 				vs = append(vs, Violation{Rule: "bend-radius", EntityID: cable.ID, Severity: SevError,
 					Detail: fmt.Sprintf("needs %.0f mm bend radius; tray %s allows %.0f mm",
-						need, tid, avail)})
+						need, m.ents[t].ID, avail[t])})
 			}
 		}
 	}
@@ -162,19 +180,22 @@ func (DoorWidthRule) Name() string { return "door-width" }
 
 func (DoorWidthRule) Check(m *Model) []Violation {
 	var vs []Violation
-	doors := m.ofKind(KindDoor)
+	x := m.index()
+	doors := x.ofKind(kDoor)
 	if len(doors) == 0 {
 		return nil
 	}
 	minDoor := math.Inf(1)
 	var tightest string
-	for _, d := range doors {
+	for _, h := range doors {
+		d := m.ents[h]
 		w, _ := d.Attr("width_m")
 		if w < minDoor {
 			minDoor, tightest = w, d.ID
 		}
 	}
-	for _, rack := range m.ofKind(KindRack) {
+	for _, r := range x.ofKind(kRack) {
+		rack := m.ents[r]
 		w, _ := rack.Attr("width_m")
 		if uw, ok := rack.Attr("unit_width_m"); ok && uw > w {
 			w = uw
@@ -195,13 +216,15 @@ func (PowerRule) Name() string { return "power" }
 
 func (PowerRule) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, feed := range m.ofKind(KindPowerFeed) {
+	x := m.index()
+	for _, f := range x.ofKind(kPowerFeed) {
+		feed := m.ents[f]
 		cap, _ := feed.Attr("capacity_w")
 		used := 0.0
-		for _, rid := range m.out(feed.ID, VerbFeeds) {
-			for _, sid := range m.out(rid, VerbContains) {
-				if sw := m.Entity(sid); sw != nil && sw.Kind == KindSwitch {
-					p, _ := sw.Attr("power_w")
+		for _, r := range x.out.list(f, vFeeds) {
+			for _, s := range x.out.list(r, vContains) {
+				if m.kind[s] == kSwitch {
+					p, _ := m.ents[s].Attr("power_w")
 					used += p
 				}
 			}
@@ -225,12 +248,14 @@ func (LossBudgetRule) Name() string { return "loss-budget" }
 func (LossBudgetRule) Check(m *Model) []Violation {
 	var vs []Violation
 	const connectorLoss = 0.3
-	for _, cable := range m.ofKind(KindCable) {
+	x := m.index()
+	for _, c := range x.ofKind(kCable) {
+		cable := m.ents[c]
 		var panelLoss float64
 		panels := 0
-		for _, pid := range m.out(cable.ID, VerbRoutesThrough) {
-			if p := m.Entity(pid); p != nil && p.Kind == KindPanel {
-				l, _ := p.Attr("loss_db")
+		for _, p := range x.out.list(c, vRoutesThrough) {
+			if m.kind[p] == kPanel {
+				l, _ := m.ents[p].Attr("loss_db")
 				panelLoss += l
 				panels++
 			}

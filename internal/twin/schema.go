@@ -1,6 +1,9 @@
 package twin
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Schema pins what the deployment automation can represent: the closed
 // set of entity kinds, the numeric attributes each kind must carry, and
@@ -80,10 +83,12 @@ func (v Violation) String() string {
 // design is out of envelope.
 func (s *Schema) Check(m *Model) []Violation {
 	var vs []Violation
-	for _, kind := range []Kind{KindHall, KindRack, KindSwitch, KindCable, KindBundle,
-		KindTray, KindPanel, KindPowerFeed, KindDoor} {
-		for _, e := range m.ofKind(kind) {
-			for _, attr := range s.Required[e.Kind] {
+	x := m.index()
+	for k, kind := range vocabularyKinds { // k is kind's code
+		required := s.Required[kind]
+		for _, h := range x.ofKind(int32(k)) {
+			e := m.ents[h]
+			for _, attr := range required {
 				if _, ok := e.Attr(attr); !ok {
 					vs = append(vs, Violation{Rule: "schema:required-attr", EntityID: e.ID,
 						Severity: SevError,
@@ -93,30 +98,32 @@ func (s *Schema) Check(m *Model) []Violation {
 		}
 	}
 	// Unknown kinds: walk all entities and flag kinds outside Required.
-	for _, e := range m.allEntitiesSorted() {
-		if _, known := s.Required[e.Kind]; !known {
+	known := make([]bool, len(m.kinds.names))
+	for k, name := range m.kinds.names {
+		_, known[k] = s.Required[name]
+	}
+	for _, h := range x.sorted {
+		if e := m.ents[h]; !known[m.kind[h]] {
 			vs = append(vs, Violation{Rule: "schema:unknown-kind", EntityID: e.ID,
 				Severity: SevError,
 				Detail:   fmt.Sprintf("kind %q is outside the capability envelope", e.Kind)})
 		}
 	}
-	for _, r := range m.relations {
-		from, to := m.Entity(r.From), m.Entity(r.To)
-		if from == nil || to == nil {
-			continue // unreachable through the public API
+	// The permitted (from, to) kind-code pairs of each verb code; a kind
+	// the model never met matches no entity.
+	allowed := make([][][2]int32, len(m.verbs.names))
+	for v, verb := range m.verbs.names {
+		for _, pair := range s.AllowedVerbs[verb] {
+			allowed[v] = append(allowed[v], [2]int32{m.kinds.lookup(pair[0]), m.kinds.lookup(pair[1])})
 		}
-		allowed := false
-		for _, pair := range s.AllowedVerbs[r.Verb] {
-			if pair[0] == from.Kind && pair[1] == to.Kind {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			vs = append(vs, Violation{Rule: "schema:verb", EntityID: r.From,
+	}
+	for _, r := range m.rels {
+		if !slices.Contains(allowed[r.verb], [2]int32{m.kind[r.from], m.kind[r.to]}) {
+			from, to := m.ents[r.from], m.ents[r.to]
+			vs = append(vs, Violation{Rule: "schema:verb", EntityID: from.ID,
 				Severity: SevError,
 				Detail: fmt.Sprintf("%s %s %s (%s→%s) is not representable",
-					r.From, r.Verb, r.To, from.Kind, to.Kind)})
+					from.ID, m.verbs.names[r.verb], to.ID, from.Kind, to.Kind)})
 		}
 	}
 	return vs
