@@ -8,7 +8,6 @@
 //	experiments -list                   # list experiment IDs and titles
 //	experiments -workers 4              # cap the worker pools (also PHYSDEP_WORKERS)
 //	experiments -manifest m.json        # write the machine-readable run manifest
-//	experiments -topo-file fabric.json  # evaluate one interchange document, print the JSON report
 //	experiments -trace                  # print the span tree + counters to stderr
 //	experiments -cpuprofile cpu.pprof   # runtime/pprof CPU profile of the run
 //	experiments -memprofile mem.pprof   # heap profile at end of run
@@ -29,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,10 +39,7 @@ import (
 	"syscall"
 
 	"physdep/internal/atomicfile"
-	"physdep/internal/core"
 	"physdep/internal/experiments"
-	"physdep/internal/floorplan"
-	"physdep/internal/interchange"
 	"physdep/internal/obs"
 	"physdep/internal/par"
 	"physdep/internal/physerr"
@@ -72,11 +67,8 @@ func run() (exit int) {
 	trace := flag.Bool("trace", false, "print the span tree and counters to stderr after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at end of run to this file")
-	updateGolden := flag.Bool("update-golden", false, "rewrite the golden experiment tables under -golden-dir instead of printing")
-	goldenDir := flag.String("golden-dir", filepath.Join("internal", "experiments", "testdata", "golden"),
-		"directory -update-golden writes <ID>.txt files into")
+	updateGolden := flag.Bool("update-golden", false, "rewrite the golden experiment tables under internal/experiments/testdata/golden (run from the repo root) instead of printing")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no deadline); partial results are flushed and the exit code is nonzero")
-	topoFile := flag.String("topo-file", "", "evaluate one interchange document with library defaults and print the JSON report (instead of running experiments)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context instead of killing the process, so
@@ -150,14 +142,6 @@ func run() (exit int) {
 		}
 	}()
 
-	if *topoFile != "" {
-		if err := runTopoFile(ctx, *topoFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return diagnoseCancel(ctx, 1)
-		}
-		return diagnoseCancel(ctx, 0)
-	}
-
 	order := experiments.Order()
 
 	if *list {
@@ -185,7 +169,7 @@ func run() (exit int) {
 	}
 
 	if *updateGolden {
-		if err := writeGolden(ctx, ids, *goldenDir); err != nil {
+		if err := writeGolden(ctx, ids, filepath.Join("internal", "experiments", "testdata", "golden")); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return diagnoseCancel(ctx, 1)
 		}
@@ -226,35 +210,9 @@ func diagnoseCancel(ctx context.Context, code int) int {
 	return code
 }
 
-// runTopoFile is the document twin of a one-experiment run: load an
-// interchange document, evaluate it under core's defaults (honoring the
-// document's hall geometry when present), and print the full Report as
-// indented JSON on stdout — the machine-readable complement to
-// physdep's human scorecard, for piping a fleet's exported fabric
-// straight into jq or a dashboard.
-func runTopoFile(ctx context.Context, path string) error {
-	tp, doc, err := interchange.LoadFileCtx(ctx, path)
-	if err != nil {
-		return err
-	}
-	hall := floorplan.DefaultHall(6, 16)
-	if doc.Hall != nil {
-		hall = floorplan.DefaultHall(doc.Hall.Rows, doc.Hall.Slots)
-	}
-	rep, err := core.EvaluateCtx(ctx, core.DefaultInput(tp, hall))
-	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(append(b, '\n'))
-	return err
-}
-
-// writeGolden regenerates the golden corpus: one <ID>.txt per selected
-// experiment, holding exactly Result.Render(). The committed files are
+// writeGolden regenerates the golden corpus, and is its only writer (the
+// tests only read it): one <ID>.txt per selected experiment, holding
+// exactly Result.Render(). The committed files are
 // the canonical experiment tables the regression tests diff against —
 // rewrite them only when a table is meant to change, and review the
 // diff like code. All experiments run before any file is touched, and

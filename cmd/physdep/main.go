@@ -6,12 +6,15 @@
 // Usage:
 //
 //	physdep -topo fattree -k 8
-//	physdep -topo jellyfish -n 64 -radix 16 -net 8 -rows 6 -slots 16
+//	physdep -topo jellyfish -n 64 -radix 16 -net 8 -rows 4 -slots 24
 //	physdep -topo xpander -d 8 -lift 6
 //	physdep -topo leafspine -n 32 -spines 8
 //	physdep -topo fatclique -d 4 -lift 4 -k 4
 //	physdep -topo slimfly -q 5
 //	physdep -topo-file fabric.json
+//
+// The hall follows cli.ResolveHall: -rows and -slots win, then a
+// document's own hall, then the default.
 package main
 
 import (
@@ -25,19 +28,16 @@ import (
 	"physdep/internal/cli"
 	"physdep/internal/core"
 	"physdep/internal/floorplan"
-	"physdep/internal/interchange"
-	"physdep/internal/topology"
 )
 
 func main() {
 	params := cli.RegisterTopoFlags(flag.CommandLine)
 	var (
-		rows     = flag.Int("rows", 6, "hall rows")
-		slots    = flag.Int("slots", 16, "rack slots per row")
-		techs    = flag.Int("techs", 8, "deployment crew size")
-		anneal   = flag.Int("anneal", 0, "placement annealing steps (0 = greedy only)")
-		timeout  = flag.Duration("timeout", 0, "cancel the evaluation after this long (0 = no deadline)")
-		topoFile = flag.String("topo-file", "", "evaluate an interchange document instead of generating (overrides -topo)")
+		rows    = flag.Int("rows", 0, fmt.Sprintf("hall rows (0 = the document's hall, else %d)", cli.DefaultRows))
+		slots   = flag.Int("slots", 0, fmt.Sprintf("rack slots per row (0 = the document's hall, else %d)", cli.DefaultSlots))
+		techs   = flag.Int("techs", 8, "deployment crew size")
+		anneal  = flag.Int("anneal", 0, "placement annealing steps (0 = greedy only)")
+		timeout = flag.Duration("timeout", 0, "cancel the evaluation after this long (0 = no deadline)")
 	)
 	flag.Parse()
 
@@ -52,33 +52,12 @@ func main() {
 		defer cancel()
 	}
 
-	hallRows, hallSlots := *rows, *slots
-	var tp *topology.Topology
-	var err error
-	if *topoFile != "" {
-		var doc *interchange.Document
-		tp, doc, err = interchange.LoadFileCtx(ctx, *topoFile)
-		// A document may pin its own hall geometry; explicit -rows/-slots
-		// flags still win (the operator is asking a what-if about a
-		// different hall), so only un-set flags take the document's values.
-		if err == nil && doc.Hall != nil {
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["rows"] {
-				hallRows = doc.Hall.Rows
-			}
-			if !set["slots"] {
-				hallSlots = doc.Hall.Slots
-			}
-		}
-	} else {
-		tp, err = cli.BuildTopology(*params)
-	}
+	tp, docHall, err := cli.LoadTopology(ctx, *params)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	in := core.DefaultInput(tp, floorplan.DefaultHall(hallRows, hallSlots))
+	in := core.DefaultInput(tp, floorplan.DefaultHall(cli.ResolveHall(*rows, *slots, docHall)))
 	in.Techs = *techs
 	in.PlacementSteps = *anneal
 	in.Seed = params.Seed

@@ -25,38 +25,35 @@ import (
 )
 
 func main() {
-	flags := cli.RegisterTopoFlags(flag.CommandLine)
+	params := cli.RegisterTopoFlags(flag.CommandLine)
 	var (
-		tput     = flag.Bool("throughput", false, "also compute uniform-traffic throughput (slower)")
-		emit     = flag.String("emit", "", "also write the fabric as an interchange document to this path")
-		topoFile = flag.String("topo-file", "", "profile an interchange document instead of generating (overrides -topo)")
+		tput = flag.Bool("throughput", false, "also compute uniform-traffic throughput (slower)")
+		emit = flag.String("emit", "", "also write the fabric as an interchange document to this path")
 	)
 	flag.Parse()
-	params := *flags
-	if *topoFile != "" {
-		params = cli.TopoParams{Name: "file", File: *topoFile}
-	}
-	tp, err := cli.BuildTopology(params)
+	ctx := context.Background()
+	tp, _, err := cli.LoadTopology(ctx, *params)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 	if *emit != "" {
 		doc := interchange.FromTopology(tp)
-		doc.Generator = &interchange.Provenance{Tool: "topogen", Family: params.Name, Spec: specJSON(params)}
+		// Provenance is informational: a re-upload or reload never reads it.
+		spec, _ := json.Marshal(*params)
+		doc.Generator = &interchange.Provenance{Tool: "topogen", Family: params.Name, Spec: string(spec)}
 		if err := interchange.EmitFile(*emit, doc); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("emitted: %s\n", *emit)
 	}
-	ctx := context.Background()
 	st, err := tp.BasicStatsCtx(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	rng := rand.New(rand.NewPCG(flags.Seed, flags.Seed^0x70706f))
+	rng := rand.New(rand.NewPCG(params.Seed, params.Seed^0x70706f))
 	gap := tp.SpectralGap(300, rng)
 	bisect, err := tp.BisectionEstimateCtx(ctx, 6, rng)
 	if err != nil {
@@ -71,8 +68,13 @@ func main() {
 	fmt.Printf("  spectral gap: %.4f   bisection (heuristic): %.0f Gbps\n", gap, bisect)
 	if *tput {
 		tors := tp.ToRs()
-		per := float64(tp.Nodes[tors[0]].ServerPorts) * float64(flags.Rate)
-		m := trafficsim.Uniform(len(tors), per)
+		if len(tors) == 0 {
+			fmt.Fprintln(os.Stderr, "error: -throughput needs a fabric with ToRs")
+			os.Exit(1)
+		}
+		// Server ports run at the ToR's own line rate, not at -rate.
+		tor := tp.Nodes[tors[0]]
+		m := trafficsim.Uniform(len(tors), float64(tor.ServerPorts)*float64(tor.Rate))
 		ae, err := trafficsim.ECMPThroughput(tp, m)
 		if err == nil {
 			fmt.Printf("  uniform-traffic alpha (ECMP): %.3f\n", ae)
@@ -82,15 +84,4 @@ func main() {
 			fmt.Printf("  uniform-traffic alpha (KSP-8): %.3f\n", ak)
 		}
 	}
-}
-
-// specJSON renders the generator parameters as canonical JSON for the
-// emitted document's provenance block (informational only: a re-upload
-// or reload never consults it).
-func specJSON(p cli.TopoParams) string {
-	b, err := json.Marshal(p)
-	if err != nil {
-		return ""
-	}
-	return string(b)
 }

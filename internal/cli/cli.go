@@ -1,9 +1,10 @@
-// Package cli holds the topology-builder shared by the physdep and
-// topogen commands: one flag vocabulary, one constructor, independently
-// testable.
+// Package cli is where a topology spec becomes a fabric and a hall, for
+// the physdep and topogen commands and the physdepd daemon alike: one
+// flag vocabulary, one resolver, one hall rule, independently testable.
 package cli
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"strings"
@@ -15,7 +16,7 @@ import (
 )
 
 // TopoParams is the union of generator knobs the CLIs expose. Not every
-// field applies to every family; BuildTopology documents the mapping.
+// field applies to every family; generate documents the mapping.
 // The json tags double as the daemon's topology-spec wire format
 // (internal/serve "topo" objects), mirroring the flag names, so a spec
 // that works as physdep flags works as daemon JSON.
@@ -48,13 +49,39 @@ func Families() []string {
 		"flatbutterfly", "fatclique", "slimfly", "vl2", "flatrandom", "file"}
 }
 
+// DefaultRows and DefaultSlots are the hall used when neither the caller
+// nor the document names one.
+const DefaultRows, DefaultSlots = 6, 16
+
+// ResolveHall applies the one hall rule, per dimension, with 0 meaning
+// unset: an explicit row or slot count wins, then the document's hall
+// (nil for a generated fabric or a document without one), then
+// DefaultRows × DefaultSlots.
+func ResolveHall(rows, slots int, doc *interchange.Hall) (int, int) {
+	fallback := interchange.Hall{Rows: DefaultRows, Slots: DefaultSlots}
+	if doc != nil {
+		fallback = *doc
+	}
+	return cmp.Or(rows, fallback.Rows), cmp.Or(slots, fallback.Slots)
+}
+
 // RegisterTopoFlags declares the CLIs' topology flags on fs, one per
-// TopoParams field except File, each named after the field's json tag
-// ("topo" for Name) with the field's comment as its help text. The
-// returned params fill in as fs parses.
+// TopoParams field, each named after the field's json tag ("topo" for
+// Name, "topo-file" for File) with the field's comment as its help
+// text. -topo-file selects the "file" family wherever it appears on the
+// command line. The returned params fill in as fs parses.
 func RegisterTopoFlags(fs *flag.FlagSet) *TopoParams {
-	p := &TopoParams{}
-	fs.StringVar(&p.Name, "topo", "fattree", strings.Join(Families(), "|"))
+	p := &TopoParams{Name: "fattree"}
+	fs.Func("topo", "`family`: "+strings.Join(Families(), "|")+" (default "+p.Name+")", func(name string) error {
+		if p.File == "" {
+			p.Name = name
+		}
+		return nil
+	})
+	fs.Func("topo-file", "interchange document `path` to load instead of generating (overrides -topo)", func(path string) error {
+		p.Name, p.File = "file", path
+		return nil
+	})
 	fs.IntVar(&p.K, "k", 8, "fat-tree K / fatclique Kf / butterfly dims")
 	fs.IntVar(&p.N, "n", 64, "jellyfish N / leaf count / butterfly C / flatrandom N")
 	fs.IntVar(&p.Radix, "radix", 16, "switch radix")
@@ -68,9 +95,34 @@ func RegisterTopoFlags(fs *flag.FlagSet) *TopoParams {
 	return p
 }
 
-// BuildTopology constructs the requested family from the shared
-// parameter set.
+// BuildTopology is LoadTopology without a context or the document's
+// hall: the func(TopoParams) shape the daemon's topology store and the
+// benchmark harness call.
 func BuildTopology(p TopoParams) (*topology.Topology, error) {
+	t, _, err := LoadTopology(context.TODO(), p)
+	return t, err
+}
+
+// LoadTopology constructs the requested fabric from the shared parameter
+// set, and returns the hall a "file" document pins (nil when it pins
+// none, and for every generated family). Pass the hall to ResolveHall.
+func LoadTopology(ctx context.Context, p TopoParams) (*topology.Topology, *interchange.Hall, error) {
+	if p.Name != "file" {
+		t, err := generate(p)
+		return t, nil, err
+	}
+	if p.File == "" {
+		return nil, nil, physerr.OutOfRange("cli: family %q needs a document path in the file field", p.Name)
+	}
+	t, doc, err := interchange.LoadFileCtx(ctx, p.File)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, doc.Hall, nil
+}
+
+// generate builds one of the generated families.
+func generate(p TopoParams) (*topology.Topology, error) {
 	switch p.Name {
 	case "fattree":
 		return topology.FatTree(topology.FatTreeConfig{K: p.K, Rate: p.Rate})
@@ -114,14 +166,6 @@ func BuildTopology(p TopoParams) (*topology.Topology, error) {
 	case "flatrandom":
 		return topology.FlatRandom(topology.FlatRandomConfig{
 			N: p.N, K: p.Radix, R: p.Net, Rate: p.Rate, Seed: p.Seed})
-	case "file":
-		if p.File == "" {
-			return nil, physerr.OutOfRange("cli: family %q needs a document path in the file field", p.Name)
-		}
-		// BuildTopology takes no context (its signature is shared with the
-		// benchmark harness); a document load is bounded by MaxDocBytes.
-		t, _, err := interchange.LoadFileCtx(context.TODO(), p.File)
-		return t, err
 	}
 	// OutOfRange so the daemon maps a bad family to 422, like every
 	// other invalid-spec error out of the topology constructors.

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"path/filepath"
@@ -115,26 +116,26 @@ func TestLeafSpineDivisibility(t *testing.T) {
 	}
 }
 
-// TestRegisterTopoFlagsCoversParams: every TopoParams field except File
-// has a flag named after its json tag ("topo" for Name), setting the flag
-// sets that field, and no other flag is declared.
+// TestRegisterTopoFlagsCoversParams: every TopoParams field has a flag
+// named after its json tag ("topo" for Name, "topo-file" for File),
+// setting the flag sets that field, and no other flag is declared.
 func TestRegisterTopoFlagsCoversParams(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	p := RegisterTopoFlags(fs)
 	typ := reflect.TypeOf(*p)
 	declared := 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
-	if declared != typ.NumField()-1 {
-		t.Errorf("%d flags declared, want one per TopoParams field except File (%d)", declared, typ.NumField()-1)
+	if declared != typ.NumField() {
+		t.Errorf("%d flags declared, want one per TopoParams field (%d)", declared, typ.NumField())
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i)
-		if field.Name == "File" {
-			continue
-		}
 		name, _, _ := strings.Cut(field.Tag.Get("json"), ",")
-		if name == "name" {
+		switch name {
+		case "name":
 			name = "topo"
+		case "file":
+			name = "topo-file"
 		}
 		f := fs.Lookup(name)
 		if f == nil {
@@ -154,6 +155,85 @@ func TestRegisterTopoFlagsCoversParams(t *testing.T) {
 		}
 		if after := reflect.ValueOf(*p).Field(i).Interface(); reflect.DeepEqual(before, after) {
 			t.Errorf("-%s=%s left TopoParams.%s at %v", name, val, field.Name, before)
+		}
+	}
+}
+
+// TestTopoFileWinsWhateverOrder: -topo-file selects the "file" family
+// whether it comes before or after -topo, and without it -topo and its
+// default behave as plain flags.
+func TestTopoFileWinsWhateverOrder(t *testing.T) {
+	for _, c := range []struct {
+		args       []string
+		name, file string
+	}{
+		{nil, "fattree", ""},
+		{[]string{"-topo", "jellyfish"}, "jellyfish", ""},
+		{[]string{"-topo-file", "fab.json"}, "file", "fab.json"},
+		{[]string{"-topo-file", "fab.json", "-topo", "jellyfish"}, "file", "fab.json"},
+		{[]string{"-topo", "jellyfish", "-topo-file", "fab.json"}, "file", "fab.json"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		p := RegisterTopoFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if p.Name != c.name || p.File != c.file {
+			t.Errorf("%v: name %q file %q, want %q %q", c.args, p.Name, p.File, c.name, c.file)
+		}
+	}
+}
+
+// TestResolveHall pins the one hall rule, per dimension: an explicit
+// count wins, then the document's hall, then DefaultRows × DefaultSlots.
+func TestResolveHall(t *testing.T) {
+	doc := &interchange.Hall{Rows: 4, Slots: 12}
+	for _, c := range []struct {
+		name        string
+		rows, slots int
+		doc         *interchange.Hall
+		wantR       int
+		wantS       int
+	}{
+		{"default, no document", 0, 0, nil, 6, 16},
+		{"document", 0, 0, doc, 4, 12},
+		{"explicit, no document", 5, 20, nil, 5, 20},
+		{"explicit beats document", 5, 20, doc, 5, 20},
+		{"explicit rows, document slots", 5, 0, doc, 5, 12},
+		{"document rows, explicit slots", 0, 20, doc, 4, 20},
+		{"explicit rows, default slots", 5, 0, nil, 5, 16},
+		{"default rows, explicit slots", 0, 20, nil, 6, 20},
+		{"explicit equal to the default beats document", 6, 16, doc, 6, 16},
+	} {
+		if r, s := ResolveHall(c.rows, c.slots, c.doc); r != c.wantR || s != c.wantS {
+			t.Errorf("%s: ResolveHall(%d, %d, %v) = %d×%d, want %d×%d",
+				c.name, c.rows, c.slots, c.doc, r, s, c.wantR, c.wantS)
+		}
+	}
+}
+
+// TestLoadTopologyReturnsDocumentHall: the resolver hands back the hall a
+// document pins, and nil for a hall-less document and a generated family.
+func TestLoadTopologyReturnsDocumentHall(t *testing.T) {
+	p := TopoParams{Name: "jellyfish", N: 16, Radix: 8, Net: 4, Rate: 100, Seed: 7}
+	gen, hall, err := LoadTopology(context.Background(), p)
+	if err != nil || hall != nil {
+		t.Fatalf("generated: hall %v, err %v; want nil, nil", hall, err)
+	}
+	dir := t.TempDir()
+	for _, want := range []*interchange.Hall{nil, {Rows: 4, Slots: 12}} {
+		doc := interchange.FromTopology(gen)
+		doc.Hall = want
+		path := filepath.Join(dir, "fabric.json")
+		if err := interchange.EmitFile(path, doc); err != nil {
+			t.Fatal(err)
+		}
+		tp, hall, err := LoadTopology(context.Background(), TopoParams{Name: "file", File: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.NumSwitches() != gen.NumSwitches() || !reflect.DeepEqual(hall, want) {
+			t.Errorf("document with hall %v: %d switches, hall %v", want, tp.NumSwitches(), hall)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"physdep/internal/obs"
 	"physdep/internal/par"
@@ -46,55 +45,66 @@ func (r *Result) Render() string {
 // are byte-identical regardless of the context used.
 type Runner func(ctx context.Context) (*Result, error)
 
-// shared is the memoized registry map. It is never handed to callers,
-// so no caller can poison a later lookup.
-var shared = sync.OnceValue(registry)
-
-// Get returns the runner for id, or nil if the ID is unknown. It reads
-// the shared memoized registry directly, so it stays allocation-free on
-// the bench-harness path.
-func Get(id string) Runner { return shared()[id] }
-
-func registry() map[string]Runner {
-	return map[string]Runner{
-		"E1":  E1Deployability,
-		"E2":  E2MediaCrossover,
-		"E3":  E3ExpansionComplexity,
-		"E4":  E4JupiterConversion,
-		"E5":  E5IndirectionBenefit,
-		"E6":  E6UnitOfRepair,
-		"E7":  E7ThroughputVsDeploy,
-		"E8":  E8Bundling,
-		"E9":  E9StrandedCapital,
-		"E10": E10TwinDryRun,
-		"E11": E11Heterogeneity,
-		"E12": E12Fungibility,
-		"E13": E13Decom,
-		"E14": E14Envelope,
-		"E15": E15CapacityPlanning,
-		"E16": E16TopologyEngineering,
-		"E17": E17ActivePanels,
-		"E18": E18RobotCrews,
-		"E19": E19FailureDegradation,
-		"E20": E20DayOneVsLifetime,
-		"E21": E21HumanFactors,
-		"E22": E22SupplyChainAudit,
-		"E23": E23PlannerGrowthCost,
-		"E24": E24PlannerVsNaive,
-		"ES1": ES1SampledCalibration,
-		"ES2": ES2FleetScale,
-	}
+// table lists every experiment in presentation order: the one source of
+// both Order and the map Get reads. The ES band (E-scale: 10k–100k
+// switches under the sampled path-stats estimator) follows the classic
+// numbered band.
+var table = []struct {
+	id  string
+	run Runner
+}{
+	{"E1", E1Deployability},
+	{"E2", E2MediaCrossover},
+	{"E3", E3ExpansionComplexity},
+	{"E4", E4JupiterConversion},
+	{"E5", E5IndirectionBenefit},
+	{"E6", E6UnitOfRepair},
+	{"E7", E7ThroughputVsDeploy},
+	{"E8", E8Bundling},
+	{"E9", E9StrandedCapital},
+	{"E10", E10TwinDryRun},
+	{"E11", E11Heterogeneity},
+	{"E12", E12Fungibility},
+	{"E13", E13Decom},
+	{"E14", E14Envelope},
+	{"E15", E15CapacityPlanning},
+	{"E16", E16TopologyEngineering},
+	{"E17", E17ActivePanels},
+	{"E18", E18RobotCrews},
+	{"E19", E19FailureDegradation},
+	{"E20", E20DayOneVsLifetime},
+	{"E21", E21HumanFactors},
+	{"E22", E22SupplyChainAudit},
+	{"E23", E23PlannerGrowthCost},
+	{"E24", E24PlannerVsNaive},
+	{"ES1", ES1SampledCalibration},
+	{"ES2", ES2FleetScale},
 }
 
-// Order lists experiment IDs in presentation order. The ES band (E-scale:
-// 10k–100k switches under the sampled path-stats estimator) follows the
-// classic numbered band.
+// byID is the map Get reads. It is never handed to callers, so no caller
+// can poison a later lookup.
+var byID = registry()
+
+// Get returns the runner for id, or nil if the ID is unknown. It is
+// allocation-free, for the bench-harness path.
+func Get(id string) Runner { return byID[id] }
+
+// registry derives the ID → runner map from table.
+func registry() map[string]Runner {
+	m := make(map[string]Runner, len(table))
+	for _, e := range table {
+		m[e.id] = e.run
+	}
+	return m
+}
+
+// Order lists experiment IDs in presentation order.
 func Order() []string {
-	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7",
-		"E8", "E9", "E10", "E11", "E12", "E13", "E14",
-		"E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22",
-		"E23", "E24",
-		"ES1", "ES2"}
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Outcome is one experiment's run result, error included, so a failing

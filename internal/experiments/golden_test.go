@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,14 +9,11 @@ import (
 	"testing"
 )
 
-// updateGolden rewrites the golden corpus from this run's results:
-//
-//	go test ./internal/experiments -run Golden -update
-//
-// (cmd/experiments -update-golden does the same outside the test
-// harness.) Rewrite only when a table is meant to change, and review
-// the diff like code — the committed files are the regression oracle.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from this run's results")
+// regenerate is how the golden corpus is rewritten — atomically and all
+// or nothing, by the one writer. The tests here only read it. Rewrite
+// only when a table is meant to change, and review the diff like code:
+// the committed files are the regression oracle.
+const regenerate = "go run ./cmd/experiments -update-golden"
 
 func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".txt")
@@ -28,7 +24,7 @@ func readGolden(t *testing.T, id string) string {
 	t.Helper()
 	b, err := os.ReadFile(goldenPath(id))
 	if err != nil {
-		t.Fatalf("no golden file for %s (run `go test ./internal/experiments -run Golden -update`): %v", id, err)
+		t.Fatalf("no golden file for %s (run `%s`): %v", id, regenerate, err)
 	}
 	return string(b)
 }
@@ -48,12 +44,12 @@ func diffGolden(t *testing.T, id, got, want string) {
 	}
 	for i := 0; i < n; i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s diverges from %s at line %d:\n  got:  %q\n  want: %q",
-				id, goldenPath(id), i+1, gl[i], wl[i])
+			t.Fatalf("%s diverges from %s at line %d:\n  got:  %q\n  want: %q\n(if the change is meant, run `%s`)",
+				id, goldenPath(id), i+1, gl[i], wl[i], regenerate)
 		}
 	}
-	t.Fatalf("%s: output has %d lines, golden has %d (first %d identical)",
-		id, len(gl), len(wl), n)
+	t.Fatalf("%s: output has %d lines, golden has %d (first %d identical; if the change is meant, run `%s`)",
+		id, len(gl), len(wl), n, regenerate)
 }
 
 // TestGoldenCorpus pins every experiment table to its committed golden
@@ -64,25 +60,13 @@ func TestGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipping in -short mode")
 	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, o := range RunManyCtx(context.Background(), Order()) {
 		o := o
 		t.Run(o.ID, func(t *testing.T) {
 			if o.Err != nil {
 				t.Fatalf("%s: %v", o.ID, o.Err)
 			}
-			got := o.Res.Render()
-			if *updateGolden {
-				if err := os.WriteFile(goldenPath(o.ID), []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			diffGolden(t, o.ID, got, readGolden(t, o.ID))
+			diffGolden(t, o.ID, o.Res.Render(), readGolden(t, o.ID))
 		})
 	}
 }

@@ -100,10 +100,12 @@ type Provenance struct {
 }
 
 // Hall is the optional floorplan geometry: the rows × slots grid that the
-// physdep CLI and daemon expose. All remaining hall parameters (pitches,
-// tray capacities, door width) stay at library defaults —
-// floorplan.DefaultHall(Rows, Slots) — matching the knob surface of the
-// rest of the system.
+// physdep CLI and daemon expose. Every surface that evaluates a document
+// applies it by one rule, cli.ResolveHall: a row or slot count the caller
+// gives explicitly wins, then this hall, then the default. All remaining
+// hall parameters (pitches, tray capacities, door width) stay at library
+// defaults — floorplan.DefaultHall(Rows, Slots) — matching the knob
+// surface of the rest of the system.
 type Hall struct {
 	Rows  int `json:"rows"`
 	Slots int `json:"slots"`
@@ -346,35 +348,23 @@ func LoadCtx(ctx context.Context, data []byte) (*topology.Topology, *Document, e
 // LoadFileCtx reads and loads a document from path, refusing files
 // larger than MaxDocBytes before reading them whole.
 func LoadFileCtx(ctx context.Context, path string) (*topology.Topology, *Document, error) {
-	data, err := ReadDocFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return LoadCtx(ctx, data)
-}
-
-// ReadDocFile reads a document file with the MaxDocBytes bound applied
-// before any allocation. Exported for consumers (the daemon) that need
-// the raw bytes — e.g. to content-address a document — without loading
-// it twice.
-func ReadDocFile(path string) ([]byte, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("interchange: %w", err)
+		return nil, nil, fmt.Errorf("interchange: %w", err)
 	}
 	defer fh.Close()
 	if st, err := fh.Stat(); err == nil && st.Size() > MaxDocBytes {
-		return nil, physerr.OutOfRange("interchange: %s is %d bytes, more than the %d cap",
+		return nil, nil, physerr.OutOfRange("interchange: %s is %d bytes, more than the %d cap",
 			path, st.Size(), MaxDocBytes)
 	}
 	// LimitReader backstops the stat (pipes, races): one byte past the cap
 	// turns into a rejection rather than an unbounded read.
 	data, err := io.ReadAll(io.LimitReader(fh, MaxDocBytes+1))
 	if err != nil {
-		return nil, fmt.Errorf("interchange: reading %s: %w", path, err)
+		return nil, nil, fmt.Errorf("interchange: reading %s: %w", path, err)
 	}
 	if len(data) > MaxDocBytes {
-		return nil, physerr.OutOfRange("interchange: %s exceeds the %d byte cap", path, MaxDocBytes)
+		return nil, nil, physerr.OutOfRange("interchange: %s exceeds the %d byte cap", path, MaxDocBytes)
 	}
-	return data, nil
+	return LoadCtx(ctx, data)
 }

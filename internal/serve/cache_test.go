@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func decodeNormalizedKey(t *testing.T, wire string) cacheKey {
 	if err := dec.Decode(&req); err != nil {
 		t.Fatalf("decode %s: %v", wire, err)
 	}
-	norm, err := normalizeEvaluate(req)
+	norm, err := New(Config{}).normalizeEvaluate(req)
 	if err != nil {
 		t.Fatalf("normalize %s: %v", wire, err)
 	}
@@ -49,6 +50,18 @@ func TestCanonicalKeyOmittedEqualsExplicitDefault(t *testing.T) {
 		`{"topo":{"name":"jellyfish","n":16,"radix":8,"net":4,"rate":100},"hall":{"rows":6,"slots":16},"techs":8,"seed":1}`)
 	if omitted != explicit {
 		t.Fatal("explicit defaults changed the cache key")
+	}
+}
+
+// TestCanonicalKeyPinned pins the key of one generated-spec evaluate
+// request to the hex earlier releases computed, so a cache persisted by
+// an earlier daemon still hits after an upgrade. A change here orphans
+// every persisted entry.
+func TestCanonicalKeyPinned(t *testing.T) {
+	k := decodeNormalizedKey(t, `{"topo":`+smallTopo+`}`)
+	const want = "81904654e03a91a3d3fcc6c9a5e823875f11ddcd245092b9c9f00f424f5648a8"
+	if got := hex.EncodeToString(k[:]); got != want {
+		t.Fatalf("evaluate key = %s, want %s", got, want)
 	}
 }
 

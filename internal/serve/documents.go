@@ -43,6 +43,13 @@ const maxDocumentBytes = 32 << 20
 // digest rather than a filesystem path.
 const docRefPrefix = "sha256:"
 
+// document is one resident upload: the bytes the topology store builds
+// from, and the hall parsed at upload, so evaluate never re-decodes.
+type document struct {
+	data []byte
+	hall *interchange.Hall
+}
+
 // DocumentResponse answers an upload: the digest to reference the
 // document by, plus the loaded fabric's shape as a sanity echo.
 type DocumentResponse struct {
@@ -70,14 +77,14 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t, _, err := interchange.LoadCtx(r.Context(), data)
+	t, doc, err := interchange.LoadCtx(r.Context(), data)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	key := cacheKey(sha256.Sum256(data))
 	obs.Inc("serve.docs.stored")
-	if s.docs.add(key, data) {
+	if s.docs.add(key, document{data: data, hall: doc.Hall}) {
 		obs.Inc("serve.docs.evict")
 	}
 	resp := DocumentResponse{
@@ -95,27 +102,36 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildTopo is the daemon's topoStore builder: generated families go to
-// cli.BuildTopology; "file" specs resolve their digest against the
-// resident document cache. A digest that is not resident — never
-// uploaded, or evicted — is a 422 telling the client to (re)upload,
-// which is the content-addressed analogue of a stale file path.
+// cli.BuildTopology; "file" specs build from their resident document.
 func (s *Server) buildTopo(p cli.TopoParams) (*topology.Topology, error) {
 	if p.Name != "file" {
 		return cli.BuildTopology(p)
 	}
-	key, err := parseDocRef(p.File)
+	doc, err := s.resident(p.File)
 	if err != nil {
 		return nil, err
 	}
-	data, ok := s.docs.get(key)
-	if !ok {
-		return nil, physerr.OutOfRange(
-			"serve: document %s is not resident; upload it via POST /v1/documents", p.File)
-	}
 	// The build is shared by every request waiting on it, so no one
 	// request's context may cancel it.
-	t, _, err := interchange.LoadCtx(context.TODO(), data)
+	t, _, err := interchange.LoadCtx(context.TODO(), doc.data)
 	return t, err
+}
+
+// resident resolves a "file" spec's digest against the resident document
+// cache. A digest that is not resident — never uploaded, or evicted — is
+// a 422 telling the client to (re)upload, which is the content-addressed
+// analogue of a stale file path.
+func (s *Server) resident(ref string) (document, error) {
+	key, err := parseDocRef(ref)
+	if err != nil {
+		return document{}, err
+	}
+	doc, ok := s.docs.get(key)
+	if !ok {
+		return document{}, physerr.OutOfRange(
+			"serve: document %s is not resident; upload it via POST /v1/documents", ref)
+	}
+	return doc, nil
 }
 
 // parseDocRef parses "sha256:<64 hex>" into a document cache key. The

@@ -16,6 +16,13 @@ import (
 // digest reference plus the raw upload response.
 func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse) {
 	t.Helper()
+	return uploadSmallTopoDocWithHall(t, h, nil)
+}
+
+// uploadSmallTopoDocWithHall is uploadSmallTopoDoc for a document that
+// pins hall (nil for none).
+func uploadSmallTopoDocWithHall(t *testing.T, h http.Handler, hall *interchange.Hall) (string, DocumentResponse) {
+	t.Helper()
 	var p cli.TopoParams
 	if err := json.Unmarshal([]byte(smallTopo), &p); err != nil {
 		t.Fatal(err)
@@ -24,7 +31,9 @@ func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := interchange.FromTopology(topo).Encode()
+	d := interchange.FromTopology(topo)
+	d.Hall = hall
+	doc, err := d.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,9 @@ func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse)
 // wiring: a fabric served from an uploaded interchange document answers
 // with response bytes equal to the equivalent generator-spec request, on
 // both /v1/stats and /v1/evaluate — the document is just another way to
-// name the same fabric, not a different evaluation path.
+// name the same fabric, not a different evaluation path. A document's
+// hall applies like cli.ResolveHall says: it fills the dimensions the
+// request leaves unset, and a dimension the request sets wins.
 func TestUploadedDocumentParity(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
@@ -54,13 +65,19 @@ func TestUploadedDocumentParity(t *testing.T) {
 	if up.Switches == 0 || up.Links == 0 {
 		t.Fatalf("upload echo is empty: %+v", up)
 	}
+	hallRef, _ := uploadSmallTopoDocWithHall(t, h, &interchange.Hall{Rows: 4, Slots: 12})
 
 	fileTopo := `{"name":"file","file":"` + ref + `"}`
+	hallTopo := `{"name":"file","file":"` + hallRef + `"}`
 	for _, c := range []struct {
 		path, specBody, fileBody string
 	}{
 		{"/v1/stats", `{"topo":` + smallTopo + `}`, `{"topo":` + fileTopo + `}`},
 		{"/v1/evaluate", `{"topo":` + smallTopo + `,"anneal":50}`, `{"topo":` + fileTopo + `,"anneal":50}`},
+		// The document's 4×12 hall is the hall when the request names none.
+		{"/v1/evaluate", `{"topo":` + smallTopo + `,"hall":{"rows":4,"slots":12}}`, `{"topo":` + hallTopo + `}`},
+		// An explicit request dimension overrides the document's.
+		{"/v1/evaluate", `{"topo":` + smallTopo + `,"hall":{"rows":5,"slots":12}}`, `{"topo":` + hallTopo + `,"hall":{"rows":5}}`},
 	} {
 		specRR := do(h, nil, "POST", c.path, c.specBody)
 		fileRR := do(h, nil, "POST", c.path, c.fileBody)
@@ -68,9 +85,49 @@ func TestUploadedDocumentParity(t *testing.T) {
 			t.Fatalf("%s: spec = %d, file = %d: %s %s", c.path, specRR.Code, fileRR.Code, specRR.Body, fileRR.Body)
 		}
 		if specRR.Body.String() != fileRR.Body.String() {
-			t.Fatalf("%s: uploaded-document response diverges from spec-built:\n%s\nvs\n%s",
-				c.path, fileRR.Body, specRR.Body)
+			t.Fatalf("%s %s: uploaded-document response diverges from spec-built:\n%s\nvs\n%s",
+				c.path, c.fileBody, fileRR.Body, specRR.Body)
 		}
+	}
+}
+
+// TestDocumentHallNeedsResidentDocument: applying a document's hall needs
+// the document, so a hall-less evaluate of a digest that is not resident
+// is the same re-upload 422 the topology store gives; a request whose
+// hall is fully explicit never consults the document for its key.
+func TestDocumentHallNeedsResidentDocument(t *testing.T) {
+	h := New(Config{}).Handler()
+	absent := `{"name":"file","file":"sha256:` + strings.Repeat("ab", 32) + `"}`
+	for _, body := range []string{
+		`{"topo":` + absent + `}`,
+		`{"topo":` + absent + `,"hall":{"slots":12}}`,
+		`{"topo":` + absent + `,"hall":{"rows":4,"slots":12}}`,
+	} {
+		rr := do(h, nil, "POST", "/v1/evaluate", body)
+		if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "not resident") {
+			t.Fatalf("%s: status = %d, want the re-upload 422: %s", body, rr.Code, rr.Body)
+		}
+	}
+}
+
+// TestWhatIfOnOneToRIsUnprocessable: a document with fewer than two ToRs
+// has no traffic to route, which is the client's input error (422), not
+// a daemon failure (500).
+func TestWhatIfOnOneToRIsUnprocessable(t *testing.T) {
+	h := New(Config{}).Handler()
+	doc := `{"format":"physdep-topology","version":1,"name":"one-tor",` +
+		`"nodes":[{"id":0,"role":"tor","radix":8,"rate_gbps":100,"server_ports":8}],"edges":[]}`
+	rr := do(h, nil, "POST", "/v1/documents", doc)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("upload = %d: %s", rr.Code, rr.Body)
+	}
+	var up DocumentResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &up); err != nil {
+		t.Fatal(err)
+	}
+	rr = do(h, nil, "POST", "/v1/whatif", `{"topo":{"name":"file","file":"`+up.Document+`"}}`)
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "no load was routed") {
+		t.Fatalf("whatif on one ToR = %d, want 422 naming the cause: %s", rr.Code, rr.Body)
 	}
 }
 

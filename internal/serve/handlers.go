@@ -14,6 +14,7 @@ import (
 	"physdep/internal/core"
 	"physdep/internal/experiments"
 	"physdep/internal/floorplan"
+	"physdep/internal/interchange"
 	"physdep/internal/obs"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
@@ -32,10 +33,12 @@ const maxBodyBytes = 1 << 20
 
 // HallSpec selects the machine hall a custom evaluation places into —
 // the daemon twin of physdep's -rows/-slots flags (the full Hall
-// geometry stays at library defaults; see floorplan.DefaultHall).
+// geometry stays at library defaults; see floorplan.DefaultHall). An
+// unset (0) dimension follows cli.ResolveHall: an uploaded document's
+// own hall, else the default.
 type HallSpec struct {
-	Rows  int `json:"rows,omitempty"`  // default 6
-	Slots int `json:"slots,omitempty"` // default 16
+	Rows  int `json:"rows,omitempty"`
+	Slots int `json:"slots,omitempty"`
 }
 
 // EvaluateRequest asks for one deployability evaluation: either a
@@ -296,8 +299,11 @@ func writeJSONBody(w http.ResponseWriter, body []byte, cacheState string) {
 // normalizeEvaluate validates an evaluate request and fills defaults so
 // that semantically equal requests share one canonical form (and thus
 // one cache key). The deadline knob is zeroed: how long a caller is
-// willing to wait is not part of what is being evaluated.
-func normalizeEvaluate(req EvaluateRequest) (EvaluateRequest, error) {
+// willing to wait is not part of what is being evaluated. A file spec's
+// unset hall dimensions take the resident document's hall, so a document
+// evaluated without a hall and the same fabric evaluated with that hall
+// spelled out share one key.
+func (s *Server) normalizeEvaluate(req EvaluateRequest) (EvaluateRequest, error) {
 	req.TimeoutMS = 0
 	if (req.Experiment == "") == (req.Topo == nil) {
 		return req, physerr.OutOfRange("serve: exactly one of experiment and topo must be set")
@@ -317,12 +323,15 @@ func normalizeEvaluate(req EvaluateRequest) (EvaluateRequest, error) {
 	if req.Hall.Rows < 0 || req.Hall.Slots < 0 {
 		return req, physerr.OutOfRange("serve: hall rows and slots must be >= 0")
 	}
-	if req.Hall.Rows == 0 {
-		req.Hall.Rows = 6
+	var docHall *interchange.Hall
+	if req.Topo.Name == "file" && (req.Hall.Rows == 0 || req.Hall.Slots == 0) {
+		doc, err := s.resident(req.Topo.File)
+		if err != nil {
+			return req, err
+		}
+		docHall = doc.hall
 	}
-	if req.Hall.Slots == 0 {
-		req.Hall.Slots = 16
-	}
+	req.Hall.Rows, req.Hall.Slots = cli.ResolveHall(req.Hall.Rows, req.Hall.Slots, docHall)
 	if req.Techs == 0 {
 		req.Techs = 8
 	}
@@ -338,7 +347,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	norm, err := normalizeEvaluate(req)
+	norm, err := s.normalizeEvaluate(req)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if !errors.Is(err, physerr.ErrOutOfRange) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,13 +15,6 @@ import (
 
 	"physdep/internal/experiments"
 )
-
-// updateGolden mirrors the internal/experiments convention: the golden
-// corpus can be rewritten from either surface because they are the same
-// bytes —
-//
-//	go test ./internal/serve -run Golden -update
-var updateGolden = flag.Bool("update", false, "rewrite the shared golden corpus from daemon responses")
 
 func goldenPath(id string) string {
 	return filepath.Join("..", "experiments", "testdata", "golden", id+".txt")
@@ -73,18 +65,13 @@ func TestDaemonMatchesGolden(t *testing.T) {
 				if resp.Experiment != id {
 					t.Fatalf("response names experiment %q, want %q", resp.Experiment, id)
 				}
-				if *updateGolden {
-					if err := os.WriteFile(goldenPath(id), []byte(resp.Rendered), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
 				want, err := os.ReadFile(goldenPath(id))
 				if err != nil {
-					t.Fatalf("no golden file for %s: %v", id, err)
+					t.Fatalf("no golden file for %s (run `go run ./cmd/experiments -update-golden`): %v", id, err)
 				}
 				if resp.Rendered != string(want) {
-					t.Fatalf("%s: daemon response diverges from %s\ngot:\n%s", id, goldenPath(id), resp.Rendered)
+					t.Fatalf("%s: daemon response diverges from %s (the daemon never rewrites its oracle; if the table is meant to change, run `go run ./cmd/experiments -update-golden`)\ngot:\n%s",
+						id, goldenPath(id), resp.Rendered)
 				}
 			})
 		}

@@ -87,7 +87,7 @@ type Server struct {
 	cache   *resultCache
 	flights *flightTable[[]byte]
 	store   *topoStore
-	docs    *lruCache[[]byte] // uploaded interchange documents by content digest
+	docs    *lruCache[document] // uploaded interchange documents by content digest
 	mux     *http.ServeMux
 	start   time.Time
 }
@@ -106,7 +106,7 @@ func New(cfg Config) *Server {
 		cache:   cache,
 		flights: newFlightTable(cache.put),
 		store:   newTopoStore(cfg.StoreEntries),
-		docs:    newLRU[[]byte](cfg.DocEntries),
+		docs:    newLRU[document](cfg.DocEntries),
 		start:   time.Now(),
 	}
 	// The store's builder must see the document cache so "file" specs can

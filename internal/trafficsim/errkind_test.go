@@ -1,10 +1,13 @@
 package trafficsim
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"physdep/internal/physerr"
+	"physdep/internal/topology"
 )
 
 func TestKSPConfigValidateKinds(t *testing.T) {
@@ -44,5 +47,24 @@ func TestNewMatrixNegativeN(t *testing.T) {
 	m := NewMatrix(-5)
 	if m.N != 0 || len(m.D) != 0 {
 		t.Errorf("NewMatrix(-5) = %d×%d, want empty", m.N, len(m.D))
+	}
+}
+
+// TestNothingRoutedIsOutOfRange: a fabric with fewer than two ToRs has
+// no uniform demand to route, which is an input error (the daemon's
+// /v1/whatif answers 422 for it, not 500), and the message keeps naming
+// the cause.
+func TestNothingRoutedIsOutOfRange(t *testing.T) {
+	one := topology.NewTopology("one-tor")
+	one.AddSwitch(topology.Node{Role: topology.RoleToR, Radix: 8, Rate: 100, ServerPorts: 8, Pod: -1})
+	m := Uniform(len(one.ToRs()), 100)
+	_, ecmpErr := ECMPThroughput(one, m)
+	_, kspErr := KSPThroughputCtx(context.Background(), one, m, DefaultKSP())
+	for name, err := range map[string]error{"ECMP": ecmpErr, "KSP": kspErr} {
+		if !errors.Is(err, physerr.ErrOutOfRange) {
+			t.Errorf("%s on one ToR: err = %v, want ErrOutOfRange", name, err)
+		} else if !strings.Contains(err.Error(), "no load was routed") {
+			t.Errorf("%s on one ToR: err = %q lost its cause", name, err)
+		}
 	}
 }

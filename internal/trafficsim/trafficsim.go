@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
 
@@ -107,7 +108,8 @@ func alphaFromDirectionalLoads(t *topology.Topology, load []float64) (float64, e
 		}
 	}
 	if math.IsInf(alpha, 1) {
-		return 0, fmt.Errorf("trafficsim: no load was routed (empty matrix?)")
+		// Nothing to route (under two ToRs, or no demand) is an input error.
+		return 0, physerr.OutOfRange("trafficsim: no load was routed (empty matrix?)")
 	}
 	return alpha, nil
 }

@@ -140,12 +140,21 @@ echo "== interchange smoke (emit → load → evaluate, diffed against the flag-
 # document, then both topogen's profile and physdep's full evaluation of
 # the document must be byte-identical to the flag-built runs — and the
 # daemon must accept the same document via /v1/documents and serve it
-# with response bytes equal to the generator-spec request.
+# with response bytes equal to the generator-spec request. A 400G
+# document's throughput must price server ports at the fabric's own rate,
+# and a document's hall must give the daemon the same answer as a spec
+# request that names that hall.
 go run ./cmd/topogen -topo jellyfish -n 16 -radix 8 -net 4 -rate 100 -seed 7 \
   -emit "$tmp/fabric.json" >"$tmp/topogen-flags.out"
 grep -v '^emitted: ' "$tmp/topogen-flags.out" >"$tmp/topogen-flags.profile"
 go run ./cmd/topogen -topo-file "$tmp/fabric.json" >"$tmp/topogen-file.out"
 diff "$tmp/topogen-flags.profile" "$tmp/topogen-file.out"
+go run ./cmd/topogen -topo jellyfish -n 16 -radix 8 -net 4 -rate 400 -seed 7 -throughput \
+  -emit "$tmp/fabric400.json" | grep -v '^emitted: ' >"$tmp/topogen400-flags.profile"
+go run ./cmd/topogen -topo-file "$tmp/fabric400.json" -throughput >"$tmp/topogen400-file.out"
+diff "$tmp/topogen400-flags.profile" "$tmp/topogen400-file.out"
+sed 's/^  "version": 1,$/&\n  "hall": {"rows": 4, "slots": 12},/' "$tmp/fabric.json" >"$tmp/fabric-hall.json"
+grep -q '"hall"' "$tmp/fabric-hall.json"
 go run ./cmd/physdep -topo jellyfish -n 16 -radix 8 -net 4 -rate 100 -seed 7 >"$tmp/physdep-flags.out"
 go run ./cmd/physdep -topo-file "$tmp/fabric.json" >"$tmp/physdep-file.out"
 diff "$tmp/physdep-flags.out" "$tmp/physdep-file.out"
@@ -159,6 +168,16 @@ curl -fsS -X POST -d "$stats_req" "http://$addr/v1/stats" >"$tmp/doc-spec-body"
 curl -fsS -X POST -d "{\"topo\":{\"name\":\"file\",\"file\":\"$doc_ref\"}}" \
   "http://$addr/v1/stats" >"$tmp/doc-file-body"
 cmp "$tmp/doc-spec-body" "$tmp/doc-file-body"
+hall_ref="$(curl -fsS -X POST --data-binary @"$tmp/fabric-hall.json" "http://$addr/v1/documents" \
+  | sed 's/.*"document":"\([^"]*\)".*/\1/')"
+case "$hall_ref" in sha256:*) ;; *)
+  echo "interchange smoke: hall document upload returned no digest: $hall_ref" >&2; exit 1 ;;
+esac
+curl -fsS -X POST -d '{"topo":{"name":"jellyfish","n":16,"radix":8,"net":4,"rate":100,"seed":7},"hall":{"rows":4,"slots":12}}' \
+  "http://$addr/v1/evaluate" >"$tmp/hall-spec-body"
+curl -fsS -X POST -d "{\"topo\":{\"name\":\"file\",\"file\":\"$hall_ref\"}}" \
+  "http://$addr/v1/evaluate" >"$tmp/hall-file-body"
+cmp "$tmp/hall-spec-body" "$tmp/hall-file-body"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 
