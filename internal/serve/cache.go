@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"sync"
-
-	"physdep/internal/obs"
 )
 
 // cacheKey is the canonical identity of a request: a SHA-256 over the
@@ -38,9 +36,9 @@ func canonicalKey(endpoint string, normalized any) (cacheKey, error) {
 }
 
 // lruCache is a bounded least-recently-used map from cacheKey to a
-// stored value. It is the one cache shape the daemon uses twice: the
-// result cache (value = response bytes) and the topology store
-// (value = built topology). All methods are safe for concurrent use.
+// stored value: the store inside each flightCache (singleflight.go), and
+// on its own the uploaded-document cache. All methods are safe for
+// concurrent use.
 type lruCache[V any] struct {
 	mu    sync.Mutex
 	max   int
@@ -128,46 +126,4 @@ func (c *lruCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// resultCache is the daemon's response cache: canonical request hash →
-// the exact bytes a previous request was answered with. A hit is served
-// byte-identically with zero kernel work (the hammer and cache tests
-// assert this through the obs counters below). Only successful (200)
-// responses are stored — a canceled, expired, or failed request must
-// never pin its outcome into the cache.
-type resultCache struct {
-	lru *lruCache[[]byte]
-}
-
-func newResultCache(entries int) *resultCache {
-	return &resultCache{lru: newLRU[[]byte](entries)}
-}
-
-func (c *resultCache) get(k cacheKey) ([]byte, bool) {
-	b, ok := c.lru.get(k)
-	if ok {
-		obs.Inc("serve.cache.hit")
-	} else {
-		obs.Inc("serve.cache.miss")
-	}
-	return b, ok
-}
-
-// peek is get without the counter side effects. The follower retry loop
-// in serveCached re-checks the cache after an empty flight; those
-// re-checks belong to a logical request whose one hit-or-miss was
-// already counted up front, so counting them again would inflate
-// serve.cache.miss by the number of retries.
-func (c *resultCache) peek(k cacheKey) ([]byte, bool) {
-	return c.lru.get(k)
-}
-
-// put stores body under k. It is the result flight table's keep, so it
-// runs under that table's lock and must not call back into it.
-func (c *resultCache) put(k cacheKey, body []byte) {
-	obs.Inc("serve.cache.store")
-	if c.lru.add(k, body) {
-		obs.Inc("serve.cache.evict")
-	}
 }

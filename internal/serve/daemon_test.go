@@ -85,6 +85,35 @@ func TestDaemonErrorMapping(t *testing.T) {
 	}
 }
 
+// TestDaemonInfeasibleRandomFabricsAre422: a random fabric whose config
+// is in range but whose wiring comes out disconnected, or never
+// converges, is an infeasible construction — 422, not a 500. Each spec
+// below fails for some of its seeds (the n=4 net=1 jellyfish for all).
+func TestDaemonInfeasibleRandomFabricsAre422(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, spec := range []string{
+		`"name":"jellyfish","n":8,"radix":6,"net":2`,
+		`"name":"jellyfish","n":4,"radix":4,"net":1`,
+		`"name":"xpander","d":2,"lift":3,"radix":4`,
+		`"name":"xpander","d":3,"lift":2,"radix":6`,
+	} {
+		infeasible := 0
+		for seed := 1; seed <= 200; seed++ {
+			rr := do(h, nil, "POST", "/v1/stats", fmt.Sprintf(`{"topo":{%s,"rate":100,"seed":%d}}`, spec, seed))
+			switch rr.Code {
+			case http.StatusOK:
+			case http.StatusUnprocessableEntity:
+				infeasible++
+			default:
+				t.Fatalf("{%s} seed %d status = %d: %s", spec, seed, rr.Code, rr.Body)
+			}
+		}
+		if infeasible == 0 {
+			t.Errorf("{%s}: no seed in 1..200 was infeasible; the spec no longer covers the error path", spec)
+		}
+	}
+}
+
 // TestDaemonSharedSnapshotSingleFreeze: N concurrent requests against
 // one topology build it — and freeze its CSR snapshot — exactly once;
 // everyone else shares the result and every response is byte-identical.

@@ -136,12 +136,17 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	w.Write(append(b, '\n'))
 }
 
-// statusFor maps a compute error onto its HTTP status: expired deadline
-// 504, client-canceled 499, invalid input 422, anything else 500.
-// DeadlineExceeded is checked before the ErrCanceled kind because
-// physerr.Canceled wraps both.
+// errOverloaded marks a leader refused an admission slot: a 429.
+var errOverloaded = errors.New("overloaded")
+
+// statusFor maps a compute error onto its HTTP status: admission refused
+// 429, expired deadline 504, client-canceled 499, invalid input 422,
+// anything else 500. DeadlineExceeded is checked before the ErrCanceled
+// kind because physerr.Canceled wraps both.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, errOverloaded):
+		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, physerr.ErrCanceled):
@@ -158,18 +163,13 @@ func statusFor(err error) int {
 
 // serveCached answers a request from the result cache, from an
 // identical in-flight computation, or by computing — the one path every
-// /v1 evaluation route goes through. The cache is consulted before
-// anything else (a hit does zero kernel work, so it owes no admission
-// slot and no flight); an identical request already computing makes
-// this one a follower that blocks and re-serves the leader's exact
-// bytes (serve.cache.coalesced); otherwise this request leads the
-// flight itself. The request's stacked deadlines (server -timeout and
-// client timeout_ms, earliest wins) are built once up front so a
-// follower's wait is bounded exactly like its own computation would
-// have been: a follower whose deadline expires gets its own 504 and
-// leaves the leader running. A leader that fails, is canceled, or is
-// refused admission releases its followers to retry fresh — its
-// outcome is never pinned onto them or into the cache.
+// /v1 evaluation route goes through, and one caller of the flight cache
+// (singleflight.go). A hit does zero kernel work, so it owes no
+// admission slot and no flight. The request's stacked deadlines (server
+// -timeout and client timeout_ms, earliest wins) are built once up
+// front, so a follower's wait is bounded exactly like its own
+// computation would have been: a follower whose deadline expires gets
+// its own 504 and leaves the leader running.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKey,
 	timeoutMS int64, compute func(ctx context.Context) (any, error)) {
 	ctx := r.Context()
@@ -183,107 +183,50 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKe
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-
-	// One logical request is one hit or one miss, no matter how many
-	// times the follower loop below re-checks the cache: the counted
-	// lookup happens exactly once, here. (The loop used to re-run it per
-	// retry, so a request released by a failed leader inflated
-	// serve.cache.miss once per iteration.)
-	if body, ok := s.cache.get(key); ok {
-		writeJSONBody(w, body, "hit")
-		return
-	}
-	for {
-		f, leader := s.flights.begin(key)
-		if leader {
-			s.serveAsLeader(w, ctx, key, f, compute)
-			return
-		}
-		// Follower: the leader is computing these exact bytes right now.
-		select {
-		case <-f.done:
-			if f.ok {
-				obs.Inc("serve.cache.coalesced")
-				writeJSONBody(w, f.val, "coalesced")
-				return
-			}
-			// The leader produced no response. A later flight may have
-			// populated the cache in the meantime — re-check it uncounted
-			// (same logical request, already counted as one miss) — then
-			// loop: this request becomes the new leader, or follows a
-			// fresh flight, under its own context.
-			if body, ok := s.cache.peek(key); ok {
-				writeJSONBody(w, body, "hit")
-				return
-			}
-			continue
-		case <-ctx.Done():
-			if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
-				obs.Inc("serve.request.deadline")
-				writeError(w, http.StatusGatewayTimeout,
-					fmt.Errorf("deadline expired while coalesced behind an identical in-flight request: %w", err))
-			} else {
-				obs.Inc("serve.request.canceled")
-				writeError(w, StatusClientClosedRequest, err)
-			}
-			return
-		}
-	}
-}
-
-// serveAsLeader runs the computation this request leads. Only the
-// leader occupies an admission slot — N coalesced requests cost one
-// unit of kernel work, so they owe one slot between them. The
-// successful response value is marshaled once; those exact bytes go to
-// the cache (the flight table's keep), to every follower, and onto this
-// request's wire, keeping miss, coalesced, and hit responses
-// byte-identical.
-func (s *Server) serveAsLeader(w http.ResponseWriter, ctx context.Context, key cacheKey,
-	f *flight[[]byte], compute func(ctx context.Context) (any, error)) {
-	// The flight must complete on every exit path — error, panic
-	// (net/http recovers handler panics), admission refusal — or the
-	// followers would wait on a leader that is never coming back.
-	completed := false
-	defer func() {
-		if !completed {
-			s.flights.finish(key, f, nil, false)
-		}
-	}()
-
-	if !s.gate.TryEnter() {
-		obs.Inc("serve.admission.rejected")
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("overloaded: %d evaluations in flight (capacity %d); retry shortly",
-				s.gate.InFlight(), s.gate.Cap()))
-		return
-	}
-	defer s.gate.Leave()
-	obs.MaxGauge("serve.inflight.peak", float64(s.gate.InFlight()))
-
-	resp, err := compute(ctx)
+	body, src, err := s.results.get(ctx, key, func(ctx context.Context) ([]byte, error) {
+		return s.computeBody(ctx, compute)
+	})
 	if err != nil {
+		// Canceled, expired, refused, and failed requests never touch the
+		// cache: the next identical request gets a full, fresh evaluation.
 		status := statusFor(err)
 		switch status {
+		case http.StatusTooManyRequests:
+			w.Header().Set("Retry-After", "1")
 		case http.StatusGatewayTimeout:
 			obs.Inc("serve.request.deadline")
 		case StatusClientClosedRequest:
 			obs.Inc("serve.request.canceled")
 		}
-		// Canceled, expired, and failed requests never touch the cache:
-		// the next identical request gets a full, fresh evaluation.
 		writeError(w, status, err)
 		return
 	}
+	writeJSONBody(w, body, string(src))
+}
+
+// computeBody is the result cache's compute. Only the leader occupies an
+// admission slot — N coalesced requests cost one unit of kernel work, so
+// they owe one slot between them. The response is marshaled once; those
+// exact bytes are stored, handed to every follower, and written to the
+// leader's own wire, keeping miss, coalesced, and hit responses
+// byte-identical.
+func (s *Server) computeBody(ctx context.Context, compute func(ctx context.Context) (any, error)) ([]byte, error) {
+	if !s.gate.TryEnter() {
+		obs.Inc("serve.admission.rejected")
+		return nil, fmt.Errorf("%w: %d evaluations in flight (capacity %d); retry shortly",
+			errOverloaded, s.gate.InFlight(), s.gate.Cap())
+	}
+	defer s.gate.Leave()
+	obs.MaxGauge("serve.inflight.peak", float64(s.gate.InFlight()))
+	resp, err := compute(ctx)
+	if err != nil {
+		return nil, err
+	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	body = append(body, '\n')
-	s.flights.finish(key, f, body, true)
-	completed = true
-	writeJSONBody(w, body, "miss")
+	return append(body, '\n'), nil
 }
 
 func writeJSONBody(w http.ResponseWriter, body []byte, cacheState string) {
@@ -546,8 +489,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.SetGauge("serve.inflight", float64(s.gate.InFlight()))
-	obs.SetGauge("serve.cache.entries", float64(s.cache.lru.len()))
-	obs.SetGauge("serve.store.entries", float64(s.store.entries.len()))
+	obs.SetGauge("serve.cache.entries", float64(s.results.lru.len()))
+	obs.SetGauge("serve.store.entries", float64(s.store.flights.lru.len()))
 	obs.SetGauge("serve.docs.entries", float64(s.docs.len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, obs.TakeSnapshot().RenderMetrics())

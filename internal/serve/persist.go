@@ -58,7 +58,7 @@ func entrySum(k cacheKey, body []byte) string {
 // being served during the snapshot; entries added after the snapshot is
 // taken are simply not in this save.
 func (s *Server) SaveCache(path string) (int, error) {
-	keys, bodies := s.cache.lru.snapshotOldestFirst()
+	keys, bodies := s.results.lru.snapshotOldestFirst()
 	err := atomicfile.Write(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		if err := enc.Encode(persistHeader{Format: persistFormat, Version: persistVersion, Entries: len(keys)}); err != nil {
@@ -138,7 +138,7 @@ func (s *Server) LoadCache(path string) (int, error) {
 			obs.Inc("serve.persist.corrupt")
 			continue
 		}
-		s.cache.lru.add(k, body)
+		s.results.lru.add(k, body)
 		loaded++
 	}
 	// The shortfall: entries the header promised but the file no longer

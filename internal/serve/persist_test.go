@@ -48,8 +48,8 @@ func TestPersistWarmStartByteIdenticalHits(t *testing.T) {
 		t.Fatalf("loaded %d entries, want %d", loaded, len(reqs))
 	}
 	// Recency order survives the round-trip, not just the contents.
-	k1, v1 := s1.cache.lru.snapshotOldestFirst()
-	k2, v2 := s2.cache.lru.snapshotOldestFirst()
+	k1, v1 := s1.results.lru.snapshotOldestFirst()
+	k2, v2 := s2.results.lru.snapshotOldestFirst()
 	if len(k1) != len(k2) {
 		t.Fatalf("entry count diverged: %d vs %d", len(k1), len(k2))
 	}

@@ -21,7 +21,9 @@
 //     sharing is a read-only fan-out.
 //   - Results are cached in a bounded LRU keyed by a canonical SHA-256
 //     of the normalized request (cache.go): a hit re-serves the exact
-//     response bytes with zero kernel work.
+//     response bytes with zero kernel work. The result cache and the
+//     topology store are both one flight cache (singleflight.go), so
+//     identical concurrent misses compute once.
 //   - Admission control is a par.Gate: at most MaxInFlight uncached
 //     evaluations run at once, each fanning out under the shared
 //     par.Workers() budget; a burst past that is refused with 429 +
@@ -49,9 +51,6 @@ type Config struct {
 	MaxInFlight int
 	// CacheEntries bounds the LRU result cache (default 256 responses).
 	CacheEntries int
-	// StoreEntries bounds the shared topology store (default 32 loaded
-	// fabrics, each holding one frozen snapshot).
-	StoreEntries int
 	// DocEntries bounds the resident interchange-document cache (default
 	// 32 uploaded documents, addressed by content digest; see
 	// documents.go). An evicted document 422s until re-uploaded.
@@ -69,27 +68,32 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.StoreEntries <= 0 {
-		c.StoreEntries = 32
-	}
 	if c.DocEntries <= 0 {
 		c.DocEntries = 32
 	}
 	return c
 }
 
-// Server is the daemon state shared across requests: the result cache,
-// the in-flight coalescing table, the topology store, and the admission
+// Server is the daemon state shared across requests: the result cache
+// with its coalescing flights, the topology store, and the admission
 // gate. Create with New; serve its Handler with net/http.
 type Server struct {
 	cfg     Config
 	gate    *par.Gate
-	cache   *resultCache
-	flights *flightTable[[]byte]
+	results *flightCache[[]byte] // response bytes by canonical request key
 	store   *topoStore
 	docs    *lruCache[document] // uploaded interchange documents by content digest
 	mux     *http.ServeMux
 	start   time.Time
+}
+
+// resultCounters are the result cache's obs counters.
+var resultCounters = &flightCounters{
+	evHit:       "serve.cache.hit",
+	evMiss:      "serve.cache.miss",
+	evCoalesced: "serve.cache.coalesced",
+	evStore:     "serve.cache.store",
+	evEvict:     "serve.cache.evict",
 }
 
 // New builds a Server. Observability collection is enabled as a side
@@ -99,13 +103,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	obs.Enable()
 	cfg = cfg.withDefaults()
-	cache := newResultCache(cfg.CacheEntries)
 	s := &Server{
 		cfg:     cfg,
 		gate:    par.NewGate(cfg.MaxInFlight),
-		cache:   cache,
-		flights: newFlightTable(cache.put),
-		store:   newTopoStore(cfg.StoreEntries),
+		results: newFlightCache[[]byte](cfg.CacheEntries, resultCounters),
+		store:   newTopoStore(storeEntries),
 		docs:    newLRU[document](cfg.DocEntries),
 		start:   time.Now(),
 	}

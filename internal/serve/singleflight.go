@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"physdep/internal/obs"
+	"physdep/internal/physerr"
 )
 
 // flight is one in-progress computation of a key. The first caller for
@@ -13,7 +16,7 @@ import (
 // then takes the leader's outcome. val and ok are written exactly once,
 // before done is closed, so readers that return from <-done observe them
 // without further synchronization. ok == false means the leader produced
-// no result (it failed, was canceled, or was refused admission) —
+// no value (it failed, was canceled, or was refused admission) —
 // followers must then retry on their own rather than inherit the
 // leader's outcome (its deadline, its disconnect, its 429 are facts
 // about that request, not about the key).
@@ -24,82 +27,151 @@ type flight[V any] struct {
 	waiters atomic.Int64 // followers that joined this flight (peak gauge + test seam)
 }
 
-// flightTable is the daemon's one single-flight primitive: a per-key
-// in-flight index in front of a store. The result cache runs on one for
-// response bytes, topoStore on another for built topologies. keep stores
-// a leader's successful value; it runs under the table lock, before the
-// flight leaves the table, so a caller that misses the flight finds the
-// value already stored — never a gap in which a second computation of
-// the same key could start. keep must therefore not block or call back
-// into the table.
-type flightTable[V any] struct {
+// source says where flightCache.get found a key's value.
+type source string
+
+// The sources double as the X-Physdepd-Cache header values.
+const (
+	fromStore   source = "hit"       // a stored value
+	fromFlight  source = "coalesced" // an identical computation already in progress
+	fromCompute source = "miss"      // this caller led the computation
+)
+
+// flightEvent indexes flightCounters.
+type flightEvent int
+
+const (
+	evHit flightEvent = iota
+	evMiss
+	evCoalesced
+	evStore
+	evEvict
+)
+
+// flightCounters names the obs counter a flightCache bumps per event.
+type flightCounters [evEvict + 1]string
+
+// flightCache is the daemon's one single-flight primitive: a bounded LRU
+// of completed values with a per-key in-flight table in front of it.
+// The result cache runs on one for response bytes, topoStore on another
+// for built topologies.
+//
+// Whether a key is stored and whether a flight for it is running are
+// decided under one lock (mu), and a leader's value is stored under that
+// lock before its flight leaves the table. So every caller either finds
+// the value, joins the flight, or leads — no caller can miss both and
+// start a second computation of a key another caller just finished.
+type flightCache[V any] struct {
+	lru      *lruCache[V]
+	counters *flightCounters // nil counts nothing
 	mu       sync.Mutex
 	inflight map[cacheKey]*flight[V]
-	keep     func(cacheKey, V)
 }
 
-func newFlightTable[V any](keep func(cacheKey, V)) *flightTable[V] {
-	return &flightTable[V]{inflight: map[cacheKey]*flight[V]{}, keep: keep}
+func newFlightCache[V any](entries int, counters *flightCounters) *flightCache[V] {
+	return &flightCache[V]{lru: newLRU[V](entries), counters: counters, inflight: map[cacheKey]*flight[V]{}}
 }
 
-// begin claims the flight for k. The caller that creates the flight is
-// its leader (leader == true) and must eventually call finish, even on
-// failure — a leader that never finishes would park its followers until
-// their deadlines. Every other caller gets the existing flight to wait
-// on.
-func (t *flightTable[V]) begin(k cacheKey) (f *flight[V], leader bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.inflight[k]; ok {
-		obs.MaxGauge("serve.flight.waiters.peak", float64(f.waiters.Add(1)))
-		return f, false
+// get returns k's value from the store, from an identical flight in
+// progress, or by leading compute(ctx), and says which. A hit is one LRU
+// lookup and takes no flight lock; it and the miss that follows it are
+// counted once per call, however often a follower retries. A follower
+// waits under its own ctx: when ctx is done first it gets an error
+// matching physerr.ErrCanceled and the flight carries on for the rest.
+// A leader's error is returned to the leader alone and is never stored;
+// its followers retry, leading a fresh flight or joining one.
+func (c *flightCache[V]) get(ctx context.Context, k cacheKey, compute func(context.Context) (V, error)) (V, source, error) {
+	if v, ok := c.lru.get(k); ok {
+		c.count(evHit)
+		return v, fromStore, nil
 	}
-	f = &flight[V]{done: make(chan struct{})}
-	t.inflight[k] = f
-	return f, true
-}
-
-// finish completes f with the leader's outcome and releases its
-// followers. While f is still k's flight (pointer identity), a
-// successful val is kept and f leaves the table, so a request arriving
-// afterwards starts fresh and finds the store populated. A flight that
-// drop already took out of the table is not kept: its followers still
-// get val, but the key stays unstored and a newer flight is untouched.
-func (t *flightTable[V]) finish(k cacheKey, f *flight[V], val V, ok bool) {
-	t.mu.Lock()
-	if t.inflight[k] == f {
-		if ok {
-			t.keep(k, val)
+	c.count(evMiss)
+	for {
+		c.mu.Lock()
+		if v, ok := c.lru.get(k); ok {
+			c.mu.Unlock()
+			return v, fromStore, nil
 		}
-		delete(t.inflight, k)
+		f, ok := c.inflight[k]
+		if !ok {
+			f = &flight[V]{done: make(chan struct{})}
+			c.inflight[k] = f
+			c.mu.Unlock()
+			v, err := c.lead(ctx, k, f, compute)
+			return v, fromCompute, err
+		}
+		obs.MaxGauge("serve.flight.waiters.peak", float64(f.waiters.Add(1)))
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			if f.ok {
+				c.count(evCoalesced)
+				return f.val, fromFlight, nil
+			}
+		case <-ctx.Done():
+			var zero V
+			return zero, fromFlight, fmt.Errorf("waiting on an identical computation in flight: %w",
+				physerr.Canceled(ctx.Err()))
+		}
 	}
-	t.mu.Unlock()
-	f.val, f.ok = val, ok
-	close(f.done)
 }
 
-// drop takes k's in-progress flight, if any, out of the table and
-// reports whether there was one. The next begin for k starts a fresh
-// flight, and the dropped one's result is handed to its followers but
-// never kept — how /v1/reload forces a rebuild of a topology whose build
-// is still running.
-func (t *flightTable[V]) drop(k cacheKey) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.inflight[k]
-	delete(t.inflight, k)
-	return ok
+// lead runs compute as the leader of f. The flight finishes on every
+// exit path, panics included (net/http recovers handler panics), or its
+// followers would wait for a leader that never comes back. While f is
+// still k's flight (pointer identity), a successful value is stored and
+// f leaves the table, both under mu; a flight that drop already took out
+// is not stored, but its followers still get the value.
+func (c *flightCache[V]) lead(ctx context.Context, k cacheKey, f *flight[V], compute func(context.Context) (V, error)) (V, error) {
+	var v V
+	ok := false
+	defer func() {
+		c.mu.Lock()
+		if c.inflight[k] == f {
+			if ok {
+				c.count(evStore)
+				if c.lru.add(k, v) {
+					c.count(evEvict)
+				}
+			}
+			delete(c.inflight, k)
+		}
+		c.mu.Unlock()
+		f.val, f.ok = v, ok
+		close(f.done)
+	}()
+	v, err := compute(ctx)
+	ok = err == nil
+	return v, err
+}
+
+func (c *flightCache[V]) count(e flightEvent) {
+	if c.counters != nil {
+		obs.Inc(c.counters[e])
+	}
+}
+
+// drop forgets k — its stored value and any flight of it in progress —
+// and reports whether there was either. A dropped flight's value is
+// handed to its followers but never stored, and the next get for k
+// computes fresh: how /v1/reload forces a rebuild of a topology whose
+// build is still running.
+func (c *flightCache[V]) drop(k cacheKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, building := c.inflight[k]
+	delete(c.inflight, k)
+	return c.lru.remove(k) || building
 }
 
 // waiting reports how many followers have joined k's current flight
 // (0 if none is in progress). Tests use it to park a known number of
 // followers behind a blocked leader before releasing the build.
-func (t *flightTable[V]) waiting(k cacheKey) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f, ok := t.inflight[k]
-	if !ok {
-		return 0
+func (c *flightCache[V]) waiting(k cacheKey) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.inflight[k]; ok {
+		return f.waiters.Load()
 	}
-	return f.waiters.Load()
+	return 0
 }

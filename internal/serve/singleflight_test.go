@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -82,7 +84,7 @@ func TestDaemonCoalescedMisses(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "all followers to park behind the leader", func() bool {
-		return s.flights.waiting(key) == n-1
+		return s.results.waiting(key) == n-1
 	})
 	close(release)
 	wg.Wait()
@@ -212,7 +214,7 @@ func TestFailedLeaderReleasesFollowers(t *testing.T) {
 		followerDone <- &followerResult{code: rr.Code, state: rr.Header().Get("X-Physdepd-Cache")}
 	}()
 	waitFor(t, "the follower to park behind the doomed leader", func() bool {
-		return s.flights.waiting(key) == 1
+		return s.results.waiting(key) == 1
 	})
 	before := obs.TakeSnapshot()
 	close(release)
@@ -294,6 +296,255 @@ func TestTopologyFollowerDeadline504(t *testing.T) {
 	close(release)
 	if code := <-leaderDone; code != http.StatusOK {
 		t.Fatalf("leader status = %d, want 200", code)
+	}
+}
+
+// TestCoalescedBurstsStoreEachKeyOnce: a request that misses the cache
+// just as an identical leader finishes must take the stored bytes, not
+// lead a second computation. 300 distinct keys, each sent by 8
+// concurrent identical requests, store exactly 300 responses from 300
+// builds.
+func TestCoalescedBurstsStoreEachKeyOnce(t *testing.T) {
+	h := New(Config{}).Handler()
+	const keys, n = 300, 8
+	before := obs.TakeSnapshot()
+	for seed := 1; seed <= keys; seed++ {
+		body := fmt.Sprintf(`{"topo":{"name":"jellyfish","n":16,"radix":8,"net":4,"rate":100,"seed":%d}}`, seed)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rr := do(h, nil, "POST", "/v1/stats", body); rr.Code != http.StatusOK {
+					t.Errorf("seed %d status = %d: %s", seed, rr.Code, rr.Body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	after := obs.TakeSnapshot()
+	for _, counter := range []string{"serve.cache.store", "serve.store.build"} {
+		if d := counterDelta(before, after, counter); d != keys {
+			t.Fatalf("%s delta = %d, want %d (one per key)", counter, d, keys)
+		}
+	}
+	if d := counterDelta(before, after, "serve.cache.hit") + counterDelta(before, after, "serve.cache.miss"); d != keys*n {
+		t.Fatalf("hit+miss delta = %d, want %d (one per request)", d, keys*n)
+	}
+}
+
+// testCounters are the counters the flightCache unit tests read.
+var testCounters = &flightCounters{
+	evHit:       "flighttest.hit",
+	evMiss:      "flighttest.miss",
+	evCoalesced: "flighttest.coalesced",
+	evStore:     "flighttest.store",
+	evEvict:     "flighttest.evict",
+}
+
+type getResult struct {
+	val int
+	src source
+	err error
+}
+
+// blockedLeader starts a get of k on c whose compute blocks until
+// release is closed and then returns val, err. It returns once the
+// flight is registered, so later gets of k follow it.
+func blockedLeader(c *flightCache[int], k cacheKey, val int, err error) (release chan struct{}, done <-chan getResult) {
+	release = make(chan struct{})
+	started := make(chan struct{})
+	out := make(chan getResult, 1)
+	go func() {
+		v, src, err := c.get(context.Background(), k, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return val, err
+		})
+		out <- getResult{v, src, err}
+	}()
+	<-started
+	return release, out
+}
+
+// getAsync runs c.get(ctx, k) with a compute that returns val and counts
+// its calls.
+func getAsync(ctx context.Context, c *flightCache[int], k cacheKey, val int, calls *atomic.Int64) <-chan getResult {
+	out := make(chan getResult, 1)
+	go func() {
+		v, src, err := c.get(ctx, k, func(context.Context) (int, error) {
+			calls.Add(1)
+			return val, nil
+		})
+		out <- getResult{v, src, err}
+	}()
+	return out
+}
+
+// TestFlightCacheHitAndLead: the first get leads and stores, the second
+// is a hit that never computes, and each get counts one hit or miss.
+func TestFlightCacheHitAndLead(t *testing.T) {
+	obs.Enable()
+	c := newFlightCache[int](4, testCounters)
+	var calls atomic.Int64
+	before := obs.TakeSnapshot()
+	if r := <-getAsync(context.Background(), c, key(1), 7, &calls); r != (getResult{7, fromCompute, nil}) {
+		t.Fatalf("first get = %+v, want 7 from compute", r)
+	}
+	if r := <-getAsync(context.Background(), c, key(1), 8, &calls); r != (getResult{7, fromStore, nil}) {
+		t.Fatalf("second get = %+v, want the stored 7", r)
+	}
+	after := obs.TakeSnapshot()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("compute calls = %d, want 1", n)
+	}
+	for counter, want := range map[string]int64{"flighttest.hit": 1, "flighttest.miss": 1, "flighttest.store": 1} {
+		if d := counterDelta(before, after, counter); d != want {
+			t.Fatalf("%s delta = %d, want %d", counter, d, want)
+		}
+	}
+}
+
+// TestFlightCacheFollowersJoinTheLeader: gets that arrive while a flight
+// runs join it and take the leader's value without computing.
+func TestFlightCacheFollowersJoinTheLeader(t *testing.T) {
+	obs.Enable()
+	c := newFlightCache[int](4, testCounters)
+	release, leader := blockedLeader(c, key(1), 7, nil)
+	var calls atomic.Int64
+	const n = 4
+	followers := make([]<-chan getResult, n)
+	for i := range followers {
+		followers[i] = getAsync(context.Background(), c, key(1), 8, &calls)
+	}
+	waitFor(t, "followers to join", func() bool { return c.waiting(key(1)) == n })
+	before := obs.TakeSnapshot()
+	close(release)
+	if r := <-leader; r != (getResult{7, fromCompute, nil}) {
+		t.Fatalf("leader = %+v, want 7 from compute", r)
+	}
+	for i, f := range followers {
+		if r := <-f; r != (getResult{7, fromFlight, nil}) {
+			t.Fatalf("follower %d = %+v, want the leader's 7", i, r)
+		}
+	}
+	after := obs.TakeSnapshot()
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("followers computed %d times, want 0", got)
+	}
+	if d := counterDelta(before, after, "flighttest.coalesced"); d != n {
+		t.Fatalf("coalesced delta = %d, want %d", d, n)
+	}
+}
+
+// TestFlightCacheRetryAfterFailedLeader: a failed leader's error stays
+// its own; its follower leads a fresh computation, and the retry counts
+// no second miss.
+func TestFlightCacheRetryAfterFailedLeader(t *testing.T) {
+	obs.Enable()
+	c := newFlightCache[int](4, testCounters)
+	errInjected := errors.New("injected")
+	release, leader := blockedLeader(c, key(1), 0, errInjected)
+	var calls atomic.Int64
+	follower := getAsync(context.Background(), c, key(1), 8, &calls)
+	waitFor(t, "the follower to join", func() bool { return c.waiting(key(1)) == 1 })
+	before := obs.TakeSnapshot()
+	close(release)
+	if r := <-leader; !errors.Is(r.err, errInjected) {
+		t.Fatalf("leader err = %v, want the injected failure", r.err)
+	}
+	if r := <-follower; r != (getResult{8, fromCompute, nil}) {
+		t.Fatalf("follower = %+v, want its own 8 from compute", r)
+	}
+	after := obs.TakeSnapshot()
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("follower computed %d times, want 1", got)
+	}
+	if d := counterDelta(before, after, "flighttest.miss"); d != 0 {
+		t.Fatalf("retry counted %d more misses, want 0", d)
+	}
+	if v, ok := c.lru.get(key(1)); !ok || v != 8 {
+		t.Fatalf("stored = %d,%v, want the follower's 8", v, ok)
+	}
+}
+
+// TestFlightCacheLeaderPanicReleasesFollowers: a leader that panics
+// still finishes its flight, so its follower leads instead of waiting
+// forever.
+func TestFlightCacheLeaderPanicReleasesFollowers(t *testing.T) {
+	c := newFlightCache[int](4, nil)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.get(context.Background(), key(1), func(context.Context) (int, error) {
+			close(started)
+			<-release
+			panic("injected")
+		})
+	}()
+	<-started
+	var calls atomic.Int64
+	follower := getAsync(context.Background(), c, key(1), 8, &calls)
+	waitFor(t, "the follower to join", func() bool { return c.waiting(key(1)) == 1 })
+	close(release)
+	if p := <-panicked; p != "injected" {
+		t.Fatalf("leader recovered %v, want the injected panic", p)
+	}
+	if r := <-follower; r != (getResult{8, fromCompute, nil}) {
+		t.Fatalf("follower = %+v, want its own 8 from compute", r)
+	}
+}
+
+// TestFlightCacheFollowerOwnDeadline: a follower whose context ends
+// first gets ErrCanceled; the leader completes and stores as usual.
+func TestFlightCacheFollowerOwnDeadline(t *testing.T) {
+	c := newFlightCache[int](4, nil)
+	release, leader := blockedLeader(c, key(1), 7, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	var calls atomic.Int64
+	r := <-getAsync(ctx, c, key(1), 8, &calls)
+	if !errors.Is(r.err, physerr.ErrCanceled) || !errors.Is(r.err, context.DeadlineExceeded) {
+		t.Fatalf("expired follower err = %v, want ErrCanceled and DeadlineExceeded", r.err)
+	}
+	close(release)
+	if r := <-leader; r != (getResult{7, fromCompute, nil}) {
+		t.Fatalf("leader = %+v after its follower expired, want 7", r)
+	}
+	if v, ok := c.lru.get(key(1)); !ok || v != 7 {
+		t.Fatalf("stored = %d,%v, want the leader's 7", v, ok)
+	}
+}
+
+// TestFlightCacheDropDuringFlight: a drop while a flight runs hands the
+// flight's value to its waiters but stores nothing, so the next get
+// computes fresh; dropping a stored key forgets it.
+func TestFlightCacheDropDuringFlight(t *testing.T) {
+	c := newFlightCache[int](4, nil)
+	release, leader := blockedLeader(c, key(1), 7, nil)
+	var calls atomic.Int64
+	follower := getAsync(context.Background(), c, key(1), 8, &calls)
+	waitFor(t, "the follower to join", func() bool { return c.waiting(key(1)) == 1 })
+	if !c.drop(key(1)) {
+		t.Fatal("drop during a flight reported nothing to drop")
+	}
+	close(release)
+	if r := <-leader; r.err != nil || r.val != 7 {
+		t.Fatalf("leader = %+v, want 7", r)
+	}
+	if r := <-follower; r != (getResult{7, fromFlight, nil}) {
+		t.Fatalf("follower = %+v, want the dropped flight's 7", r)
+	}
+	if n := c.lru.len(); n != 0 {
+		t.Fatalf("dropped flight was stored (%d entries)", n)
+	}
+	if r := <-getAsync(context.Background(), c, key(1), 9, &calls); r != (getResult{9, fromCompute, nil}) {
+		t.Fatalf("get after drop = %+v, want a fresh 9", r)
+	}
+	if !c.drop(key(1)) || c.drop(key(1)) {
+		t.Fatal("drop of a stored key must report true once, then false")
 	}
 }
 

@@ -5,19 +5,18 @@ import (
 
 	"physdep/internal/cli"
 	"physdep/internal/obs"
-	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
 
 // topoStore shares one built topology — and therefore one frozen CSR
 // graph.Snapshot — per distinct topology spec, across every concurrent
-// request that names it. Building is single-flight on the daemon's
-// flight table (the first request builds and freezes; concurrent
-// requests for the same spec wait for that one build, each within its
-// own deadline), and completed topologies live in a bounded LRU so a
-// scan over thousands of distinct specs cannot grow memory without
-// bound. A build in progress is not in the LRU, so eviction never
-// touches one.
+// request that names it. It is a caller of the daemon's flight cache
+// (singleflight.go): the first request for a spec builds and freezes,
+// concurrent requests for it wait for that one build, each within its
+// own deadline, and completed topologies live in the cache's bounded
+// LRU, so a scan over thousands of distinct specs cannot grow memory
+// without bound. A build in progress is not in the LRU, so eviction
+// never touches one.
 //
 // Entries are never mutated in place: handlers only read the stored
 // topology (evaluation, stats, and what-if trials all work on reads or
@@ -28,20 +27,18 @@ import (
 // pointer keep reading the old immutable snapshot — exactly the
 // graph.Freeze() contract.
 type topoStore struct {
-	entries *lruCache[*topology.Topology]
-	flights *flightTable[*topology.Topology]
+	flights *flightCache[*topology.Topology]
 	// build is cli.BuildTopology in production; tests swap in failing or
 	// blocking builders to drive the failure-path and eviction races.
 	build func(cli.TopoParams) (*topology.Topology, error)
 }
 
+// storeEntries bounds the shared topology store: 32 loaded fabrics, each
+// holding one frozen snapshot.
+const storeEntries = 32
+
 func newTopoStore(entries int) *topoStore {
-	lru := newLRU[*topology.Topology](entries)
-	return &topoStore{
-		entries: lru,
-		flights: newFlightTable(func(k cacheKey, t *topology.Topology) { lru.add(k, t) }),
-		build:   cli.BuildTopology,
-	}
+	return &topoStore{flights: newFlightCache[*topology.Topology](entries, nil), build: cli.BuildTopology}
 }
 
 // specKey returns the canonical identity of a topology spec. Seed and
@@ -62,47 +59,18 @@ func (st *topoStore) load(ctx context.Context, spec cli.TopoParams) (*topology.T
 	if err != nil {
 		return nil, err
 	}
-	for {
-		if t, ok := st.entries.get(k); ok {
-			return t, nil
+	t, _, err := st.flights.get(ctx, k, func(context.Context) (*topology.Topology, error) {
+		obs.Inc("serve.store.build")
+		t, err := st.build(spec)
+		if err != nil {
+			return nil, err
 		}
-		f, leader := st.flights.begin(k)
-		if leader {
-			return st.lead(k, f, spec)
-		}
-		select {
-		case <-f.done:
-			if f.ok {
-				return f.val, nil
-			}
-			// The leader's build failed: loop, and lead a fresh build or
-			// follow one, under this request's own context.
-		case <-ctx.Done():
-			return nil, physerr.Canceled(ctx.Err())
-		}
-	}
-}
-
-// lead builds and freezes spec as the leader of f. The flight finishes
-// on every exit path, panics included, or its followers would wait for a
-// build that never ends.
-func (st *topoStore) lead(k cacheKey, f *flight[*topology.Topology], spec cli.TopoParams) (topo *topology.Topology, err error) {
-	defer func() { st.flights.finish(k, f, topo, topo != nil) }()
-	// A build that finished between this request's store miss and its
-	// begin was kept before its flight left the table: serve it rather
-	// than building twice.
-	if t, ok := st.entries.get(k); ok {
+		// Freeze eagerly: the shared snapshot is built exactly once per
+		// loaded topology, outside any request's timed kernel work.
+		t.Freeze()
 		return t, nil
-	}
-	obs.Inc("serve.store.build")
-	t, err := st.build(spec)
-	if err != nil {
-		return nil, err
-	}
-	// Freeze eagerly: the shared snapshot is built exactly once per loaded
-	// topology, outside any request's timed kernel work.
-	t.Freeze()
-	return t, nil
+	})
+	return t, err
 }
 
 // invalidate drops the stored topology for spec and any build of it in
@@ -113,10 +81,9 @@ func (st *topoStore) invalidate(spec cli.TopoParams) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	building := st.flights.drop(k)
-	stored := st.entries.remove(k)
-	if building || stored {
+	dropped := st.flights.drop(k)
+	if dropped {
 		obs.Inc("serve.store.invalidate")
 	}
-	return building || stored, nil
+	return dropped, nil
 }

@@ -46,7 +46,7 @@ func TestStoreFailedBuildIsNeverStored(t *testing.T) {
 	if _, err := st.load(ctx, spec); err == nil {
 		t.Fatal("first load did not surface the injected failure")
 	}
-	if n := st.entries.len(); n != 0 {
+	if n := st.flights.lru.len(); n != 0 {
 		t.Fatalf("store holds %d entries after a failed build, want 0", n)
 	}
 	if _, building := st.flights.inflight[k]; building {
@@ -174,8 +174,8 @@ func TestStoreEvictMidBuildCompletesAndRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.entries.get(kA); ok || st.entries.len() != 1 {
-		t.Fatalf("store holds %d entries (A stored: %v), want only B while A builds", st.entries.len(), ok)
+	if _, ok := st.flights.lru.get(kA); ok || st.flights.lru.len() != 1 {
+		t.Fatalf("store holds %d entries (A stored: %v), want only B while A builds", st.flights.lru.len(), ok)
 	}
 
 	close(release)
@@ -220,7 +220,7 @@ func TestStoreInvalidateMidBuildForcesRebuild(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("holder's build failed: %v", res.err)
 	}
-	if n := st.entries.len(); n != 0 {
+	if n := st.flights.lru.len(); n != 0 {
 		t.Fatalf("store kept the invalidated build (%d entries)", n)
 	}
 	rebuilt, err := st.load(context.Background(), spec)

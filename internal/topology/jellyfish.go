@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"physdep/internal/physerr"
 	"physdep/internal/units"
 )
 
@@ -55,7 +56,7 @@ const jellySeedMix uint64 = 0x6a656c6c79
 // aggregates instead of diffing neighbor fingerprints.
 func JellyfishAddToR(t *Topology, cfg JellyfishConfig, rng *rand.Rand) (newID int, rewires []Rewire, err error) {
 	if cfg.R%2 != 0 {
-		return 0, nil, fmt.Errorf("jellyfish: incremental add needs even R, got %d", cfg.R)
+		return 0, nil, physerr.OutOfRange("jellyfish: incremental add needs even R, got %d", cfg.R)
 	}
 	newID = t.AddSwitch(Node{Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
 		ServerPorts: cfg.K - cfg.R, Pod: -1, Label: fmt.Sprintf("tor-new%d", t.N)})
@@ -63,7 +64,7 @@ func JellyfishAddToR(t *Topology, cfg JellyfishConfig, rng *rand.Rand) (newID in
 	for len(rewires) < need {
 		rw, ok := spliceDouble(t, newID, rng)
 		if !ok {
-			return newID, rewires, fmt.Errorf("jellyfish: only %d of %d splices found", len(rewires), need)
+			return newID, rewires, physerr.Infeasible("jellyfish: only %d of %d splices found", len(rewires), need)
 		}
 		rewires = append(rewires, rw)
 	}
@@ -91,7 +92,7 @@ func randomRegularWire(t *Topology, r int, rng *rand.Rand) error {
 	}
 	for attempts := 0; ; attempts++ {
 		if attempts > 200*n*r {
-			return fmt.Errorf("random regular wiring did not converge (n=%d r=%d)", n, r)
+			return physerr.Infeasible("random regular wiring did not converge (n=%d r=%d)", n, r)
 		}
 		refresh()
 		if len(open) == 0 {
@@ -120,12 +121,12 @@ func randomRegularWire(t *Topology, r int, rng *rand.Rand) error {
 			// double swap: pick edge (a,b) where a not adjacent to u, then
 			// rewire (a,b)+(u free) -> (u,a) leaving b open for a later pass.
 			if !spliceSingle(t, u, rng) {
-				return fmt.Errorf("wiring stuck with odd remainder at node %d", u)
+				return physerr.Infeasible("wiring stuck with odd remainder at node %d", u)
 			}
 			continue
 		}
 		if _, ok := spliceDouble(t, u, rng); !ok {
-			return fmt.Errorf("wiring stuck: no splice candidate for node %d", u)
+			return physerr.Infeasible("wiring stuck: no splice candidate for node %d", u)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"physdep/internal/graph"
+	"physdep/internal/physerr"
 	"physdep/internal/units"
 )
 
@@ -160,7 +161,7 @@ func (t *Topology) Validate() error {
 		}
 	}
 	if t.N > 0 && !t.Connected() {
-		return fmt.Errorf("topology %s: fabric is not connected", t.Name)
+		return physerr.Infeasible("topology %s: fabric is not connected", t.Name)
 	}
 	return nil
 }

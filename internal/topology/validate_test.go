@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"physdep/internal/physerr"
@@ -146,5 +147,43 @@ func TestAddCapSaturates(t *testing.T) {
 	}
 	if got := addCap(6, 7); got != 13 {
 		t.Errorf("addCap(6,7) = %d, want 13", got)
+	}
+}
+
+// TestIncrementalAddErrorKinds: the two exported incremental adds
+// classify their failures — a bad argument is ErrOutOfRange, a fabric
+// with no room left for the splices is ErrInfeasible.
+func TestIncrementalAddErrorKinds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	// A 3-node Jellyfish is a triangle: the first splice of a degree-4
+	// add takes one edge, and every edge left touches the new node.
+	tri, err := Jellyfish(JellyfishConfig{N: 3, K: 4, R: 2, Rate: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := JellyfishAddToR(tri, JellyfishConfig{N: 3, K: 6, R: 3, Rate: 100}, rng); !errors.Is(err, physerr.ErrOutOfRange) {
+		t.Fatalf("jellyfish odd R: err = %v, want ErrOutOfRange", err)
+	}
+	if _, _, err := JellyfishAddToR(tri, JellyfishConfig{N: 3, K: 6, R: 4, Rate: 100}, rng); !errors.Is(err, physerr.ErrInfeasible) {
+		t.Fatalf("jellyfish without splices: err = %v, want ErrInfeasible", err)
+	}
+
+	// A lift-1 Xpander of D=2 is a triangle of one-node meta-nodes: after
+	// one add into meta-node 0, every edge touches meta-node 0.
+	cfg := XpanderConfig{D: 2, Lift: 1, ServerPorts: 2, Rate: 100, Seed: 1}
+	x, err := Xpander(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{-1, cfg.D + 1} {
+		if _, _, err := XpanderAddToR(x, cfg, m, rng); !errors.Is(err, physerr.ErrOutOfRange) {
+			t.Fatalf("xpander meta-node %d: err = %v, want ErrOutOfRange", m, err)
+		}
+	}
+	if _, _, err := XpanderAddToR(x, cfg, 0, rng); err != nil {
+		t.Fatalf("first xpander add: %v", err)
+	}
+	if _, _, err := XpanderAddToR(x, cfg, 0, rng); !errors.Is(err, physerr.ErrInfeasible) {
+		t.Fatalf("xpander without splices: err = %v, want ErrInfeasible", err)
 	}
 }

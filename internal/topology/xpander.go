@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"physdep/internal/physerr"
 	"physdep/internal/units"
 )
 
@@ -63,7 +64,7 @@ func Xpander(cfg XpanderConfig) (*Topology, error) {
 // records name exactly the in-service switches touched.
 func XpanderAddToR(t *Topology, cfg XpanderConfig, m int, rng *rand.Rand) (newID int, rewires []Rewire, err error) {
 	if m < 0 || m > cfg.D {
-		return 0, nil, fmt.Errorf("xpander: meta-node %d out of range [0,%d]", m, cfg.D)
+		return 0, nil, physerr.OutOfRange("xpander: meta-node %d out of range [0,%d]", m, cfg.D)
 	}
 	newID = t.AddSwitch(Node{Role: RoleToR, Radix: cfg.D + cfg.ServerPorts, Rate: cfg.Rate,
 		ServerPorts: cfg.ServerPorts, Pod: m, Label: fmt.Sprintf("tor-%d-new%d", m, t.N)})
@@ -94,7 +95,7 @@ func XpanderAddToR(t *Topology, cfg XpanderConfig, m int, rng *rand.Rand) (newID
 		rewires = append(rewires, Rewire{A: a, B: b})
 	}
 	if len(rewires) < need {
-		return newID, rewires, fmt.Errorf("xpander: only %d of %d splices found for new ToR", len(rewires), need)
+		return newID, rewires, physerr.Infeasible("xpander: only %d of %d splices found for new ToR", len(rewires), need)
 	}
 	return newID, rewires, nil
 }

@@ -52,6 +52,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== daemon single-flight race stress (-race, 20 rounds)"
+# The flight cache's interleavings (hit, join, lead, retry after a
+# failed leader, a follower's own deadline, a drop mid-flight) differ
+# from run to run; one -race pass sees only a few of them.
+go test -race -count=20 -run 'Coalesc|Follower|Leader|Store|Flight' ./internal/serve
+
 echo "== bench module (vet + test)"
 # bench/ is a separate module, so ./... above never reaches it: an API
 # edit that breaks the benchmark harness must fail here instead.
