@@ -1,8 +1,9 @@
 package cabling
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"physdep/internal/floorplan"
 	"physdep/internal/obs"
@@ -35,7 +36,7 @@ func (c Cable) Length() units.Meters { return c.Route.Length }
 // and pulled as one unit (Singh et al.). Cross-section includes a packing
 // overhead: bundled cables don't tile perfectly.
 type Bundle struct {
-	CableIdx     []int // indices into Plan.Cables
+	CableIdx     []int // indices into Plan.Cables; a capped window of one array all bundles share
 	Route        floorplan.Route
 	CrossSection units.SquareMillimeters
 }
@@ -102,12 +103,10 @@ func PlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Opt
 		return nil, err
 	}
 	opts.defaults()
-	p := &Plan{Tray: floorplan.NewTrayLoad(f)}
-	type pairKey struct {
-		a, b int // rack indices, a <= b
-	}
-	groups := map[pairKey][]int{}
-	for _, d := range demands {
+	p := &Plan{Cables: make([]Cable, 0, len(demands)), Tray: floorplan.NewTrayLoad(f)}
+	pair := make([]int, len(demands)) // rack-pair key per cable: low*NumRacks + high
+	order := make([]int, len(demands))
+	for i, d := range demands {
 		route, err := f.RouteBetween(d.From, d.To)
 		if err != nil {
 			return nil, fmt.Errorf("cabling: demand %d: %w", d.ID, err)
@@ -116,48 +115,32 @@ func PlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Opt
 		if err != nil {
 			return nil, fmt.Errorf("demand %d (%v→%v): %w", d.ID, d.From, d.To, err)
 		}
-		idx := len(p.Cables)
 		p.Cables = append(p.Cables, Cable{Demand: d, Route: route, Spec: spec})
-		ka, kb := f.RackIndex(d.From), f.RackIndex(d.To)
-		if ka > kb {
-			ka, kb = kb, ka
-		}
-		groups[pairKey{ka, kb}] = append(groups[pairKey{ka, kb}], idx)
+		a, b := f.RackIndex(d.From), f.RackIndex(d.To)
+		pair[i], order[i] = min(a, b)*f.NumRacks()+max(a, b), i
 	}
-	// Deterministic bundle order: sort group keys.
-	keys := make([]pairKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
+	// One stable sort groups the cables by rack pair: groups in key order,
+	// each in demand order. Every bundle's CableIdx is a capped window of
+	// order, so no bundle copies its cables.
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(pair[i], pair[j]) })
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && pair[order[hi]] == pair[order[lo]] {
+			hi++
 		}
-		return keys[i].b < keys[j].b
-	})
-	for _, k := range keys {
-		idxs := groups[k]
-		sort.Ints(idxs)
-		if len(idxs) < opts.MinBundleSize {
-			for _, i := range idxs {
-				p.addBundle([]int{i}, 1.0) // singleton: no packing overhead
+		// Long groups split into chunks of MaxBundleCables; a chunk below
+		// MinBundleSize is pulled cable by cable.
+		for start := lo; start < hi; start += opts.MaxBundleCables {
+			end := min(start+opts.MaxBundleCables, hi)
+			if end-start >= opts.MinBundleSize {
+				p.addBundle(order[start:end:end], opts.PackingFactor)
+				continue
 			}
-			continue
-		}
-		for start := 0; start < len(idxs); start += opts.MaxBundleCables {
-			end := start + opts.MaxBundleCables
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			chunk := idxs[start:end]
-			if len(chunk) < opts.MinBundleSize {
-				for _, i := range chunk {
-					p.addBundle([]int{i}, 1.0)
-				}
-			} else {
-				p.addBundle(append([]int(nil), chunk...), opts.PackingFactor)
+			for i := start; i < end; i++ {
+				p.addBundle(order[i:i+1:i+1], 1.0) // singleton: no packing overhead
 			}
 		}
+		lo = hi
 	}
 	obs.Add("cabling.plan.cables", int64(len(p.Cables)))
 	obs.Add("cabling.plan.bundles", int64(len(p.Bundles)))

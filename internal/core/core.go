@@ -102,23 +102,40 @@ type Report struct {
 	DiversityRadixs int     `json:"diversity_radixes"` // distinct radixes absorbed
 }
 
-// Validate rejects malformed evaluator inputs: a missing topology or
-// negative tuning knobs (zero means "use the default"). The Hall itself
-// is validated by floorplan.NewFloorplan inside EvaluateCtx.
+// Caps on the evaluator's work knobs. Each sizes work up front: a crew
+// slice the scheduler scans for every task, annealing steps, and one
+// placement clone per restart chain. The step and restart caps are the
+// bounds lifecycle.PlannerConfig.Validate uses.
+const (
+	MaxTechs             = 1024
+	MaxPlacementSteps    = 1 << 20
+	MaxPlacementRestarts = 1 << 10
+)
+
+// CheckKnobs rejects a crew size, an annealing step count or a restart
+// count below zero or above its cap, with an error wrapping
+// physerr.ErrOutOfRange. Zero means "use the default" for each.
+func CheckKnobs(techs, steps, restarts int) error {
+	if techs < 0 || techs > MaxTechs {
+		return physerr.OutOfRange("core: techs must be in [0, %d], got %d", MaxTechs, techs)
+	}
+	if steps < 0 || steps > MaxPlacementSteps {
+		return physerr.OutOfRange("core: placement steps must be in [0, %d], got %d", MaxPlacementSteps, steps)
+	}
+	if restarts < 0 || restarts > MaxPlacementRestarts {
+		return physerr.OutOfRange("core: placement restarts must be in [0, %d], got %d", MaxPlacementRestarts, restarts)
+	}
+	return nil
+}
+
+// Validate rejects malformed evaluator inputs: a missing topology or a
+// tuning knob outside CheckKnobs' range. The Hall itself is validated by
+// floorplan.NewFloorplan inside EvaluateCtx.
 func (in Input) Validate() error {
 	if in.Topo == nil {
 		return physerr.OutOfRange("core: nil topology")
 	}
-	if in.PlacementSteps < 0 {
-		return physerr.OutOfRange("core: PlacementSteps must be >= 0, got %d", in.PlacementSteps)
-	}
-	if in.PlacementRestarts < 0 {
-		return physerr.OutOfRange("core: PlacementRestarts must be >= 0, got %d", in.PlacementRestarts)
-	}
-	if in.Techs < 0 {
-		return physerr.OutOfRange("core: Techs must be >= 0, got %d", in.Techs)
-	}
-	return nil
+	return CheckKnobs(in.Techs, in.PlacementSteps, in.PlacementRestarts)
 }
 
 // EvaluateCtx runs the full pipeline. It is deterministic per Input.Seed.

@@ -1,0 +1,162 @@
+package deploy
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"physdep/internal/cabling"
+	"physdep/internal/cli"
+	"physdep/internal/costmodel"
+	"physdep/internal/floorplan"
+	"physdep/internal/interchange"
+	"physdep/internal/placement"
+)
+
+// The largest fabric the evaluate-miss workload draws: a 96-switch
+// jellyfish in the daemon's default 6×16 hall.
+var benchFabric = cli.TopoParams{Name: "jellyfish", N: 96, Radix: 16, Net: 8, Rate: 100, Seed: 1}
+
+// diffFamilies holds one fabric per cli.Families() entry at
+// evaluate-miss sizes.
+var diffFamilies = map[string]cli.TopoParams{
+	"fattree":       {Name: "fattree", K: 8, Rate: 100},
+	"leafspine":     {Name: "leafspine", N: 64, Spines: 16, Net: 8, Radix: 16, Rate: 100},
+	"jellyfish":     benchFabric,
+	"xpander":       {Name: "xpander", D: 8, Lift: 8, Radix: 16, Rate: 100, Seed: 1},
+	"flatbutterfly": {Name: "flatbutterfly", N: 8, K: 2, Radix: 8, Rate: 100},
+	"fatclique":     {Name: "fatclique", D: 4, Lift: 4, K: 4, Radix: 8, Rate: 100},
+	"slimfly":       {Name: "slimfly", Q: 5, Radix: 9, Rate: 100},
+	"vl2":           {Name: "vl2", D: 16, Lift: 16, Radix: 16, Rate: 100},
+	"flatrandom":    {Name: "flatrandom", N: 96, Radix: 16, Net: 8, Rate: 100, Seed: 1},
+	"file":          {Name: "file"}, // the jellyfish, written out as a document
+}
+
+// placeFamily places p's fabric greedily in a 6×16 hall, as
+// core.EvaluateCtx does.
+func placeFamily(t *testing.T, p cli.TopoParams) *placement.Placement {
+	t.Helper()
+	if p.Name == "file" {
+		topo, err := cli.BuildTopology(benchFabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := interchange.FromTopology(topo).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.File = filepath.Join(t.TempDir(), "fabric.json")
+		if err := os.WriteFile(p.File, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo, err := cli.BuildTopology(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(6, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := placement.Greedy(topo, f, placement.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// assertSameBuild requires Build and the reference to give the same
+// tasks (kinds, minutes, locations, deps and cable links) and the same
+// off-floor minutes, with and without prebundling.
+func assertSameBuild(t *testing.T, name string, p *placement.Placement, plan *cabling.Plan, m *costmodel.Model) {
+	t.Helper()
+	for _, prebundle := range []bool{true, false} {
+		opts := BuildOptions{Prebundle: prebundle}
+		got, want := Build(p, plan, m, opts), refBuild(p, plan, m, opts)
+		if len(got.Tasks) != len(want.Tasks) {
+			t.Fatalf("%s prebundle=%v: %d tasks, reference %d", name, prebundle, len(got.Tasks), len(want.Tasks))
+		}
+		for i := range got.Tasks {
+			if !reflect.DeepEqual(got.Tasks[i], want.Tasks[i]) {
+				t.Fatalf("%s prebundle=%v: task %d = %+v, reference %+v", name, prebundle, i, got.Tasks[i], want.Tasks[i])
+			}
+		}
+		if got.OffFloorMinutes != want.OffFloorMinutes {
+			t.Fatalf("%s prebundle=%v: off-floor %v min, reference %v", name, prebundle, got.OffFloorMinutes, want.OffFloorMinutes)
+		}
+	}
+}
+
+// TestBuildMatchesReference pins Build to the map-and-label reference on
+// every family's cable plan, and on plans of seeded random demands
+// (random topology edges between a few random racks, some of them
+// without a placed rack) under every bundling knob combination.
+func TestBuildMatchesReference(t *testing.T) {
+	m := costmodel.Default()
+	for _, fam := range cli.Families() {
+		fp, ok := diffFamilies[fam]
+		if !ok {
+			t.Errorf("family %q has no differential case", fam)
+			continue
+		}
+		p := placeFamily(t, fp)
+		plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBuild(t, fam, p, plan, m)
+	}
+	p := placeFamily(t, benchFabric)
+	knobs := []int{0, 1, 2, 3, 5, 64}
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xde9107))
+		racks := make([]floorplan.RackLoc, 2+rng.IntN(6))
+		for i := range racks {
+			racks[i] = p.Floor.LocOf(rng.IntN(p.Floor.NumRacks()))
+		}
+		demands := make([]cabling.Demand, rng.IntN(300))
+		for i := range demands {
+			demands[i] = cabling.Demand{ID: rng.IntN(len(p.Topo.Edges)),
+				From: racks[rng.IntN(len(racks))], To: racks[rng.IntN(len(racks))], Rate: 100}
+		}
+		for _, minSize := range knobs {
+			for _, maxCables := range knobs {
+				for _, packing := range []float64{0, 1.5} {
+					opts := cabling.Options{MinBundleSize: minSize, MaxBundleCables: maxCables, PackingFactor: packing}
+					plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), demands, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBuild(t, fmt.Sprintf("seed %d %+v", seed, opts), p, plan, m)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildAllocs holds Build on the 96-switch fixture to a fixed
+// allocation ceiling. Its 1,263 allocations are nearly all one Deps slice
+// per task (1,344 tasks, racks without deps) plus the task slice's
+// growth: no labels, maps or pull-group slices (the labelled Build made
+// 3,287).
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	p := placeFamily(t, benchFabric)
+	plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := costmodel.Default()
+	allocs := testing.AllocsPerRun(20, func() {
+		Build(p, plan, m, BuildOptions{Prebundle: true})
+	})
+	const ceiling = 1300
+	if allocs > ceiling {
+		t.Errorf("Build: %.0f allocs, ceiling %d", allocs, ceiling)
+	}
+}

@@ -2,11 +2,13 @@ package deploy
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"physdep/internal/cabling"
 	"physdep/internal/costmodel"
 	"physdep/internal/floorplan"
+	"physdep/internal/physerr"
 	"physdep/internal/placement"
 	"physdep/internal/topology"
 	"physdep/internal/units"
@@ -179,18 +181,23 @@ func TestExecuteRespectsDependencies(t *testing.T) {
 		for _, d := range task.Deps {
 			depEnd := s.TaskStart[d] + dp.Tasks[d].Minutes
 			if s.TaskStart[task.ID] < depEnd-1e-9 {
-				t.Fatalf("task %d (%s) started %v before dep %d finished %v",
-					task.ID, task.Label, s.TaskStart[task.ID], d, depEnd)
+				t.Fatalf("task %d (%v cable %d at %v) started %v before dep %d finished %v",
+					task.ID, task.Kind, task.CableIdx, task.Loc, s.TaskStart[task.ID], d, depEnd)
 			}
 		}
 	}
 }
 
+// TestExecuteRejectsZeroTechs: a crew below one technician is a
+// parameter out of its envelope, matchable with errors.Is.
 func TestExecuteRejectsZeroTechs(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{})
-	if _, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 0}); err == nil {
-		t.Error("zero techs accepted")
+	for _, techs := range []int{0, -3} {
+		_, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: techs})
+		if !errors.Is(err, physerr.ErrOutOfRange) {
+			t.Errorf("techs=%d: got %v, want ErrOutOfRange", techs, err)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 		return Schedule{}, err
 	}
 	if opts.Techs < 1 {
-		return Schedule{}, fmt.Errorf("deploy: need at least 1 technician")
+		return Schedule{}, physerr.OutOfRange("deploy: need at least 1 technician, got %d", opts.Techs)
 	}
 	yield := m.FirstPassYield
 	if opts.YieldOverride > 0 {
@@ -220,11 +220,9 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 			if rng.Float64() > yield {
 				sched.Reworks++
 				rw := extend(Task{Kind: TaskRework, Minutes: m.ReworkFailedConnect,
-					Loc: t.Loc, Deps: []int{id}, CableIdx: t.CableIdx,
-					Label: fmt.Sprintf("rework cable %d", t.CableIdx)})
+					Loc: t.Loc, Deps: []int{id}, CableIdx: t.CableIdx})
 				rv := extend(Task{Kind: TaskValidate, Minutes: m.ValidateLink,
-					Loc: t.Loc, Deps: []int{rw}, CableIdx: t.CableIdx, Revalidate: true,
-					Label: fmt.Sprintf("revalidate cable %d", t.CableIdx)})
+					Loc: t.Loc, Deps: []int{rw}, CableIdx: t.CableIdx, Revalidate: true})
 				// The rework is ready immediately (its dep just finished).
 				indeg = append(indeg, 0, 1) // rw ready; rv waits on rw
 				children[rw] = append(children[rw], rv)

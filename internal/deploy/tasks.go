@@ -49,7 +49,6 @@ type Task struct {
 	Minutes units.Minutes
 	Loc     floorplan.RackLoc
 	Deps    []int
-	Label   string
 	// CableIdx links connect/validate/rework tasks back to the cabling
 	// plan (-1 otherwise).
 	CableIdx int
@@ -67,9 +66,6 @@ type Plan struct {
 
 func (p *Plan) addTask(t Task) int {
 	t.ID = len(p.Tasks)
-	if t.CableIdx == 0 && t.Kind != TaskConnect && t.Kind != TaskValidate && t.Kind != TaskRework {
-		t.CableIdx = -1
-	}
 	p.Tasks = append(p.Tasks, t)
 	return t.ID
 }
@@ -89,37 +85,30 @@ type BuildOptions struct {
 func Build(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, opts BuildOptions) *Plan {
 	dp := &Plan{}
 	// Rack installs.
-	rackTask := make(map[int]int) // floor slot -> task ID
+	rackTask := make([]int, p.Floor.NumRacks()) // floor slot -> task ID
 	for r := 0; r < p.NumRacks(); r++ {
 		slot := p.SlotOfRack[r]
-		loc := p.Floor.LocOf(slot)
 		rackTask[slot] = dp.addTask(Task{Kind: TaskInstallRack, Minutes: m.InstallRack,
-			Loc: loc, Label: fmt.Sprintf("rack@%v", loc)})
+			Loc: p.Floor.LocOf(slot), CableIdx: -1})
 	}
 	// Switch installs depend on their rack.
 	switchTask := make([]int, p.Topo.N)
 	for sw := 0; sw < p.Topo.N; sw++ {
 		loc := p.LocOfSwitch(sw)
-		slot := p.Floor.RackIndex(loc)
 		switchTask[sw] = dp.addTask(Task{Kind: TaskInstallSwitch, Minutes: m.InstallSwitch,
-			Loc: loc, Deps: []int{rackTask[slot]},
-			Label: fmt.Sprintf("switch %s", p.Topo.Nodes[sw].Label)})
+			Loc: loc, Deps: []int{rackTask[p.Floor.RackIndex(loc)]}, CableIdx: -1})
 	}
-	// Bundle pulls; then per-cable connect + validate.
-	for bi, b := range plan.Bundles {
-		pullGroups := [][]int{b.CableIdx}
-		if !opts.Prebundle && len(b.CableIdx) > 1 {
-			// Individual pulls: one group per cable.
-			pullGroups = nil
-			for _, ci := range b.CableIdx {
-				pullGroups = append(pullGroups, []int{ci})
-			}
+	// Bundle pulls; then per-cable connect + validate. Without
+	// prebundling, each of a bundle's cables is pulled on its own.
+	for _, b := range plan.Bundles {
+		step := len(b.CableIdx)
+		if !opts.Prebundle {
+			step = 1
 		}
-		for gi, group := range pullGroups {
+		for lo := 0; lo < len(b.CableIdx); lo += step {
+			group := b.CableIdx[lo : lo+step]
 			first := plan.Cables[group[0]]
 			srcLoc, dstLoc := first.Route.From, first.Route.To
-			srcSlot := p.Floor.RackIndex(srcLoc)
-			dstSlot := p.Floor.RackIndex(dstLoc)
 			var mins units.Minutes
 			if len(group) > 1 {
 				mins = m.PullBundleFixed + units.Minutes(float64(m.PullBundlePerMeter)*float64(first.Route.Length))
@@ -128,19 +117,17 @@ func Build(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, opts 
 				mins = m.PullCableFixed + units.Minutes(float64(m.PullCablePerMeter)*float64(first.Route.Length))
 			}
 			pullID := dp.addTask(Task{Kind: TaskPullBundle, Minutes: mins, Loc: srcLoc,
-				Deps:  []int{rackTask[srcSlot], rackTask[dstSlot]},
-				Label: fmt.Sprintf("pull bundle %d.%d (%d cables)", bi, gi, len(group))})
+				Deps:     []int{rackTask[p.Floor.RackIndex(srcLoc)], rackTask[p.Floor.RackIndex(dstLoc)]},
+				CableIdx: -1})
 			for _, ci := range group {
 				c := plan.Cables[ci]
 				e := p.Topo.Edges[c.Demand.ID]
 				connID := dp.addTask(Task{Kind: TaskConnect, Minutes: 2 * m.ConnectEnd,
 					Loc:      c.Route.From,
 					Deps:     []int{pullID, switchTask[e.U], switchTask[e.V]},
-					CableIdx: ci,
-					Label:    fmt.Sprintf("connect cable %d", ci)})
+					CableIdx: ci})
 				dp.addTask(Task{Kind: TaskValidate, Minutes: m.ValidateLink,
-					Loc: c.Route.From, Deps: []int{connID}, CableIdx: ci,
-					Label: fmt.Sprintf("validate cable %d", ci)})
+					Loc: c.Route.From, Deps: []int{connID}, CableIdx: ci})
 			}
 		}
 	}

@@ -44,7 +44,8 @@ type HallSpec struct {
 // EvaluateRequest asks for one deployability evaluation: either a
 // registered experiment by ID (the golden-corpus tables) or a custom
 // topology spec run through core.EvaluateCtx. Exactly one of
-// Experiment and Topo must be set.
+// Experiment and Topo must be set. Techs, Anneal and Restarts are capped
+// by core.CheckKnobs.
 type EvaluateRequest struct {
 	Experiment string          `json:"experiment,omitempty"`
 	Topo       *cli.TopoParams `json:"topo,omitempty"`
@@ -260,8 +261,8 @@ func (s *Server) normalizeEvaluate(req EvaluateRequest) (EvaluateRequest, error)
 		}
 		return req, nil
 	}
-	if req.Techs < 0 || req.Anneal < 0 || req.Restarts < 0 {
-		return req, physerr.OutOfRange("serve: techs, anneal, and restarts must be >= 0")
+	if err := core.CheckKnobs(req.Techs, req.Anneal, req.Restarts); err != nil {
+		return req, err
 	}
 	if req.Hall.Rows < 0 || req.Hall.Slots < 0 {
 		return req, physerr.OutOfRange("serve: hall rows and slots must be >= 0")

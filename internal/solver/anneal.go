@@ -10,7 +10,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -137,16 +136,10 @@ func AnnealRestartsCtx(ctx context.Context, states []Annealable, cfg AnnealConfi
 	if err != nil {
 		return -1, chains, err
 	}
-	if obs.Enabled() {
-		// Per-chain accept/reject breakdown, aggregated by chain index
-		// across calls; chain totals are order-independent counters, so the
-		// record is identical for any worker schedule.
-		obs.Add("solver.restarts.chains", int64(len(states)))
-		for c, ch := range chains {
-			obs.Add(fmt.Sprintf("solver.restarts.chain.%02d.accepted", c), int64(ch.Accepted))
-			obs.Add(fmt.Sprintf("solver.restarts.chain.%02d.rejected", c), int64(ch.Rejected))
-		}
-	}
+	// Each chain's AnnealCtx has already added its moves to
+	// solver.anneal.accepted/rejected; a name per chain index would grow
+	// the registry with the largest restart count ever asked for.
+	obs.Add("solver.restarts.chains", int64(len(states)))
 	best = 0
 	bestObj := objective(0)
 	for c := 1; c < len(states); c++ {
