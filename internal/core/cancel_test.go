@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"physdep/internal/floorplan"
+	"physdep/internal/obs"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
@@ -27,6 +28,41 @@ func TestEvaluateCtxPreCanceled(t *testing.T) {
 	}
 	if rep != nil {
 		t.Fatal("canceled evaluation returned a non-nil report")
+	}
+}
+
+// TestEvaluateCtxPreCanceledDoesNoWork: a context canceled before the
+// call stops the evaluation before placement, so neither the annealer
+// nor the cable planner is ever entered.
+func TestEvaluateCtxPreCanceledDoesNoWork(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := DefaultInput(ft, floorplan.DefaultHall(4, 12))
+	in.PlacementSteps = 1000
+	counters := []string{"placement.optimize.calls", "cabling.plan.demands"}
+	before := obs.TakeSnapshot().Counters
+	rep, err := EvaluateCtx(ctx, in)
+	if !errors.Is(err, physerr.ErrCanceled) {
+		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+	if rep != nil {
+		t.Fatal("canceled evaluation returned a non-nil report")
+	}
+	after := obs.TakeSnapshot().Counters
+	for _, name := range counters {
+		if after[name] != before[name] {
+			t.Errorf("%s moved from %d to %d under a canceled context", name, before[name], after[name])
+		}
 	}
 }
 

@@ -142,10 +142,15 @@ func (in Input) Validate() error {
 // The context threads into every long-running phase — placement
 // annealing, deployment execution, and the sampled abstract stats
 // (bisection estimate, all-pairs BFS) — so a deadline interrupts an
-// evaluation mid-phase, not just between phases. A canceled evaluation
-// returns a nil report and an error matching physerr.ErrCanceled.
+// evaluation mid-phase, not just between phases. ctx is also checked
+// before placement and between phases, so an evaluation canceled before
+// it starts does no work. A canceled evaluation returns a nil report and
+// an error matching physerr.ErrCanceled.
 func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	if in.Catalog == nil {
@@ -178,6 +183,9 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 		}
 	}
 	ps.End()
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
 
 	cs := sp.Child("cabling")
 	plan, err := cabling.PlanCables(f, in.Catalog, p.Demands(nil), cabling.Options{})
@@ -186,6 +194,9 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	}
 	cs.SetAttr("cables", int64(len(plan.Cables)))
 	cs.End()
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
 
 	ds := sp.Child("deploy")
 	dp := deploy.Build(p, plan, in.Model, deploy.BuildOptions{Prebundle: in.Prebundle})
@@ -195,6 +206,9 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	}
 	ds.SetAttr("tasks", int64(len(dp.Tasks)))
 	ds.End()
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
 
 	ts := sp.Child("twin")
 	tb := ts.Child("twin.build")
@@ -209,6 +223,9 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	violations := twin.CheckAll(model, twin.DefaultSchema(), twin.DefaultRules())
 	tc.End()
 	ts.End()
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
 
 	rep := &Report{Name: in.Topo.Name}
 	as := sp.Child("abstract")
@@ -250,6 +267,15 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	rep.DiversityRates = len(rates)
 	rep.DiversityRadixs = len(radixes)
 	return rep, nil
+}
+
+// checkCtx returns an error matching physerr.ErrCanceled once ctx is
+// done, and nil before.
+func checkCtx(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return physerr.Canceled(err)
+	}
+	return nil
 }
 
 func (r *Report) fillAbstract(ctx context.Context, in Input) error {

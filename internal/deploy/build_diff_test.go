@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -68,6 +69,18 @@ func placeFamily(t *testing.T, p cli.TopoParams) *placement.Placement {
 	return pl
 }
 
+// planFamily places p's fabric as placeFamily does and plans its cables
+// with the default catalog and options.
+func planFamily(t *testing.T, p cli.TopoParams) (*placement.Placement, *cabling.Plan) {
+	t.Helper()
+	pl := placeFamily(t, p)
+	plan, err := cabling.PlanCables(pl.Floor, cabling.DefaultCatalog(), pl.Demands(nil), cabling.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, plan
+}
+
 // assertSameBuild requires Build and the reference to give the same
 // tasks (kinds, minutes, locations, deps and cable links) and the same
 // off-floor minutes, with and without prebundling.
@@ -90,8 +103,8 @@ func assertSameBuild(t *testing.T, name string, p *placement.Placement, plan *ca
 	}
 }
 
-// TestBuildMatchesReference pins Build to the map-and-label reference on
-// every family's cable plan, and on plans of seeded random demands
+// TestBuildMatchesReference pins Build to the slice-per-task reference
+// on every family's cable plan, and on plans of seeded random demands
 // (random topology edges between a few random racks, some of them
 // without a placed rack) under every bundling knob combination.
 func TestBuildMatchesReference(t *testing.T) {
@@ -102,11 +115,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			t.Errorf("family %q has no differential case", fam)
 			continue
 		}
-		p := placeFamily(t, fp)
-		plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, plan := planFamily(t, fp)
 		assertSameBuild(t, fam, p, plan, m)
 	}
 	p := placeFamily(t, benchFabric)
@@ -137,26 +146,81 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExecuteMatchesReference pins ExecuteCtx to the container/heap
+// reference on every family's prebundled plan, across crew sizes, rack
+// worker caps and a yield low enough that reworks extend the schedule:
+// equal Schedules, per-task start times included.
+func TestExecuteMatchesReference(t *testing.T) {
+	m := costmodel.Default()
+	for _, fam := range cli.Families() {
+		fp, ok := diffFamilies[fam]
+		if !ok {
+			t.Errorf("family %q has no differential case", fam)
+			continue
+		}
+		p, plan := planFamily(t, fp)
+		dp := Build(p, plan, m, BuildOptions{Prebundle: true})
+		for _, techs := range []int{1, 8} {
+			for _, perRack := range []int{0, 2} {
+				for _, yield := range []float64{0, 0.7} {
+					opts := ExecOptions{Techs: techs, Seed: 3, YieldOverride: yield, MaxWorkersPerRack: perRack}
+					got, err := ExecuteCtx(context.Background(), dp, m, p.Floor, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := refExecuteCtx(context.Background(), dp, m, p.Floor, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %+v: schedule differs from the reference", fam, opts)
+					}
+					if yield > 0 && got.Reworks == 0 {
+						t.Fatalf("%s %+v: no reworks", fam, opts)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBuildAllocs holds Build on the 96-switch fixture to a fixed
-// allocation ceiling. Its 1,263 allocations are nearly all one Deps slice
-// per task (1,344 tasks, racks without deps) plus the task slice's
-// growth: no labels, maps or pull-group slices (the labelled Build made
-// 3,287).
+// allocation ceiling. Its 5 allocations are per plan, not per task: the
+// plan, its task list, the shared deps array and the rack and switch
+// task indexes (the slice-per-task Build made 1,263).
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	p := placeFamily(t, benchFabric)
-	plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, plan := planFamily(t, benchFabric)
 	m := costmodel.Default()
 	allocs := testing.AllocsPerRun(20, func() {
 		Build(p, plan, m, BuildOptions{Prebundle: true})
 	})
-	const ceiling = 1300
+	const ceiling = 5
 	if allocs > ceiling {
 		t.Errorf("Build: %.0f allocs, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestExecuteAllocs holds ExecuteCtx on the 96-switch fixture to a fixed
+// allocation ceiling: per-plan arrays plus the growth of the task, done
+// and priority slices for each rework (the container/heap scheduler with
+// a children slice per task made 3,861).
+func TestExecuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	p, plan := planFamily(t, benchFabric)
+	m := costmodel.Default()
+	dp := Build(p, plan, m, BuildOptions{Prebundle: true})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ExecuteCtx(context.Background(), dp, m, p.Floor, ExecOptions{Techs: 8, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 40
+	if allocs > ceiling {
+		t.Errorf("ExecuteCtx: %.0f allocs, ceiling %d", allocs, ceiling)
 	}
 }

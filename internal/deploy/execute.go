@@ -1,7 +1,6 @@
 package deploy
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -80,14 +79,29 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xdeb107))
 
 	// Critical-path priority: longest path (sum of minutes) from each task
-	// downstream. Children lists first.
+	// downstream. Children lists first: a counting pass sizes each task's
+	// list, and every list is a capped window of one array, filled in
+	// task order.
 	n := len(p.Tasks)
-	children := make([][]int, n)
 	indeg := make([]int, n)
+	off := make([]int, n+1) // task d's children go to flat[off[d]:off[d+1]]
+	for _, t := range p.Tasks {
+		for _, d := range t.Deps {
+			off[d+1]++
+			indeg[t.ID]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	flat := make([]int, off[n])
+	children := make([][]int, n)
+	for i := range children {
+		children[i] = flat[off[i]:off[i]:off[i+1]]
+	}
 	for _, t := range p.Tasks {
 		for _, d := range t.Deps {
 			children[d] = append(children[d], t.ID)
-			indeg[t.ID]++
 		}
 	}
 	prio := make([]float64, n)
@@ -105,7 +119,7 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	rq := &readyQueue{prio: prio}
 	for i := range p.Tasks {
 		if len(p.Tasks[i].Deps) == 0 {
-			heap.Push(rq, i)
+			rq.push(i)
 		}
 	}
 
@@ -145,10 +159,10 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 				return Schedule{}, physerr.Canceled(err)
 			}
 		}
-		if rq.Len() == 0 {
+		if len(rq.ids) == 0 {
 			return Schedule{}, fmt.Errorf("deploy: scheduler starved with %d tasks remaining (cycle?)", remaining)
 		}
-		id := heap.Pop(rq).(int)
+		id := rq.pop()
 		t := tasks[id]
 		// Earliest start: max(dep finishes); assign to tech who can start
 		// it soonest including walking.
@@ -211,7 +225,7 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 		for _, c := range children[id] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				heap.Push(rq, c)
+				rq.push(c)
 			}
 		}
 		// Yield roll on first-pass validation; revalidations always pass.
@@ -226,7 +240,7 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 				// The rework is ready immediately (its dep just finished).
 				indeg = append(indeg, 0, 1) // rw ready; rv waits on rw
 				children[rw] = append(children[rw], rv)
-				heap.Push(rq, rw)
+				rq.push(rw)
 			}
 		}
 	}
@@ -242,20 +256,46 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	return sched, nil
 }
 
-// readyQueue is a max-heap of task IDs by priority.
+// readyQueue is a max-heap of task IDs by priority. push and pop sift
+// exactly as container/heap's Push and Pop do, so tasks of equal
+// priority leave in the same order; it only skips boxing each ID.
 type readyQueue struct {
 	ids  []int
 	prio []float64
 }
 
-func (q *readyQueue) Len() int           { return len(q.ids) }
-func (q *readyQueue) Less(i, j int) bool { return q.prio[q.ids[i]] > q.prio[q.ids[j]] }
-func (q *readyQueue) Swap(i, j int)      { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
-func (q *readyQueue) Push(x any)         { q.ids = append(q.ids, x.(int)) }
-func (q *readyQueue) Pop() any {
-	old := q.ids
-	n := len(old)
-	x := old[n-1]
-	q.ids = old[:n-1]
-	return x
+func (q *readyQueue) less(i, j int) bool { return q.prio[q.ids[i]] > q.prio[q.ids[j]] }
+
+func (q *readyQueue) push(id int) {
+	q.ids = append(q.ids, id)
+	for j := len(q.ids) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		j = i
+	}
+}
+
+func (q *readyQueue) pop() int {
+	n := len(q.ids) - 1
+	q.ids[0], q.ids[n] = q.ids[n], q.ids[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		i = j
+	}
+	id := q.ids[n]
+	q.ids = q.ids[:n]
+	return id
 }

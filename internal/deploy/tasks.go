@@ -82,8 +82,23 @@ type BuildOptions struct {
 // Build constructs the deployment plan for a placed topology and its
 // cabling plan: install racks, install switches, pull bundles/cables,
 // connect, validate.
+//
+// The task list and every task's Deps are sized up front: each Deps is a
+// capped window of one array holding a switch's rack, a pull's two racks,
+// a connect's pull and two switches, and a validate's connect.
 func Build(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, opts BuildOptions) *Plan {
-	dp := &Plan{}
+	pulls := len(plan.Bundles)
+	if !opts.Prebundle {
+		pulls = len(plan.Cables)
+	}
+	cables := len(plan.Cables)
+	dp := &Plan{Tasks: make([]Task, 0, p.NumRacks()+p.Topo.N+pulls+2*cables)}
+	deps := make([]int, 0, p.Topo.N+2*pulls+4*cables)
+	window := func(ds ...int) []int {
+		lo := len(deps)
+		deps = append(deps, ds...)
+		return deps[lo:len(deps):len(deps)]
+	}
 	// Rack installs.
 	rackTask := make([]int, p.Floor.NumRacks()) // floor slot -> task ID
 	for r := 0; r < p.NumRacks(); r++ {
@@ -96,7 +111,7 @@ func Build(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, opts 
 	for sw := 0; sw < p.Topo.N; sw++ {
 		loc := p.LocOfSwitch(sw)
 		switchTask[sw] = dp.addTask(Task{Kind: TaskInstallSwitch, Minutes: m.InstallSwitch,
-			Loc: loc, Deps: []int{rackTask[p.Floor.RackIndex(loc)]}, CableIdx: -1})
+			Loc: loc, Deps: window(rackTask[p.Floor.RackIndex(loc)]), CableIdx: -1})
 	}
 	// Bundle pulls; then per-cable connect + validate. Without
 	// prebundling, each of a bundle's cables is pulled on its own.
@@ -117,17 +132,17 @@ func Build(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, opts 
 				mins = m.PullCableFixed + units.Minutes(float64(m.PullCablePerMeter)*float64(first.Route.Length))
 			}
 			pullID := dp.addTask(Task{Kind: TaskPullBundle, Minutes: mins, Loc: srcLoc,
-				Deps:     []int{rackTask[p.Floor.RackIndex(srcLoc)], rackTask[p.Floor.RackIndex(dstLoc)]},
+				Deps:     window(rackTask[p.Floor.RackIndex(srcLoc)], rackTask[p.Floor.RackIndex(dstLoc)]),
 				CableIdx: -1})
 			for _, ci := range group {
 				c := plan.Cables[ci]
 				e := p.Topo.Edges[c.Demand.ID]
 				connID := dp.addTask(Task{Kind: TaskConnect, Minutes: 2 * m.ConnectEnd,
 					Loc:      c.Route.From,
-					Deps:     []int{pullID, switchTask[e.U], switchTask[e.V]},
+					Deps:     window(pullID, switchTask[e.U], switchTask[e.V]),
 					CableIdx: ci})
 				dp.addTask(Task{Kind: TaskValidate, Minutes: m.ValidateLink,
-					Loc: c.Route.From, Deps: []int{connID}, CableIdx: ci})
+					Loc: c.Route.From, Deps: window(connID), CableIdx: ci})
 			}
 		}
 	}

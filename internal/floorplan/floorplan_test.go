@@ -2,7 +2,9 @@ package floorplan
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,7 +104,7 @@ func TestCrossRowRouteChoosesShorterSpine(t *testing.T) {
 func TestRouteSymmetry(t *testing.T) {
 	f := testHall(t, 4, 8)
 	a, b := RackLoc{1, 2}, RackLoc{3, 6}
-	ra, rb := f.MustRouteBetween(a, b), f.MustRouteBetween(b, a)
+	ra, rb := f.route(a, b), f.route(b, a)
 	if ra.Length != rb.Length {
 		t.Errorf("asymmetric route length: %v vs %v", ra.Length, rb.Length)
 	}
@@ -125,14 +127,14 @@ func TestRouteOutOfRangeReturnsError(t *testing.T) {
 	}
 }
 
-func TestMustRouteBetweenPanicsOutOfHall(t *testing.T) {
+func TestMustRouteLengthPanicsOutOfHall(t *testing.T) {
 	f := testHall(t, 2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range rack did not panic")
 		}
 	}()
-	f.MustRouteBetween(RackLoc{0, 0}, RackLoc{5, 0})
+	f.MustRouteLength(RackLoc{0, 0}, RackLoc{5, 0})
 }
 
 func TestSegmentIDsDisjoint(t *testing.T) {
@@ -164,7 +166,7 @@ func TestSegmentIDsDisjoint(t *testing.T) {
 func TestTrayLoadAccounting(t *testing.T) {
 	f := testHall(t, 2, 6)
 	tl := NewTrayLoad(f)
-	r := f.MustRouteBetween(RackLoc{0, 0}, RackLoc{0, 3})
+	r := f.route(RackLoc{0, 0}, RackLoc{0, 3})
 	tl.Add(r, 100)
 	tl.Add(r, 100)
 	for _, s := range r.Segments {
@@ -207,8 +209,11 @@ func TestQuickRouteBounds(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		a := RackLoc{Row: rng.IntN(5), Slot: rng.IntN(12)}
 		b := RackLoc{Row: rng.IntN(5), Slot: rng.IntN(12)}
-		r := f.MustRouteBetween(a, b)
+		r := f.route(a, b)
 		if r.Length <= 0 || float64(r.Length) > maxLen+1e-9 {
+			return false
+		}
+		if f.MustRouteLength(a, b) != r.Length {
 			return false
 		}
 		for _, s := range r.Segments {
@@ -220,5 +225,48 @@ func TestQuickRouteBounds(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRouteMatchesReference pins route and WalkingDistance to their
+// references over every pair of locations in halls of several shapes:
+// equal length and distance bits and equal segment lists.
+func TestRouteMatchesReference(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 5}, {4, 1}, {3, 10}, {6, 16}} {
+		f := testHall(t, dims[0], dims[1])
+		for i := 0; i < f.NumRacks(); i++ {
+			for j := 0; j < f.NumRacks(); j++ {
+				a, b := f.LocOf(i), f.LocOf(j)
+				got, want := f.route(a, b), f.refRoute(a, b)
+				if math.Float64bits(float64(got.Length)) != math.Float64bits(float64(want.Length)) ||
+					got.IntraRack != want.IntraRack || got.From != want.From || got.To != want.To ||
+					!slices.Equal(got.Segments, want.Segments) {
+					t.Fatalf("%v hall: route(%v, %v) = %+v, reference %+v", dims, a, b, got, want)
+				}
+				if d, ref := f.WalkingDistance(a, b), f.refWalkingDistance(a, b); math.Float64bits(float64(d)) != math.Float64bits(float64(ref)) {
+					t.Fatalf("%v hall: WalkingDistance(%v, %v) = %v, reference %v", dims, a, b, d, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestRouteBetweenAllocs holds RouteBetween to at most one allocation
+// per route, its exactly sized segment list, over every pair of racks in
+// the 6×16 hall.
+func TestRouteBetweenAllocs(t *testing.T) {
+	f := testHall(t, 6, 16)
+	n := f.NumRacks()
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if _, err := f.RouteBetween(f.LocOf(i), f.LocOf(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if routes := float64(n * n); allocs > routes {
+		t.Errorf("RouteBetween: %.0f allocs for %.0f routes, ceiling 1 per route", allocs, routes)
 	}
 }

@@ -41,9 +41,13 @@ func FuzzRouteBetween(f *testing.F) {
 		if route.Length < 0 {
 			t.Fatalf("RouteBetween(%v, %v): negative length %v", a, b, route.Length)
 		}
-		// A valid checked route must agree with the unchecked fast path.
-		if got := fp.MustRouteBetween(a, b); got.Length != route.Length {
-			t.Fatalf("RouteBetween and MustRouteBetween disagree: %v vs %v", route.Length, got.Length)
+		// A valid checked route must agree with the length-only path,
+		// and its segment list is sized exactly.
+		if got := fp.MustRouteLength(a, b); got != route.Length {
+			t.Fatalf("RouteBetween and MustRouteLength disagree: %v vs %v", route.Length, got)
+		}
+		if len(route.Segments) != cap(route.Segments) {
+			t.Fatalf("RouteBetween(%v, %v): %d segments in a slice of capacity %d", a, b, len(route.Segments), cap(route.Segments))
 		}
 	})
 }

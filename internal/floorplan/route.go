@@ -55,71 +55,85 @@ func (f *Floorplan) RouteBetween(a, b RackLoc) (Route, error) {
 	return f.route(a, b), nil
 }
 
-// MustRouteBetween is RouteBetween for locations already known to be on
-// the floor — placement and deployment code whose own bookkeeping
-// guarantees validity. It panics on an out-of-hall location, which there
-// always indicates a bug in the caller, not bad user input.
-func (f *Floorplan) MustRouteBetween(a, b RackLoc) Route {
+// MustRouteLength is the Length of RouteBetween for locations already
+// known to be on the floor — placement code whose own bookkeeping
+// guarantees validity, inside the annealer's objective loop, where
+// building the route's segment list would be pure overhead. It panics on
+// an out-of-hall location, which there always indicates a bug in the
+// caller, not bad user input.
+func (f *Floorplan) MustRouteLength(a, b RackLoc) units.Meters {
 	if err := f.CheckLoc(a); err != nil {
 		panic(err)
 	}
 	if err := f.CheckLoc(b); err != nil {
 		panic(err)
 	}
-	return f.route(a, b)
+	return f.routeLength(a, b)
 }
 
-// route computes the tray route between two validated locations.
-func (f *Floorplan) route(a, b RackLoc) Route {
+// routeLength is the pulled length of the tray route between two
+// validated locations: route's Length, without its segments.
+func (f *Floorplan) routeLength(a, b RackLoc) units.Meters {
 	if a == b {
-		return Route{From: a, To: b, Length: intraRackLen, IntraRack: true}
+		return intraRackLen
 	}
+	var length units.Meters
 	if a.Row == b.Row {
-		lo, hi := a.Slot, b.Slot
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		var segs []int
-		for s := lo; s < hi; s++ {
-			segs = append(segs, f.rowSegment(a.Row, s))
-		}
-		length := 2*f.RiserLength + units.Meters(hi-lo)*f.RackPitch
-		return Route{From: a, To: b,
-			Length:   units.Meters(float64(length) * f.SlackFactor),
-			Segments: segs}
+		length = 2*f.RiserLength + units.Meters(abs(a.Slot-b.Slot))*f.RackPitch
+	} else {
+		_, run := f.spineRun(a, b)
+		length = 2*f.RiserLength +
+			units.Meters(run)*f.RackPitch +
+			units.Meters(abs(a.Row-b.Row))*f.RowPitch
 	}
-	// Different rows: compare going via the left spine (slot 0) with the
-	// right spine (slot RacksPerRow-1) and take the shorter run.
+	return units.Meters(float64(length) * f.SlackFactor)
+}
+
+// spineRun picks the spine a cross-row route takes: the left one (end 0,
+// slot 0) or the right one (end 1, the last slot), whichever gives the
+// shorter run along the two rows, and returns that run in slots.
+func (f *Floorplan) spineRun(a, b RackLoc) (end, run int) {
 	last := f.RacksPerRow - 1
 	leftRun := a.Slot + b.Slot
 	rightRun := (last - a.Slot) + (last - b.Slot)
-	end, run := 0, leftRun
 	if rightRun < leftRun {
-		end, run = 1, rightRun
+		return 1, rightRun
 	}
-	loRow, hiRow := a.Row, b.Row
-	if loRow > hiRow {
-		loRow, hiRow = hiRow, loRow
-	}
-	var segs []int
-	// Along a's row toward the chosen end.
-	segs = append(segs, f.rowSpanToEnd(a, end)...)
-	for r := loRow; r < hiRow; r++ {
-		segs = append(segs, f.spineSegment(r, end))
-	}
-	segs = append(segs, f.rowSpanToEnd(b, end)...)
-	length := 2*f.RiserLength +
-		units.Meters(run)*f.RackPitch +
-		units.Meters(hiRow-loRow)*f.RowPitch
-	return Route{From: a, To: b,
-		Length:   units.Meters(float64(length) * f.SlackFactor),
-		Segments: segs}
+	return 0, leftRun
 }
 
-// rowSpanToEnd lists the row segments from loc to the given end of its
-// row (end 0 = slot 0, end 1 = last slot).
-func (f *Floorplan) rowSpanToEnd(l RackLoc, end int) []int {
-	var segs []int
+// route computes the tray route between two validated locations. Its
+// segment list is sized once from the closed-form count: the slots
+// between the two racks, or the run along both rows plus one spine
+// segment per row crossed.
+func (f *Floorplan) route(a, b RackLoc) Route {
+	r := Route{From: a, To: b, Length: f.routeLength(a, b), IntraRack: a == b}
+	switch {
+	case a == b:
+	case a.Row == b.Row:
+		lo, hi := min(a.Slot, b.Slot), max(a.Slot, b.Slot)
+		r.Segments = make([]int, 0, hi-lo)
+		for s := lo; s < hi; s++ {
+			r.Segments = append(r.Segments, f.rowSegment(a.Row, s))
+		}
+	default:
+		end, run := f.spineRun(a, b)
+		loRow, hiRow := min(a.Row, b.Row), max(a.Row, b.Row)
+		segs := make([]int, 0, run+hiRow-loRow)
+		// Along a's row toward the chosen end, across the spine, and
+		// along b's row back from it.
+		segs = f.appendRowSpanToEnd(segs, a, end)
+		for row := loRow; row < hiRow; row++ {
+			segs = append(segs, f.spineSegment(row, end))
+		}
+		r.Segments = f.appendRowSpanToEnd(segs, b, end)
+	}
+	return r
+}
+
+// appendRowSpanToEnd appends the row segments from loc to the given end
+// of its row (end 0 = slot 0, end 1 = last slot).
+func (f *Floorplan) appendRowSpanToEnd(segs []int, l RackLoc, end int) []int {
 	if end == 0 {
 		for s := 0; s < l.Slot; s++ {
 			segs = append(segs, f.rowSegment(l.Row, s))
@@ -184,22 +198,15 @@ func (f *Floorplan) WalkingDistance(a, b RackLoc) units.Meters {
 		return 0
 	}
 	if a.Row == b.Row {
-		d := a.Slot - b.Slot
-		if d < 0 {
-			d = -d
-		}
-		return units.Meters(d) * f.RackPitch
+		return units.Meters(abs(a.Slot-b.Slot)) * f.RackPitch
 	}
-	last := f.RacksPerRow - 1
-	leftRun := a.Slot + b.Slot
-	rightRun := (last - a.Slot) + (last - b.Slot)
-	run := leftRun
-	if rightRun < leftRun {
-		run = rightRun
+	_, run := f.spineRun(a, b)
+	return units.Meters(run)*f.RackPitch + units.Meters(abs(a.Row-b.Row))*f.RowPitch
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
 	}
-	dr := a.Row - b.Row
-	if dr < 0 {
-		dr = -dr
-	}
-	return units.Meters(run)*f.RackPitch + units.Meters(dr)*f.RowPitch
+	return x
 }

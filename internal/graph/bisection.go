@@ -10,9 +10,9 @@ import (
 
 // BisectionEstimateCtx returns a heuristic upper bound on the bisection
 // bandwidth of g: the minimum, over restarts, of the capacity crossing a
-// balanced two-way partition found by randomized Fiduccia–Mattheyses-style
-// local search. It is an upper bound because any balanced cut witnesses
-// one; the optimizer only tightens it.
+// balanced two-way partition found by randomized Kernighan–Lin-style
+// pair-swap local search. It is an upper bound because any balanced cut
+// witnesses one; the optimizer only tightens it.
 //
 // restarts controls how many random initial partitions are refined; they
 // run in parallel. Each restart's seed pair is drawn from rng up front,
@@ -37,7 +37,7 @@ func (g *Graph) BisectionEstimateCtx(ctx context.Context, restarts int, rng *ran
 		seeds[r] = [2]uint64{rng.Uint64(), rng.Uint64()}
 	}
 	cuts, err := par.MapCtx(ctx, restarts, func(r int) (float64, error) {
-		return g.refineBisection(snap, rand.New(rand.NewPCG(seeds[r][0], seeds[r][1]))), nil
+		return g.cutCapacity(g.refineBisection(snap, rand.New(rand.NewPCG(seeds[r][0], seeds[r][1])))), nil
 	})
 	if err != nil {
 		return 0, err
@@ -60,16 +60,25 @@ func edgeCap(e Edge) float64 {
 
 // refineBisection starts from a random balanced partition and greedily
 // swaps node pairs across the cut while any swap reduces crossing
-// capacity. The inner gain/capacity scans iterate snap's packed rows —
-// the hot loops of the whole estimate.
-func (g *Graph) refineBisection(snap *Snapshot, rng *rand.Rand) float64 {
+// capacity, and returns the final sides (true = B). It works
+// Kernighan–Lin style: each pass offers every node a still on side A its
+// best partner b among the nodes still on side B.
+//
+// The per-node gains are cached and a's row is charged into a scratch
+// array, so the scan over b reads two floats per candidate instead of
+// walking two CSR rows. A swap recomputes the gains of the two moved
+// nodes and their neighbours from scratch in slot order, and the
+// scratch sums a's parallel edges in slot order, so every total is the
+// same expression on the same bits as recomputing both from the rows:
+// the answer and the tie-breaks do not depend on integral capacities.
+func (g *Graph) refineBisection(snap *Snapshot, rng *rand.Rand) []bool {
 	side := make([]bool, g.N) // false = A, true = B
 	perm := rng.Perm(g.N)
 	for i, u := range perm {
 		side[u] = i >= g.N/2
 	}
-	// gain[u] = (crossing capacity incident to u) - (internal capacity
-	// incident to u); moving u across the cut changes the cut by -gain[u],
+	// gain(u) = (crossing capacity incident to u) - (internal capacity
+	// incident to u); moving u across the cut changes the cut by -gain(u),
 	// but we only do balanced pair swaps.
 	gain := func(u int) float64 {
 		gval := 0.0
@@ -91,20 +100,20 @@ func (g *Graph) refineBisection(snap *Snapshot, rng *rand.Rand) float64 {
 		}
 		return gval
 	}
-	capBetween := func(u, v int) float64 {
-		c := 0.0
-		lo, hi := snap.off[u], snap.off[u+1]
-		for i := lo; i < hi; i++ {
-			if int(snap.nbr[i]) == v {
-				cc := snap.caps[i]
-				if cc == 0 {
-					cc = 1
-				}
-				c += cc
-			}
-		}
-		return c
+	gains := make([]float64, g.N)
+	for u := range gains {
+		gains[u] = gain(u)
 	}
+	// regain refreshes the cached gains of u and its neighbours.
+	regain := func(u int) {
+		gains[u] = gain(u)
+		for i := snap.off[u]; i < snap.off[u+1]; i++ {
+			w := int(snap.nbr[i])
+			gains[w] = gain(w)
+		}
+	}
+	// between[v] is the capacity of a's edges to v while a is scanned.
+	between := make([]float64, g.N)
 	improved := true
 	// Candidate lists, rebuilt (into reused buffers) and shuffled each
 	// pass for tie-breaking diversity.
@@ -123,23 +132,41 @@ func (g *Graph) refineBisection(snap *Snapshot, rng *rand.Rand) float64 {
 		rng.Shuffle(len(as), func(i, j int) { as[i], as[j] = as[j], as[i] })
 		rng.Shuffle(len(bs), func(i, j int) { bs[i], bs[j] = bs[j], bs[i] })
 		for _, a := range as {
+			lo, hi := snap.off[a], snap.off[a+1]
+			for i := lo; i < hi; i++ {
+				c := snap.caps[i]
+				if c == 0 {
+					c = 1
+				}
+				between[snap.nbr[i]] += c
+			}
 			bestGain, bestB := 1e-9, -1
-			ga := gain(a)
+			ga := gains[a]
 			for _, b := range bs {
 				if !side[b] {
 					continue // already swapped this pass
 				}
-				total := ga + gain(b) - 2*capBetween(a, b)
+				total := ga + gains[b] - 2*between[b]
 				if total > bestGain {
 					bestGain, bestB = total, b
 				}
 			}
+			for i := lo; i < hi; i++ {
+				between[snap.nbr[i]] = 0
+			}
 			if bestB >= 0 {
 				side[a], side[bestB] = true, false
+				regain(a)
+				regain(bestB)
 				improved = true
 			}
 		}
 	}
+	return side
+}
+
+// cutCapacity sums the capacity of the live edges side separates.
+func (g *Graph) cutCapacity(side []bool) float64 {
 	cut := 0.0
 	for _, e := range g.Edges {
 		if e.U == -1 || e.U == e.V {

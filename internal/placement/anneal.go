@@ -48,7 +48,7 @@ func newAnnealState(p *Placement) *annealState {
 func (s *annealState) lengthOfEdges(ids []int) units.Meters {
 	var total units.Meters
 	for _, id := range ids {
-		total += s.p.EdgeRoute(id).Length
+		total += s.p.EdgeLength(id)
 	}
 	return total
 }

@@ -99,14 +99,13 @@ func (p *Placement) SwitchesInRack(r int) []int {
 	return out
 }
 
-// EdgeRoute returns the physical route of topology edge id under this
-// placement. Locations come from the placement's own (validated)
-// bookkeeping, so the unchecked route path is safe here — and this sits
-// inside the annealer's objective loop, where a per-call validation
-// would be pure overhead.
-func (p *Placement) EdgeRoute(id int) floorplan.Route {
+// EdgeLength returns the pulled length of topology edge id's route under
+// this placement. Locations come from the placement's own (validated)
+// bookkeeping, and this sits inside the annealer's objective loop, so it
+// takes the route's length alone and builds no segment list.
+func (p *Placement) EdgeLength(id int) units.Meters {
 	e := p.Topo.Edges[id]
-	return p.Floor.MustRouteBetween(p.LocOfSwitch(e.U), p.LocOfSwitch(e.V))
+	return p.Floor.MustRouteLength(p.LocOfSwitch(e.U), p.LocOfSwitch(e.V))
 }
 
 // CableLength sums route lengths over all live edges — the annealer's
@@ -117,7 +116,7 @@ func (p *Placement) CableLength() units.Meters {
 		if e.U == -1 {
 			continue
 		}
-		total += p.EdgeRoute(e.ID).Length
+		total += p.EdgeLength(e.ID)
 	}
 	return total
 }

@@ -216,9 +216,25 @@ func TestCableLengthConsistentWithRoutes(t *testing.T) {
 		if e.U == -1 {
 			continue
 		}
-		manual += f.MustRouteBetween(p.LocOfSwitch(e.U), p.LocOfSwitch(e.V)).Length
+		r, err := f.RouteBetween(p.LocOfSwitch(e.U), p.LocOfSwitch(e.V))
+		if err != nil {
+			t.Fatal(err)
+		}
+		manual += r.Length
 	}
 	if got := p.CableLength(); got != manual {
 		t.Errorf("CableLength = %v, manual = %v", got, manual)
+	}
+}
+
+// TestCableLengthAllocs holds the annealer's objective to zero
+// allocations: it sums route lengths without building any route.
+func TestCableLengthAllocs(t *testing.T) {
+	p, err := Greedy(smallFatTree(t), newFloor(t, 3, 10), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { p.CableLength() }); allocs != 0 {
+		t.Errorf("CableLength: %.0f allocs, want 0", allocs)
 	}
 }

@@ -203,6 +203,12 @@ else
   go run ./scripts/benchgate
 fi
 
+echo "== fleet evaluate (one 4k-switch core.EvaluateCtx, BenchmarkEvaluateFleet)"
+# One full evaluation of a 4,000-switch flat fabric in a 50×200 hall
+# keeps the fleet-scale path compiling and running, and puts its time on
+# record in the log.
+go test -run '^$' -bench EvaluateFleet -benchtime 1x ./internal/core
+
 if [ "${ESCALE_SKIP:-}" = "1" ]; then
   echo "== E-scale smoke (skipped: ESCALE_SKIP=1)"
 else
