@@ -54,7 +54,11 @@ func main() {
 		os.Exit(1)
 	}
 	rng := rand.New(rand.NewPCG(params.Seed, params.Seed^0x70706f))
-	gap := tp.SpectralGap(300, rng)
+	gap, err := tp.SpectralGapCtx(ctx, 300, rng)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
 	bisect, err := tp.BisectionEstimateCtx(ctx, 6, rng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

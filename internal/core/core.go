@@ -284,10 +284,13 @@ func (r *Report) fillAbstract(ctx context.Context, in Input) error {
 		return err
 	}
 	rng := rand.New(rand.NewPCG(in.Seed, in.Seed^0xab5))
-	// SpectralGap must draw from rng before BisectionEstimateCtx — that is
-	// the order the struct literal evaluated them in historically, and the
-	// shared stream makes the order part of the golden contract.
-	gap := in.Topo.SpectralGap(200, rng)
+	// SpectralGapCtx must draw from rng before BisectionEstimateCtx — that
+	// is the order the struct literal evaluated them in historically, and
+	// the shared stream makes the order part of the golden contract.
+	gap, err := in.Topo.SpectralGapCtx(ctx, 200, rng)
+	if err != nil {
+		return err
+	}
 	bisect, err := in.Topo.BisectionEstimateCtx(ctx, 4, rng)
 	if err != nil {
 		return err

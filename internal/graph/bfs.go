@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"math/bits"
 
 	"physdep/internal/obs"
 	"physdep/internal/par"
@@ -19,8 +20,9 @@ func (g *Graph) BFS(src int) []int {
 // BFSInto is BFS with caller-owned buffers: dist must have length g.N and
 // is overwritten; queue is reused as the frontier (grown as needed) and
 // returned so callers can recycle its capacity across many sources. The
-// all-pairs kernels call this once per source with per-worker buffers, so
-// the sweep allocates nothing after warm-up.
+// per-destination kernels (ECMP DAGs, KSP enumeration) call this once per
+// destination with per-worker buffers, so they allocate nothing after
+// warm-up.
 func (g *Graph) BFSInto(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
@@ -68,16 +70,11 @@ type PathStats struct {
 	Unreachable int // number of ordered unreachable pairs
 }
 
-// parallelSourcesMin is the source-count below which the all-pairs sweep
-// stays serial: under ~tens of sources the fan-out overhead exceeds the
-// BFS work.
-const parallelSourcesMin = 24
-
 // apPartial is one worker's exact integer reduction state for a BFS
 // sweep. The trailing pad rounds the struct up to 128 bytes — two cache
 // lines, covering the adjacent-line spatial prefetcher — so the parts
-// array (one element per worker, written on every accumulated source)
-// never false-shares a line between workers.
+// array (one element per worker, written by every batch) never
+// false-shares a line between workers.
 type apPartial struct {
 	sum            int64
 	diam           int
@@ -85,85 +82,87 @@ type apPartial struct {
 	_              [12]int64 // pad 32-byte payload to 128 bytes
 }
 
-// apScratch is one worker's reusable BFS buffers. The two slice headers
-// are written back after every source (the queue may be regrown), so the
-// pad keeps adjacent workers' headers off a shared cache line for the
-// same reason apPartial is padded.
-type apScratch struct {
-	dist  []int
-	queue []int
-	_     [80]byte // pad 48 bytes of headers to 128
+// sweepWidth is the number of sources one bit-parallel BFS carries: one
+// bit each in a uint64 per node.
+const sweepWidth = 64
+
+// pullFactor sets when a level pulls instead of pushing: once the
+// frontier holds 1/pullFactor of the nodes. A node joins the frontier at
+// most 64 times per batch, so a batch has at most 64·pullFactor pull
+// levels, each O(N + E), and stays within a constant of 64 scalar BFSs.
+const pullFactor = 4
+
+// sweepScratch is one worker's bit-parallel BFS state, made on its first
+// batch: the seen, frontier and next words (one uint64 per node) and the
+// lists of nodes whose frontier and next words are nonzero. A list holds
+// a node at most once, so capacity n never regrows, and a finished batch
+// leaves the frontier and next words zero and both lists empty. The
+// headers are therefore written once and then only read, so adjacent
+// workers' entries need no padding.
+type sweepScratch struct {
+	seen, cur, next []uint64
+	front, grown    []int32
 }
 
-// sweepSources runs one BFS per entry of sources and reduces pair stats
-// against the membership set nodes (sources must be a subset of nodes;
-// the exhaustive sweep passes sources == nodes). perSource, when non-nil,
-// receives each source's row sum and reachable count keyed by its index
-// in sources — per-index delivery, so the record (and everything derived
-// from it) is identical for any worker count. The integer reduction over
-// per-worker partials is associative, so the combined PathStats is too.
+func newSweepScratch(n int) sweepScratch {
+	words := make([]uint64, 3*n)
+	lists := make([]int32, 2*n)
+	return sweepScratch{seen: words[:n], cur: words[n : 2*n], next: words[2*n:], front: lists[:0:n], grown: lists[n:n]}
+}
+
+// sweepSources runs a BFS from every entry of sources and reduces pair
+// stats against the membership set nodes (sources must be a subset of
+// nodes; the exhaustive sweep passes sources == nodes). perSource, when
+// non-nil, receives each source's row sum and reachable count keyed by
+// its index in sources — per-index delivery, so the record (and
+// everything derived from it) is identical for any worker count. The
+// integer reduction over per-worker partials is associative, so the
+// combined PathStats is too.
+//
+// The BFSs run bit-parallel, as in MS-BFS (Then et al., VLDB 2014):
+// sources go in batches of 64, one bit per source, and each level moves
+// a frontier node's whole word of source bits to its neighbours at once.
+// A node joins the frontier at most once per source bit, and a level
+// pushes from the frontier or, when the frontier is a large share of the
+// graph, pulls into every unfinished node (Beamer et al., SC 2012). So a
+// batch costs O(64·(N + E)), a constant times 64 scalar BFSs, whatever
+// the diameter. A batch is the unit of parallel work; ctx is checked
+// before each batch and at each BFS level. DESIGN §19 says why every
+// reduction equals the one-BFS-per-source sweep's.
 func (g *Graph) sweepSources(ctx context.Context, sources, nodes []int, perSource func(i int, rowSum int64, rowReach int)) (PathStats, error) {
-	// Freeze once before the fan-out: every per-source BFS then iterates
-	// the packed rows, and the workers share one immutable snapshot.
-	g.Freeze()
-	accumulate := func(pt *apPartial, dist []int, u int) (int64, int) {
-		var rowSum int64
-		rowReach := 0
-		for _, v := range nodes {
-			if v == u {
-				continue
-			}
-			d := dist[v]
-			if d < 0 {
-				pt.unreach++
-				continue
-			}
-			rowReach++
-			rowSum += int64(d)
-			if d > pt.diam {
-				pt.diam = d
-			}
-		}
-		pt.sum += rowSum
-		pt.reach += rowReach
-		return rowSum, rowReach
+	// Freeze once before the fan-out: the workers share one immutable
+	// snapshot.
+	snap := g.Freeze()
+	// mult[v] is how many times v occurs in nodes: each entry of nodes is
+	// one pair endpoint, duplicates included.
+	mult := make([]int32, g.N)
+	for _, v := range nodes {
+		mult[v]++
 	}
-	var parts []apPartial
-	if len(sources) < parallelSourcesMin || par.Workers() == 1 {
-		parts = make([]apPartial, 1)
-		dist := make([]int, g.N)
-		var queue []int
-		cancellable := ctx.Done() != nil
-		for i, u := range sources {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return PathStats{}, physerr.Canceled(err)
-				}
-			}
-			queue = g.BFSInto(u, dist, queue)
-			rowSum, rowReach := accumulate(&parts[0], dist, u)
-			if perSource != nil {
-				perSource(i, rowSum, rowReach)
+	parts := make([]apPartial, par.Workers())
+	scratch := make([]sweepScratch, len(parts))
+	batches := (len(sources) + sweepWidth - 1) / sweepWidth
+	err := par.ForWorkerCtx(ctx, batches, func(wk, b int) error {
+		sc := &scratch[wk]
+		if sc.seen == nil {
+			*sc = newSweepScratch(g.N)
+		}
+		lo := b * sweepWidth
+		batch := sources[lo:min(lo+sweepWidth, len(sources))]
+		var rowSum [sweepWidth]int64
+		var rowReach [sweepWidth]int
+		if err := snap.sweepBatch(ctx, sc, batch, nodes, mult, &parts[wk], &rowSum, &rowReach); err != nil {
+			return err
+		}
+		if perSource != nil {
+			for k := range batch {
+				perSource(lo+k, rowSum[k], rowReach[k])
 			}
 		}
-	} else {
-		parts = make([]apPartial, par.Workers())
-		scratch := make([]apScratch, len(parts))
-		err := par.ForWorkerCtx(ctx, len(sources), func(wk, i int) error {
-			sc := &scratch[wk]
-			if sc.dist == nil {
-				sc.dist = make([]int, g.N)
-			}
-			sc.queue = g.BFSInto(sources[i], sc.dist, sc.queue)
-			rowSum, rowReach := accumulate(&parts[wk], sc.dist, sources[i])
-			if perSource != nil {
-				perSource(i, rowSum, rowReach)
-			}
-			return nil
-		})
-		if err != nil {
-			return PathStats{}, err
-		}
+		return nil
+	})
+	if err != nil {
+		return PathStats{}, err
 	}
 	var st PathStats
 	var sum int64
@@ -179,6 +178,134 @@ func (g *Graph) sweepSources(ctx context.Context, sources, nodes []int, perSourc
 		st.MeanHops = float64(sum) / float64(st.Reachable)
 	}
 	return st, nil
+}
+
+// sweepBatch runs one bit-parallel BFS from the ≤64 sources in batch
+// (bit k is batch[k]) over the distinct-neighbour table, with sc as its
+// state; mult counts each node's entries in nodes. It fills
+// rowSum/rowReach for each source and folds the batch into pt. A done
+// ctx stops it between levels with an error matching
+// physerr.ErrCanceled; that fails the sweep, so the partly written pt and
+// sc are never read again.
+func (s *Snapshot) sweepBatch(ctx context.Context, sc *sweepScratch, batch, nodes []int, mult []int32, pt *apPartial, rowSum *[sweepWidth]int64, rowReach *[sweepWidth]int) error {
+	seen, cur, next := sc.seen, sc.cur, sc.next
+	clear(seen)
+	front := sc.front
+	for k, u := range batch {
+		if cur[u] == 0 {
+			front = append(front, int32(u))
+		}
+		seen[u] |= 1 << k
+		cur[u] |= 1 << k
+	}
+	grown := sc.grown
+	full := uint64(1)<<len(batch) - 1 // len(batch) == 64 wraps to all ones
+	done := ctx.Done()
+	for d := 1; len(front) > 0; d++ {
+		select {
+		case <-done:
+			return physerr.Canceled(ctx.Err())
+		default:
+		}
+		if pullFactor*len(front) >= len(seen) {
+			// Pull: every node that has not seen all bits gathers its
+			// neighbours' frontier bits. It reads every node, so it runs
+			// only when the frontier holds a large share of them.
+			grown = grown[:0]
+			for w := range int32(len(seen)) {
+				sw := seen[w]
+				if sw == full {
+					continue
+				}
+				var in uint64
+				for _, v := range s.nbrList[s.nbrOff[w]:s.nbrOff[w+1]] {
+					in |= cur[v]
+				}
+				if in &^= sw; in != 0 {
+					grown = append(grown, w)
+					seen[w] = sw | in
+					next[w] = in
+				}
+			}
+			for _, v := range front {
+				cur[v] = 0
+			}
+		} else {
+			// Push: each frontier node hands its source bits to every
+			// neighbour that has not seen them. A bit first reaches a node at
+			// level d, so seen can take it at once.
+			grown = grown[:0]
+			for _, v := range front {
+				in := cur[v]
+				cur[v] = 0
+				for _, w := range s.nbrList[s.nbrOff[v]:s.nbrOff[v+1]] {
+					if x := in &^ seen[w]; x != 0 {
+						if next[w] == 0 {
+							grown = append(grown, w)
+						}
+						seen[w] |= x
+						next[w] |= x
+					}
+				}
+			}
+		}
+		// Count, per source bit, the entries of nodes first reached at
+		// level d.
+		var cnt vcounter
+		var reached uint64
+		for _, w := range grown {
+			x := next[w]
+			for m := mult[w]; m > 0; m-- {
+				cnt.add(x)
+				reached |= x
+			}
+		}
+		if reached != 0 {
+			pt.diam = max(pt.diam, d)
+			for r := reached; r != 0; r &= r - 1 {
+				k := bits.TrailingZeros64(r)
+				c := cnt.count(k)
+				rowSum[k] += int64(d) * int64(c)
+				rowReach[k] += c
+			}
+		}
+		front, grown = grown, front
+		cur, next = next, cur
+	}
+	for k := range len(batch) {
+		pt.sum += rowSum[k]
+		pt.reach += rowReach[k]
+	}
+	for _, v := range nodes {
+		pt.unreach += bits.OnesCount64(^seen[v] & full)
+	}
+	return nil
+}
+
+// vcounter is a bit-sliced vertical counter: bit k of plane j is bit j
+// of the number of words added so far that had bit k set. Adding a word
+// is a ripple-carry add across the planes, which stops as soon as the
+// carry is empty.
+type vcounter struct {
+	plane  [64]uint64
+	planes int // planes in use
+}
+
+func (c *vcounter) add(x uint64) {
+	j := 0
+	for ; x != 0; j++ {
+		c.plane[j], x = c.plane[j]^x, c.plane[j]&x
+	}
+	c.planes = max(c.planes, j)
+}
+
+// count returns the number of added words that had bit k set.
+func (c *vcounter) count(k int) int {
+	n := 0
+	for j := range c.planes {
+		n |= int(c.plane[j]>>k&1) << j
+	}
+	return n
 }
 
 // allNodes returns nodes itself, or the full [0, g.N) list when nil — the
@@ -199,15 +326,19 @@ func (g *Graph) allNodes(nodes []int) []int {
 // pairs within the set. Topology comparisons use ToR-to-ToR stats, so the
 // subset form matters.
 //
-// The per-source BFS sweeps fan out across par.Workers() goroutines with
-// per-worker reusable dist buffers. The aggregate is exact integer state
-// (sum, max, counts), so the result is identical to the serial sweep for
-// any worker count. ctx is checked before each source's BFS (the unit of
-// work), so a canceled sweep stops within one source and returns an
-// error matching physerr.ErrCanceled; cancellation is its only failure.
+// The sweep runs bit-parallel BFSs over batches of up to 64 sources,
+// and the batches fan out across par.Workers() goroutines with per-worker
+// reusable buffers. The aggregate is exact integer state (sum, max,
+// counts), so the result is identical to a one-BFS-per-source serial
+// sweep for any worker count. ctx is checked before each batch and at
+// each BFS level of a batch, so a canceled sweep stops within one level
+// (at most one scalar BFS of work) and returns an error matching
+// physerr.ErrCanceled; cancellation is its only failure.
 //
-// The sweep is Θ(|nodes| · (N + E)): exact, but quadratic-ish in the node
-// set. Fleet-scale callers (10k+ sources) should use
+// The sweep is O(⌈|nodes|/64⌉ · 64 · (N + E)), the bound of one scalar
+// BFS per source, whatever the diameter: exact, but quadratic-ish in the
+// node set. Low-diameter fabrics run far below it; a ring or chain runs
+// close to it. Fleet-scale callers (10k+ sources) should use
 // AllPairsStatsSampledCtx, which bounds the sweep at a fixed source
 // sample with documented error.
 func (g *Graph) AllPairsStatsCtx(ctx context.Context, nodes []int) (PathStats, error) {

@@ -11,12 +11,14 @@ import (
 // Snapshot is an immutable compressed-sparse-row (CSR) view of a graph's
 // adjacency: the per-node edge-ID lists of Graph.adj packed into flat
 // arrays behind one offsets index, with the opposite endpoint and the raw
-// capacity resolved per slot. The read-only kernels (BFS sweeps, bisection
-// refinement, the spectral matvec, KSP enumeration) iterate this form —
-// one contiguous walk instead of a pointer chase per node — and because
-// every packed row preserves adj's slot order exactly (self-loops still
-// appear twice), a kernel run over the snapshot is byte-identical to the
-// same run over the live adjacency.
+// capacity resolved per slot. The read-only kernels (per-destination BFS,
+// bisection refinement, the spectral matvec, KSP enumeration) iterate this
+// form — one contiguous walk instead of a pointer chase per node — and
+// because every packed row preserves adj's slot order exactly (self-loops
+// still appear twice), a kernel run over the snapshot is byte-identical to
+// the same run over the live adjacency. The all-pairs sweep reads the
+// distinct-neighbour table instead: BFS distances depend on neither slot
+// order, edge multiplicity nor self-loops.
 //
 // A Snapshot is never mutated after Freeze builds it, so any number of
 // goroutines may read it concurrently.
@@ -32,7 +34,8 @@ type Snapshot struct {
 	caps []float64
 	// Distinct neighbors, ascending, self excluded — exactly the slice
 	// Graph.Neighbors(u) returns, shared so per-caller neighbor tables
-	// (KSP enumeration) need not be rebuilt and re-sorted per call.
+	// (KSP enumeration, the all-pairs sweep) need not be rebuilt and
+	// re-sorted per call.
 	nbrOff  []int32
 	nbrList []int32
 }
@@ -65,10 +68,10 @@ func (s *Snapshot) Row(u int) (edge, nbr []int32) {
 // mutating the graph while a kernel is iterating a snapshot it already
 // loaded is the caller's race, exactly as it was for the live adjacency.
 //
-// The read-only kernels (AllPairsStatsCtx, BisectionEstimateCtx, SpectralGap,
-// trafficsim's KSP) freeze on entry, so callers never need to call Freeze
-// explicitly — it exists for code that wants to pay the build outside a
-// timed or latency-sensitive region.
+// The read-only kernels (AllPairsStatsCtx, BisectionEstimateCtx,
+// SpectralGapCtx, trafficsim's KSP) freeze on entry, so callers never need
+// to call Freeze explicitly — it exists for code that wants to pay the
+// build outside a timed or latency-sensitive region.
 func (g *Graph) Freeze() *Snapshot {
 	if s := g.snap.Load(); s != nil {
 		return s

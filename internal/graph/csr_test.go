@@ -129,7 +129,7 @@ func TestFreezeInvalidation(t *testing.T) {
 		}
 		gr = rand.New(rand.NewPCG(3, 4))
 		fr = rand.New(rand.NewPCG(3, 4))
-		if got, want := g.SpectralGap(50, gr), fresh.SpectralGap(50, fr); got != want {
+		if got, want := must(g.SpectralGapCtx(context.Background(), 50, gr)), must(fresh.SpectralGapCtx(context.Background(), 50, fr)); got != want {
 			t.Errorf("after %q: SpectralGap = %v, fresh graph gives %v", o.name, got, want)
 		}
 	}

@@ -1,6 +1,9 @@
 package graph
 
-import "math/rand/v2"
+import (
+	"context"
+	"math/rand/v2"
+)
 
 // RefineBisectionPair runs one restart of the bisection refinement and of
 // its reference on g, each with its own PCG seeded (s1, s2). It returns
@@ -12,4 +15,26 @@ func RefineBisectionPair(g *Graph, s1, s2 uint64) (side, refSide []bool, cut, re
 	rng, refRng := rand.New(rand.NewPCG(s1, s2)), rand.New(rand.NewPCG(s1, s2))
 	side, refSide = g.refineBisection(snap, rng), g.refRefineBisection(snap, refRng)
 	return side, refSide, g.cutCapacity(side), g.cutCapacity(refSide), rng.Uint64(), refRng.Uint64()
+}
+
+// SweepRow is one source's per-index record from a sweep: its row sum
+// and reachable count.
+type SweepRow struct {
+	Sum   int64
+	Reach int
+}
+
+// SweepSourcesPair runs the bit-parallel sweep and its reference over the
+// same sources and node set, returning both PathStats and both per-index
+// row records.
+func SweepSourcesPair(g *Graph, sources, nodes []int) (st, refSt PathStats, rows, refRows []SweepRow, err error) {
+	rows, refRows = make([]SweepRow, len(sources)), make([]SweepRow, len(sources))
+	record := func(into []SweepRow) func(int, int64, int) {
+		return func(i int, sum int64, reach int) { into[i] = SweepRow{sum, reach} }
+	}
+	if st, err = g.sweepSources(context.Background(), sources, nodes, record(rows)); err != nil {
+		return
+	}
+	refSt, err = g.refSweepSources(context.Background(), sources, nodes, record(refRows))
+	return
 }

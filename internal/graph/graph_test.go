@@ -195,8 +195,8 @@ func TestMaxFlowCompleteGraph(t *testing.T) {
 
 func TestSpectralGapCompleteVsCycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	kn := complete(16).SpectralGap(300, rng)
-	cn := cycle(16).SpectralGap(300, rng)
+	kn := must(complete(16).SpectralGapCtx(context.Background(), 300, rng))
+	cn := must(cycle(16).SpectralGapCtx(context.Background(), 300, rng))
 	if kn <= cn {
 		t.Errorf("complete graph gap %v not larger than cycle gap %v", kn, cn)
 	}

@@ -1,6 +1,12 @@
 package graph
 
-import "math/rand/v2"
+import (
+	"context"
+	"math/rand/v2"
+
+	"physdep/internal/par"
+	"physdep/internal/physerr"
+)
 
 // refRefineBisection is the refinement BisectionEstimateCtx ran before
 // the gains were cached, kept verbatim except that it returns the final
@@ -85,4 +91,101 @@ func (g *Graph) refRefineBisection(snap *Snapshot, rng *rand.Rand) []bool {
 		}
 	}
 	return side
+}
+
+// refParallelSourcesMin is the source-count below which the reference
+// sweep stays serial: under ~tens of sources the fan-out overhead exceeds
+// the BFS work.
+const refParallelSourcesMin = 24
+
+// refScratch is one worker's reusable BFS buffers. The two slice headers
+// are written back after every source (the queue may be regrown), so the
+// pad keeps adjacent workers' headers off a shared cache line for the
+// same reason apPartial is padded.
+type refScratch struct {
+	dist  []int
+	queue []int
+	_     [80]byte // pad 48 bytes of headers to 128
+}
+
+// refSweepSources is the sweep AllPairsStatsCtx ran before it went
+// bit-parallel, kept verbatim as the differential test's reference: one
+// scalar BFS per source, then a pass over nodes per source.
+func (g *Graph) refSweepSources(ctx context.Context, sources, nodes []int, perSource func(i int, rowSum int64, rowReach int)) (PathStats, error) {
+	// Freeze once before the fan-out: every per-source BFS then iterates
+	// the packed rows, and the workers share one immutable snapshot.
+	g.Freeze()
+	accumulate := func(pt *apPartial, dist []int, u int) (int64, int) {
+		var rowSum int64
+		rowReach := 0
+		for _, v := range nodes {
+			if v == u {
+				continue
+			}
+			d := dist[v]
+			if d < 0 {
+				pt.unreach++
+				continue
+			}
+			rowReach++
+			rowSum += int64(d)
+			if d > pt.diam {
+				pt.diam = d
+			}
+		}
+		pt.sum += rowSum
+		pt.reach += rowReach
+		return rowSum, rowReach
+	}
+	var parts []apPartial
+	if len(sources) < refParallelSourcesMin || par.Workers() == 1 {
+		parts = make([]apPartial, 1)
+		dist := make([]int, g.N)
+		var queue []int
+		cancellable := ctx.Done() != nil
+		for i, u := range sources {
+			if cancellable {
+				if err := ctx.Err(); err != nil {
+					return PathStats{}, physerr.Canceled(err)
+				}
+			}
+			queue = g.BFSInto(u, dist, queue)
+			rowSum, rowReach := accumulate(&parts[0], dist, u)
+			if perSource != nil {
+				perSource(i, rowSum, rowReach)
+			}
+		}
+	} else {
+		parts = make([]apPartial, par.Workers())
+		scratch := make([]refScratch, len(parts))
+		err := par.ForWorkerCtx(ctx, len(sources), func(wk, i int) error {
+			sc := &scratch[wk]
+			if sc.dist == nil {
+				sc.dist = make([]int, g.N)
+			}
+			sc.queue = g.BFSInto(sources[i], sc.dist, sc.queue)
+			rowSum, rowReach := accumulate(&parts[wk], sc.dist, sources[i])
+			if perSource != nil {
+				perSource(i, rowSum, rowReach)
+			}
+			return nil
+		})
+		if err != nil {
+			return PathStats{}, err
+		}
+	}
+	var st PathStats
+	var sum int64
+	for _, pt := range parts {
+		sum += pt.sum
+		st.Reachable += pt.reach
+		st.Unreachable += pt.unreach
+		if pt.diam > st.Diameter {
+			st.Diameter = pt.diam
+		}
+	}
+	if st.Reachable > 0 {
+		st.MeanHops = float64(sum) / float64(st.Reachable)
+	}
+	return st, nil
 }

@@ -87,12 +87,13 @@ type SampledStats struct {
 
 // AllPairsStatsSampledCtx estimates AllPairsStatsCtx over nodes (all
 // nodes if nil) from a seeded uniform sample of BFS sources, making
-// fleet-scale path statistics O(Sources · (N + E)) instead of the
-// exhaustive sweep's O(|nodes| · (N + E)). Node sets at or below
-// spec.ExhaustiveBelow run the exact sweep instead — so small graphs lose
-// nothing, and callers can thread the sampled entry point
-// unconditionally. ctx is checked before each source's BFS; a canceled
-// sweep returns an error matching physerr.ErrCanceled, its only failure.
+// fleet-scale path statistics O(⌈Sources/64⌉ · 64 · (N + E)), whatever
+// the diameter, instead of the exhaustive sweep's O(|nodes| · (N + E)).
+// Node sets at or below spec.ExhaustiveBelow run the exact sweep instead
+// — so small graphs lose nothing, and callers can thread the sampled
+// entry point unconditionally. ctx is checked before each batch of ≤64
+// sources and at each BFS level; a canceled sweep returns an error
+// matching physerr.ErrCanceled, its only failure.
 //
 // Determinism: source selection is a partial Fisher–Yates shuffle drawing
 // from par.Rand's per-index PCG streams, and the sweep reduces exact

@@ -169,13 +169,10 @@ func TestSampledCtxMatchesContextFree(t *testing.T) {
 }
 
 // TestPartialPadding pins the anti-false-sharing layout: the per-worker
-// reduction state and scratch headers must stay two cache lines wide so
-// adjacent workers never write the same line.
+// reduction state, written after every batch, must stay two cache lines
+// wide so adjacent workers never write the same line.
 func TestPartialPadding(t *testing.T) {
 	if s := unsafe.Sizeof(apPartial{}); s != 128 {
 		t.Errorf("apPartial is %d bytes, want 128 (two cache lines)", s)
-	}
-	if s := unsafe.Sizeof(apScratch{}); s != 128 {
-		t.Errorf("apScratch is %d bytes, want 128 (two cache lines)", s)
 	}
 }

@@ -6,9 +6,18 @@ import (
 	"math/rand/v2"
 
 	"physdep/internal/par"
+	"physdep/internal/physerr"
 )
 
-// SpectralGap estimates 1 - λ₂ of the lazy random-walk matrix
+// SpectralGap is SpectralGapCtx under context.Background(), which never
+// cancels, so it cannot fail. It remains for the bench module's trace
+// replay, which calls it by this name; everything else passes a context.
+func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
+	gap, _ := g.SpectralGapCtx(context.Background(), iters, rng) // Background never cancels
+	return gap
+}
+
+// SpectralGapCtx estimates 1 - λ₂ of the lazy random-walk matrix
 // (I + P)/2 of g, where λ₂ is the second-largest eigenvalue magnitude.
 // Large gaps mean good expansion; this is the number the Jellyfish and
 // Xpander papers appeal to when they call their topologies "near-optimal
@@ -21,9 +30,15 @@ import (
 // iters controls convergence; 200 is plenty for the graph sizes physdep
 // evaluates. Isolated nodes are given an implicit self-loop so the walk is
 // well defined.
-func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
+//
+// ctx is checked before each power iteration and handed to the matvec's
+// fan-out, so a canceled estimate stops within one iteration and returns
+// an error matching physerr.ErrCanceled, its only failure. rng is drawn
+// from exactly as without a context: N normal variates, before the first
+// iteration.
+func (g *Graph) SpectralGapCtx(ctx context.Context, iters int, rng *rand.Rand) (float64, error) {
 	if g.N < 2 {
-		return 1
+		return 1, nil
 	}
 	// The matvec is the whole cost of the estimate; iterate the packed
 	// CSR rows (same slot order as adj, so the float accumulation order
@@ -69,15 +84,19 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 			y[u] = (acc + x[u]) / 2
 		}
 	}
+	cancellable := ctx.Done() != nil
 	for it := 0; it < iters; it++ {
+		if cancellable {
+			if err := ctx.Err(); err != nil {
+				return 0, physerr.Canceled(err)
+			}
+		}
 		deflate(x, pi)
 		// y = (x + P x)/2, with P(u,v) = (#edges u–v)/deg(u).
 		if blocks > 1 && par.Workers() > 1 {
-			// par: discard ok — the block fn never errors and context.TODO
-			// never cancels: SpectralGap takes no context (each matvec is
-			// microseconds; callers bound it by iteration count, not by
-			// deadline).
-			_ = par.ForCtx(context.TODO(), blocks, func(b int) error {
+			// The block fn never errors, so cancellation is the only
+			// failure, already classified by par.
+			err := par.ForCtx(ctx, blocks, func(b int) error {
 				hi := (b + 1) * blockNodes
 				if hi > g.N {
 					hi = g.N
@@ -85,6 +104,9 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 				matvecBlock(b*blockNodes, hi)
 				return nil
 			})
+			if err != nil {
+				return 0, err
+			}
 		} else {
 			matvecBlock(0, g.N)
 		}
@@ -94,7 +116,7 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
-			return 1 // x was entirely in the top eigenspace: gap is maximal
+			return 1, nil // x was entirely in the top eigenspace: gap is maximal
 		}
 		lambda = norm / vecNorm(x)
 		for u := range x {
@@ -104,7 +126,7 @@ func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
 	if lambda > 1 {
 		lambda = 1
 	}
-	return 1 - lambda
+	return 1 - lambda, nil
 }
 
 // deflate removes the component of x along the all-ones direction under

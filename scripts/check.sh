@@ -209,6 +209,12 @@ echo "== fleet evaluate (one 4k-switch core.EvaluateCtx, BenchmarkEvaluateFleet)
 # record in the log.
 go test -run '^$' -bench EvaluateFleet -benchtime 1x ./internal/core
 
+echo "== ToR path statistics (flatrandom and ring, 1.8k exhaustive and 5k/20k sampled; BenchmarkBasicStats)"
+# One bit-parallel all-pairs sweep on each side of the sampling threshold,
+# the kernel /v1/stats and every evaluation run first, on a low-diameter
+# fabric and on a ring whose diameter is half its size.
+go test -run '^$' -bench BasicStats -benchtime 1x ./internal/topology
+
 if [ "${ESCALE_SKIP:-}" = "1" ]; then
   echo "== E-scale smoke (skipped: ESCALE_SKIP=1)"
 else
