@@ -87,7 +87,7 @@ func BenchmarkES2FleetScale(b *testing.B)         { benchExperiment(b, "ES2") }
 // Placement: greedy-only vs greedy+annealing. Reports the cable-length
 // ratio anneal/greedy (lower is better; <1 means annealing helped). The
 // annealer runs its 4-chain multi-restart mode, so this also measures the
-// parallel restart fan-out (scale workers with PHYSDEP_WORKERS).
+// parallel restart fan-out (scale workers with -cpu, which sets GOMAXPROCS).
 func BenchmarkAblationPlacement(b *testing.B) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 8, Rate: 100})
 	if err != nil {
@@ -209,7 +209,7 @@ func BenchmarkAblationBundling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		score = plan.BundleabilityScore(4)
+		score = plan.BundleabilityScore()
 	}
 	b.ReportMetric(score, "bundleability")
 }

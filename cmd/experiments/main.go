@@ -6,7 +6,7 @@
 //	experiments                         # run everything, in order
 //	experiments -run E3,E4              # run a subset
 //	experiments -list                   # list experiment IDs and titles
-//	experiments -workers 4              # cap the worker pools (also PHYSDEP_WORKERS)
+//	experiments -workers 4              # set the worker pool size
 //	experiments -manifest m.json        # write the machine-readable run manifest
 //	experiments -trace                  # print the span tree + counters to stderr
 //	experiments -cpuprofile cpu.pprof   # runtime/pprof CPU profile of the run
@@ -62,7 +62,7 @@ func run() (exit int) {
 	}
 	runList := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS or PHYSDEP_WORKERS)")
+	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	manifestPath := flag.String("manifest", "", "write a machine-readable run manifest (spans, counters, env) to this JSON file")
 	trace := flag.Bool("trace", false, "print the span tree and counters to stderr after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")

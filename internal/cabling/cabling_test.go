@@ -146,7 +146,7 @@ func TestPlanCablesBasic(t *testing.T) {
 		demands = append(demands, Demand{ID: i,
 			From: floorplan.RackLoc{Row: 1, Slot: 1}, To: floorplan.RackLoc{Row: 2, Slot: 5}, Rate: 100})
 	}
-	p, err := PlanCables(f, cat, demands, Options{MinBundleSize: 4})
+	p, err := PlanCables(f, cat, demands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPlanCablesBasic(t *testing.T) {
 	if s.Bundles != 1 || s.Singletons != 2 {
 		t.Errorf("bundles = %d singletons = %d, want 1 and 2", s.Bundles, s.Singletons)
 	}
-	if got := p.BundleabilityScore(4); math.Abs(got-0.75) > 1e-9 {
+	if got := p.BundleabilityScore(); math.Abs(got-0.75) > 1e-9 {
 		t.Errorf("bundleability = %v, want 0.75 (6 of 8)", got)
 	}
 }
@@ -171,13 +171,23 @@ func TestPlanCablesEveryCableInExactlyOneBundle(t *testing.T) {
 			From: floorplan.RackLoc{Row: i % 4, Slot: i % 10},
 			To:   floorplan.RackLoc{Row: (i + 1) % 4, Slot: (i * 3) % 10}, Rate: 100})
 	}
-	p, err := PlanCables(f, cat, demands, Options{MinBundleSize: 3, MaxBundleCables: 8})
+	// 130 cables on one rack pair: two full bundles and a 2-cable
+	// remainder pulled as singletons.
+	for i := 150; i < 280; i++ {
+		demands = append(demands, Demand{ID: i,
+			From: floorplan.RackLoc{Row: 3, Slot: 9}, To: floorplan.RackLoc{Row: 0, Slot: 9}, Rate: 100})
+	}
+	p, err := PlanCables(f, cat, demands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	covered := make([]int, len(p.Cables))
+	full := 0
 	for _, b := range p.Bundles {
-		if len(b.CableIdx) > 8 {
+		if len(b.CableIdx) == MaxBundleCables {
+			full++
+		}
+		if len(b.CableIdx) > MaxBundleCables {
 			t.Errorf("bundle exceeds MaxBundleCables: %d", len(b.CableIdx))
 		}
 		for _, i := range b.CableIdx {
@@ -188,6 +198,9 @@ func TestPlanCablesEveryCableInExactlyOneBundle(t *testing.T) {
 		if c != 1 {
 			t.Errorf("cable %d covered %d times", i, c)
 		}
+	}
+	if full != 2 {
+		t.Errorf("%d bundles of MaxBundleCables, want 2 from the 130-cable group", full)
 	}
 }
 
@@ -228,7 +241,7 @@ func TestBundlePackingInflation(t *testing.T) {
 		demands = append(demands, Demand{ID: i,
 			From: floorplan.RackLoc{Row: 0, Slot: 0}, To: floorplan.RackLoc{Row: 0, Slot: 1}, Rate: 100})
 	}
-	p, err := PlanCables(f, cat, demands, Options{MinBundleSize: 4, PackingFactor: 1.5})
+	p, err := PlanCables(f, cat, demands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +252,7 @@ func TestBundlePackingInflation(t *testing.T) {
 	for _, c := range p.Cables {
 		sum += c.Spec.CrossSection()
 	}
-	want := units.SquareMillimeters(float64(sum) * 1.5)
+	want := units.SquareMillimeters(float64(sum) * PackingFactor)
 	if got := p.Bundles[0].CrossSection; math.Abs(float64(got-want)) > 1e-9 {
 		t.Errorf("bundle cross-section = %v, want %v", got, want)
 	}

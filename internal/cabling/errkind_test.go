@@ -9,34 +9,28 @@ import (
 )
 
 // TestPlanErrorKinds pins the classification contract at the cabling
-// boundary: malformed options and locations are out-of-range; a catalog
-// miss is infeasible-media (reachable through either sentinel).
+// boundary: a location outside the hall is out-of-range; a catalog miss
+// is infeasible-media (reachable through either sentinel).
 func TestPlanErrorKinds(t *testing.T) {
 	fp, err := floorplan.NewFloorplan(floorplan.DefaultHall(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat := DefaultCatalog()
-	okDemand := []Demand{{ID: 1, From: floorplan.RackLoc{Row: 0, Slot: 0},
-		To: floorplan.RackLoc{Row: 1, Slot: 3}, Rate: 100}}
 
 	cases := []struct {
 		name    string
 		demands []Demand
-		opts    Options
 		kind    error
 	}{
-		{"negative MinBundleSize", okDemand, Options{MinBundleSize: -1}, physerr.ErrOutOfRange},
-		{"sub-unit PackingFactor", okDemand, Options{PackingFactor: 0.5}, physerr.ErrOutOfRange},
-		{"negative MaxBundleCables", okDemand, Options{MaxBundleCables: -2}, physerr.ErrOutOfRange},
 		{"out-of-hall demand", []Demand{{ID: 2, From: floorplan.RackLoc{Row: -1, Slot: 0},
-			To: floorplan.RackLoc{Row: 0, Slot: 0}, Rate: 100}}, Options{}, physerr.ErrOutOfRange},
+			To: floorplan.RackLoc{Row: 0, Slot: 0}, Rate: 100}}, physerr.ErrOutOfRange},
 		{"unknown rate", []Demand{{ID: 3, From: floorplan.RackLoc{Row: 0, Slot: 0},
-			To: floorplan.RackLoc{Row: 0, Slot: 1}, Rate: 123}}, Options{}, physerr.ErrInfeasibleMedia},
+			To: floorplan.RackLoc{Row: 0, Slot: 1}, Rate: 123}}, physerr.ErrInfeasibleMedia},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := PlanCables(fp, cat, tc.demands, tc.opts)
+			_, err := PlanCables(fp, cat, tc.demands, Options{})
 			if err == nil {
 				t.Fatal("invalid input was accepted")
 			}

@@ -7,7 +7,6 @@ import (
 
 	"physdep/internal/floorplan"
 	"physdep/internal/obs"
-	"physdep/internal/physerr"
 	"physdep/internal/units"
 )
 
@@ -49,46 +48,21 @@ type Plan struct {
 	Tray    *floorplan.TrayLoad
 }
 
+// The bundling rule: a rack-pair group of at least MinBundleSize cables
+// is pre-built as bundles of at most MaxBundleCables (longer groups are
+// split), each with PackingFactor times its members' cross-section,
+// because bundled cables don't tile perfectly. Smaller groups are pulled
+// cable by cable, each a singleton Bundle for uniform accounting.
+const (
+	MinBundleSize   = 4
+	MaxBundleCables = 64
+	PackingFactor   = 1.2
+)
+
 // Options tunes planning.
 type Options struct {
-	// MinBundleSize is the smallest cable group worth pre-building as a
-	// bundle; smaller groups are pulled individually (each becomes a
-	// singleton Bundle for uniform accounting).
-	MinBundleSize int
-	// PackingFactor inflates a bundle's cross-section over the sum of its
-	// members' (≥ 1). Default 1.2.
-	PackingFactor float64
-	// MaxBundleCables caps bundle size; long bundles get split. Default 64.
-	MaxBundleCables int
 	// Filter restricts catalog specs (vendor exclusions etc.).
 	Filter func(Spec) bool
-}
-
-// Validate rejects nonsensical planning knobs (zero means "use the
-// default" throughout).
-func (o Options) Validate() error {
-	if o.MinBundleSize < 0 {
-		return physerr.OutOfRange("cabling: MinBundleSize must be >= 0, got %d", o.MinBundleSize)
-	}
-	if o.PackingFactor != 0 && o.PackingFactor < 1 {
-		return physerr.OutOfRange("cabling: PackingFactor must be >= 1 (or 0 for the default), got %v", o.PackingFactor)
-	}
-	if o.MaxBundleCables < 0 {
-		return physerr.OutOfRange("cabling: MaxBundleCables must be >= 0, got %d", o.MaxBundleCables)
-	}
-	return nil
-}
-
-func (o *Options) defaults() {
-	if o.MinBundleSize == 0 {
-		o.MinBundleSize = 4
-	}
-	if o.PackingFactor == 0 {
-		o.PackingFactor = 1.2
-	}
-	if o.MaxBundleCables == 0 {
-		o.MaxBundleCables = 64
-	}
 }
 
 // PlanCables routes every demand, selects media, groups cables into
@@ -99,10 +73,6 @@ func (o *Options) defaults() {
 func PlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Options) (*Plan, error) {
 	defer obs.Time("cabling.plan")()
 	obs.Add("cabling.plan.demands", int64(len(demands)))
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts.defaults()
 	p := &Plan{Cables: make([]Cable, 0, len(demands)), Tray: floorplan.NewTrayLoad(f)}
 	pair := make([]int, len(demands)) // rack-pair key per cable: low*NumRacks + high
 	order := make([]int, len(demands))
@@ -130,10 +100,10 @@ func PlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Opt
 		}
 		// Long groups split into chunks of MaxBundleCables; a chunk below
 		// MinBundleSize is pulled cable by cable.
-		for start := lo; start < hi; start += opts.MaxBundleCables {
-			end := min(start+opts.MaxBundleCables, hi)
-			if end-start >= opts.MinBundleSize {
-				p.addBundle(order[start:end:end], opts.PackingFactor)
+		for start := lo; start < hi; start += MaxBundleCables {
+			end := min(start+MaxBundleCables, hi)
+			if end-start >= MinBundleSize {
+				p.addBundle(order[start:end:end], PackingFactor)
 				continue
 			}
 			for i := start; i < end; i++ {
@@ -203,16 +173,16 @@ func (p *Plan) Summarize() Summary {
 
 // BundleabilityScore measures how well a design's cables aggregate into
 // pre-buildable bundles: the fraction of cables that travel in a bundle
-// of at least minSize. Jellyfish's unstructured randomness scores low;
+// of at least MinBundleSize. Jellyfish's unstructured randomness scores low;
 // Clos pods and FatClique blocks score high — the §4.2 argument in one
 // number.
-func (p *Plan) BundleabilityScore(minSize int) float64 {
+func (p *Plan) BundleabilityScore() float64 {
 	if len(p.Cables) == 0 {
 		return 0
 	}
 	in := 0
 	for _, b := range p.Bundles {
-		if len(b.CableIdx) >= minSize {
+		if len(b.CableIdx) >= MinBundleSize {
 			in += len(b.CableIdx)
 		}
 	}

@@ -79,11 +79,11 @@ func writeDocument(t *testing.T, p cli.TopoParams) string {
 // input and requires identical cables, bundles (members, route and
 // cross-section bits) and tray loads. Each bundle's CableIdx must also
 // be capacity-capped, so an append to one cannot write into another.
-func assertSamePlan(t *testing.T, name string, f *floorplan.Floorplan, demands []cabling.Demand, opts cabling.Options) {
+func assertSamePlan(t *testing.T, name string, f *floorplan.Floorplan, demands []cabling.Demand) {
 	t.Helper()
 	cat := cabling.DefaultCatalog()
-	got, err := cabling.PlanCables(f, cat, demands, opts)
-	want, refErr := cabling.RefPlanCables(f, cat, demands, opts)
+	got, err := cabling.PlanCables(f, cat, demands, cabling.Options{})
+	want, refErr := cabling.RefPlanCables(f, cat, demands, cabling.Options{})
 	if fmt.Sprint(err) != fmt.Sprint(refErr) {
 		t.Fatalf("%s: error %v, reference %v", name, err, refErr)
 	}
@@ -111,10 +111,6 @@ func assertSamePlan(t *testing.T, name string, f *floorplan.Floorplan, demands [
 	}
 }
 
-// bundleKnobs are the MinBundleSize and MaxBundleCables values the
-// random sets try in every combination, Max < Min included.
-var bundleKnobs = []int{0, 1, 2, 3, 5, 64}
-
 // randomDemands draws n demands between a few racks of f, so that rack
 // pairs repeat in both orientations and groups are long enough to
 // split; a tenth stay inside one rack.
@@ -138,7 +134,9 @@ func randomDemands(rng *rand.Rand, f *floorplan.Floorplan, n int) []cabling.Dema
 
 // TestPlanCablesMatchesReference pins the sort-grouped planner to the
 // map-grouped reference on every family's placed demands and on seeded
-// random demand sets under every bundling knob combination.
+// random demand sets. The random sets must reach both ends of the
+// bundling rule: a rack-pair group longer than MaxBundleCables (a split)
+// and one shorter than MinBundleSize (singletons).
 func TestPlanCablesMatchesReference(t *testing.T) {
 	for _, fam := range cli.Families() {
 		p, ok := diffFamilies[fam]
@@ -147,24 +145,36 @@ func TestPlanCablesMatchesReference(t *testing.T) {
 			continue
 		}
 		f, demands := familyDemands(t, p)
-		assertSamePlan(t, fam, f, demands, cabling.Options{})
+		assertSamePlan(t, fam, f, demands)
 	}
 	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(6, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	split, singles := false, false
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xcab1e))
 		demands := randomDemands(rng, f, rng.IntN(300))
-		for _, minSize := range bundleKnobs {
-			for _, maxCables := range bundleKnobs {
-				for _, packing := range []float64{0, 1.5} {
-					opts := cabling.Options{MinBundleSize: minSize, MaxBundleCables: maxCables, PackingFactor: packing}
-					assertSamePlan(t, fmt.Sprintf("seed %d %+v", seed, opts), f, demands, opts)
-				}
-			}
+		assertSamePlan(t, fmt.Sprintf("seed %d", seed), f, demands)
+		for _, n := range groupSizes(f, demands) {
+			split = split || n > cabling.MaxBundleCables
+			singles = singles || n < cabling.MinBundleSize
 		}
 	}
+	if !split || !singles {
+		t.Errorf("random demand sets lack a group over %d cables (%v) or under %d (%v)",
+			cabling.MaxBundleCables, split, cabling.MinBundleSize, singles)
+	}
+}
+
+// groupSizes counts the demands of each rack pair, either orientation.
+func groupSizes(f *floorplan.Floorplan, demands []cabling.Demand) map[[2]int]int {
+	n := map[[2]int]int{}
+	for _, d := range demands {
+		a, b := f.RackIndex(d.From), f.RackIndex(d.To)
+		n[[2]int{min(a, b), max(a, b)}]++
+	}
+	return n
 }
 
 // TestPlanCablesAllocs holds PlanCables on the 96-switch fixture to a

@@ -19,10 +19,6 @@ var RefPlanCables = refPlanCables
 func refPlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Options) (*Plan, error) {
 	defer obs.Time("cabling.plan")()
 	obs.Add("cabling.plan.demands", int64(len(demands)))
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts.defaults()
 	p := &Plan{Tray: floorplan.NewTrayLoad(f)}
 	type pairKey struct {
 		a, b int // rack indices, a <= b
@@ -59,24 +55,24 @@ func refPlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts 
 	for _, k := range keys {
 		idxs := groups[k]
 		sort.Ints(idxs)
-		if len(idxs) < opts.MinBundleSize {
+		if len(idxs) < MinBundleSize {
 			for _, i := range idxs {
 				p.addBundle([]int{i}, 1.0) // singleton: no packing overhead
 			}
 			continue
 		}
-		for start := 0; start < len(idxs); start += opts.MaxBundleCables {
-			end := start + opts.MaxBundleCables
+		for start := 0; start < len(idxs); start += MaxBundleCables {
+			end := start + MaxBundleCables
 			if end > len(idxs) {
 				end = len(idxs)
 			}
 			chunk := idxs[start:end]
-			if len(chunk) < opts.MinBundleSize {
+			if len(chunk) < MinBundleSize {
 				for _, i := range chunk {
 					p.addBundle([]int{i}, 1.0)
 				}
 			} else {
-				p.addBundle(append([]int(nil), chunk...), opts.PackingFactor)
+				p.addBundle(append([]int(nil), chunk...), PackingFactor)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 // Package core is physdep's headline API: the deployability evaluator
-// the paper's §5.4 calls for. Give it a topology, a hall, a media
-// catalog, and a cost model; it places the switches, plans the cables,
-// prices the build, schedules a crew, checks the digital twin, and
-// returns a DeployabilityReport — time-to-deploy, cost-to-deploy,
-// first-pass yield, bundleability, tray load, and the abstract
-// network-goodness numbers to weigh them against.
+// the paper's §5.4 calls for. Give it a topology and a hall; against the
+// default media catalog and cost model it places the switches, plans and
+// pre-bundles the cables, prices the build, schedules a crew, checks the
+// digital twin, and returns a DeployabilityReport — time-to-deploy,
+// cost-to-deploy, first-pass yield, bundleability, tray load, and the
+// abstract network-goodness numbers to weigh them against.
 package core
 
 import (
@@ -25,12 +25,12 @@ import (
 )
 
 // Input bundles everything an evaluation needs. Zero values get sensible
-// defaults (see EvaluateCtx).
+// defaults (see EvaluateCtx). The media catalog, the cost model and
+// pre-bundling are fixed: cabling.DefaultCatalog, costmodel.Default and
+// pre-built bundles on.
 type Input struct {
-	Topo    *topology.Topology
-	Hall    floorplan.Hall
-	Catalog *cabling.Catalog
-	Model   *costmodel.Model
+	Topo *topology.Topology
+	Hall floorplan.Hall
 
 	// PlacementSteps > 0 runs simulated-annealing placement refinement.
 	PlacementSteps int
@@ -39,25 +39,13 @@ type Input struct {
 	PlacementRestarts int
 	// Techs is the deployment crew size (default 8).
 	Techs int
-	// Prebundle enables pre-built cable bundles (default true via
-	// DefaultInput; zero Input means false — explicit is better here).
-	Prebundle bool
 	// Seed drives placement annealing and yield rolls.
 	Seed uint64
 }
 
-// DefaultInput returns an Input for the common case: default catalog and
-// cost model, bundling on, 8 techs.
+// DefaultInput returns an Input for the common case: 8 techs, seed 1.
 func DefaultInput(t *topology.Topology, hall floorplan.Hall) Input {
-	return Input{
-		Topo:      t,
-		Hall:      hall,
-		Catalog:   cabling.DefaultCatalog(),
-		Model:     costmodel.Default(),
-		Techs:     8,
-		Prebundle: true,
-		Seed:      1,
-	}
+	return Input{Topo: t, Hall: hall, Techs: 8, Seed: 1}
 }
 
 // AbstractStats is the "paper metrics" side of the report. The json
@@ -112,6 +100,16 @@ const (
 	MaxPlacementRestarts = 1 << 10
 )
 
+// Caps on a failure what-if sweep (physdepd's /v1/whatif): Monte-Carlo
+// trials per failure fraction, and failure fractions per sweep. Each
+// trial is one throughput solve on a degraded copy of the fabric, so
+// their product bounds the work one request can ask for (E19 runs 5
+// trials over 5 fractions).
+const (
+	MaxWhatIfTrials = 1024
+	MaxWhatIfFracs  = 64
+)
+
 // CheckKnobs rejects a crew size, an annealing step count or a restart
 // count below zero or above its cap, with an error wrapping
 // physerr.ErrOutOfRange. Zero means "use the default" for each.
@@ -153,12 +151,6 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	if in.Catalog == nil {
-		in.Catalog = cabling.DefaultCatalog()
-	}
-	if in.Model == nil {
-		in.Model = costmodel.Default()
-	}
 	if in.Techs == 0 {
 		in.Techs = 8
 	}
@@ -188,7 +180,7 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	}
 
 	cs := sp.Child("cabling")
-	plan, err := cabling.PlanCables(f, in.Catalog, p.Demands(nil), cabling.Options{})
+	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +191,9 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	}
 
 	ds := sp.Child("deploy")
-	dp := deploy.Build(p, plan, in.Model, deploy.BuildOptions{Prebundle: in.Prebundle})
-	sched, err := deploy.ExecuteCtx(ctx, dp, in.Model, f, deploy.ExecOptions{Techs: in.Techs, Seed: in.Seed})
+	cost := costmodel.Default()
+	dp := deploy.Build(p, plan, cost, deploy.BuildOptions{Prebundle: true})
+	sched, err := deploy.ExecuteCtx(ctx, dp, cost, f, deploy.ExecOptions{Techs: in.Techs, Seed: in.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -235,22 +228,22 @@ func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	}
 	as.End()
 	rep.Cabling = plan.Summarize()
-	rep.Bundleability = plan.BundleabilityScore(4)
+	rep.Bundleability = plan.BundleabilityScore()
 	rep.CableCapex = rep.Cabling.MaterialCost
-	capex, err := in.Model.NetworkCapex(in.Topo, plan, 0, 0)
+	capex, err := cost.NetworkCapex(in.Topo, plan, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	rep.SwitchCapex = capex.Switches
 	rep.TotalCapex = capex.Total
 	rep.TimeToDeploy = sched.Makespan.Hours()
-	rep.LaborCost = sched.LaborCost(in.Model)
+	rep.LaborCost = sched.LaborCost(cost)
 	if sched.LaborMinutes > 0 {
 		rep.WalkFraction = float64(sched.WalkMinutes) / float64(sched.LaborMinutes)
 	}
 	rep.FirstPassYield = sched.FirstPassYield()
 	rep.Reworks = sched.Reworks
-	rep.StrandedCost = in.Model.StrandedCost(in.Topo.Servers(), rep.TimeToDeploy)
+	rep.StrandedCost = cost.StrandedCost(in.Topo.Servers(), rep.TimeToDeploy)
 	rep.TrayPeakUtil = rep.Cabling.PeakTrayUtil
 	rep.TwinViolations = len(violations)
 	for _, v := range violations {

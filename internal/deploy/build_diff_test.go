@@ -106,7 +106,9 @@ func assertSameBuild(t *testing.T, name string, p *placement.Placement, plan *ca
 // TestBuildMatchesReference pins Build to the slice-per-task reference
 // on every family's cable plan, and on plans of seeded random demands
 // (random topology edges between a few random racks, some of them
-// without a placed rack) under every bundling knob combination.
+// without a placed rack). The random sets must reach both ends of the
+// bundling rule: a rack-pair group longer than cabling.MaxBundleCables
+// (a split) and one shorter than cabling.MinBundleSize (singletons).
 func TestBuildMatchesReference(t *testing.T) {
 	m := costmodel.Default()
 	for _, fam := range cli.Families() {
@@ -119,7 +121,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		assertSameBuild(t, fam, p, plan, m)
 	}
 	p := placeFamily(t, benchFabric)
-	knobs := []int{0, 1, 2, 3, 5, 64}
+	split, singles := false, false
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xde9107))
 		racks := make([]floorplan.RackLoc, 2+rng.IntN(6))
@@ -131,18 +133,24 @@ func TestBuildMatchesReference(t *testing.T) {
 			demands[i] = cabling.Demand{ID: rng.IntN(len(p.Topo.Edges)),
 				From: racks[rng.IntN(len(racks))], To: racks[rng.IntN(len(racks))], Rate: 100}
 		}
-		for _, minSize := range knobs {
-			for _, maxCables := range knobs {
-				for _, packing := range []float64{0, 1.5} {
-					opts := cabling.Options{MinBundleSize: minSize, MaxBundleCables: maxCables, PackingFactor: packing}
-					plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), demands, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameBuild(t, fmt.Sprintf("seed %d %+v", seed, opts), p, plan, m)
-				}
-			}
+		plan, err := cabling.PlanCables(p.Floor, cabling.DefaultCatalog(), demands, cabling.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameBuild(t, fmt.Sprintf("seed %d", seed), p, plan, m)
+		group := map[[2]int]int{}
+		for _, d := range demands {
+			a, b := p.Floor.RackIndex(d.From), p.Floor.RackIndex(d.To)
+			group[[2]int{min(a, b), max(a, b)}]++
+		}
+		for _, n := range group {
+			split = split || n > cabling.MaxBundleCables
+			singles = singles || n < cabling.MinBundleSize
+		}
+	}
+	if !split || !singles {
+		t.Errorf("random demand sets lack a group over %d cables (%v) or under %d (%v)",
+			cabling.MaxBundleCables, split, cabling.MinBundleSize, singles)
 	}
 }
 

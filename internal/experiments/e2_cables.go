@@ -55,8 +55,7 @@ func E2MediaCrossover(ctx context.Context) (*Result, error) {
 			a400 = s
 		}
 	}
-	hall := floorplan.DefaultHall(1, 1)
-	plenum := float64(hall.PlenumCapacity)
+	plenum := float64(floorplan.PlenumCapacity)
 	packing := 1.3 // cables don't tile
 	fits := func(s cabling.Spec) int {
 		return int(plenum / (float64(s.CrossSection()) * packing))

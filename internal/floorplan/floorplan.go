@@ -16,39 +16,34 @@ import (
 // Hall describes a rectangular machine hall with Rows parallel rows of
 // RacksPerRow rack slots each. Cables leave a rack vertically into an
 // overhead tray running along its row; row trays connect to perpendicular
-// spine trays at both ends of the hall.
+// spine trays at both ends of the hall. Every hall shares the geometry
+// constants below; only its size varies.
 type Hall struct {
 	Rows        int
 	RacksPerRow int
-	RackPitch   units.Meters // center-to-center slot spacing along a row
-	RowPitch    units.Meters // center-to-center spacing between rows
-	RiserLength units.Meters // rack top-of-rack to tray, per end of a cable
-	SlackFactor float64      // multiplier ≥ 1 for routing slack & service loops
-
-	DoorWidth units.Meters // limits how wide a pre-assembled unit can be
-	RackWidth units.Meters // physical rack width (typ. 0.6 m)
-
-	TrayCapacity   units.SquareMillimeters // usable cross-section per tray segment
-	PlenumCapacity units.SquareMillimeters // usable intra-rack cable plenum per rack
-	RackUnits      int                     // usable RU per rack (typ. 42)
 }
 
-// DefaultHall returns geometry for a modest production-style hall, sized
-// so the E1 topologies (up to a few hundred switches) fit comfortably.
+// The hall envelope: the geometry of a modest production-style hall,
+// sized so the E1 topologies (up to a few hundred switches) fit
+// comfortably. Automation works inside this one declared envelope, so
+// these are constants, not per-hall settings.
+const (
+	RackPitch   units.Meters = 0.7  // center-to-center slot spacing along a row
+	RowPitch    units.Meters = 1.8  // center-to-center spacing between rows
+	RiserLength units.Meters = 2.5  // rack top-of-rack to tray, per end of a cable
+	SlackFactor float64      = 1.15 // multiplier ≥ 1 for routing slack & service loops
+
+	DoorWidth units.Meters = 1.1 // limits how wide a pre-assembled unit can be
+	RackWidth units.Meters = 0.6 // physical rack width
+
+	TrayCapacity   units.SquareMillimeters = 120000 // usable cross-section per tray segment: a 600 mm × 200 mm tray
+	PlenumCapacity units.SquareMillimeters = 60000  // usable intra-rack cable plenum per rack
+	RackUnits                              = 42     // usable RU per rack
+)
+
+// DefaultHall returns a hall of rows × racksPerRow slots.
 func DefaultHall(rows, racksPerRow int) Hall {
-	return Hall{
-		Rows:           rows,
-		RacksPerRow:    racksPerRow,
-		RackPitch:      0.7,
-		RowPitch:       1.8,
-		RiserLength:    2.5,
-		SlackFactor:    1.15,
-		DoorWidth:      1.1,
-		RackWidth:      0.6,
-		TrayCapacity:   120000, // mm²: a 600 mm × 200 mm tray
-		PlenumCapacity: 60000,  // mm²
-		RackUnits:      42,
-	}
+	return Hall{Rows: rows, RacksPerRow: racksPerRow}
 }
 
 // MaxRacks bounds how many rack slots a hall may declare. Real halls top
@@ -56,29 +51,14 @@ func DefaultHall(rows, racksPerRow int) Hall {
 // corrupted Hall fails validation instead of exhausting memory.
 const MaxRacks = 1 << 20
 
-// Validate checks that the hall's geometry is physically meaningful: at
-// least one row and slot (and no more than MaxRacks total), non-negative
-// pitches and riser length, and a slack factor of at least 1. Violations
-// wrap physerr.ErrOutOfRange.
+// Validate checks that the hall has at least one row and slot and no
+// more than MaxRacks in total. Violations wrap physerr.ErrOutOfRange.
 func (h Hall) Validate() error {
 	if h.Rows < 1 || h.RacksPerRow < 1 {
 		return physerr.OutOfRange("floorplan: need at least one row and one slot, got %dx%d", h.Rows, h.RacksPerRow)
 	}
 	if h.Rows > MaxRacks || h.RacksPerRow > MaxRacks || h.Rows*h.RacksPerRow > MaxRacks {
 		return physerr.OutOfRange("floorplan: %dx%d hall exceeds %d rack slots", h.Rows, h.RacksPerRow, MaxRacks)
-	}
-	if h.RackPitch < 0 || h.RowPitch < 0 || h.RiserLength < 0 {
-		return physerr.OutOfRange("floorplan: negative pitch or riser (pitch %v/%v, riser %v)",
-			h.RackPitch, h.RowPitch, h.RiserLength)
-	}
-	if h.SlackFactor < 1 {
-		return physerr.OutOfRange("floorplan: SlackFactor %v < 1", h.SlackFactor)
-	}
-	if h.DoorWidth < 0 || h.RackWidth < 0 {
-		return physerr.OutOfRange("floorplan: negative door or rack width (%v, %v)", h.DoorWidth, h.RackWidth)
-	}
-	if h.TrayCapacity < 0 || h.PlenumCapacity < 0 || h.RackUnits < 0 {
-		return physerr.OutOfRange("floorplan: negative tray/plenum/RU capacity")
 	}
 	return nil
 }
@@ -126,9 +106,9 @@ func (f *Floorplan) ReserveRU(idx, ru int) error {
 	if ru < 0 {
 		return physerr.OutOfRange("floorplan: cannot reserve %d RU", ru)
 	}
-	if f.usedRU[idx]+ru > f.RackUnits {
+	if f.usedRU[idx]+ru > RackUnits {
 		return physerr.Capacity("floorplan: rack %v full (%d + %d > %d RU)",
-			f.LocOf(idx), f.usedRU[idx], ru, f.RackUnits)
+			f.LocOf(idx), f.usedRU[idx], ru, RackUnits)
 	}
 	f.usedRU[idx] += ru
 	return nil

@@ -25,10 +25,8 @@ func TestNewFloorplanRejectsEmpty(t *testing.T) {
 	if _, err := NewFloorplan(DefaultHall(0, 5)); err == nil {
 		t.Error("0 rows accepted")
 	}
-	h := DefaultHall(2, 2)
-	h.SlackFactor = 0.5
-	if _, err := NewFloorplan(h); err == nil {
-		t.Error("slack < 1 accepted")
+	if _, err := NewFloorplan(DefaultHall(MaxRacks, 2)); err == nil {
+		t.Error("hall over MaxRacks accepted")
 	}
 }
 
@@ -177,7 +175,7 @@ func TestTrayLoadAccounting(t *testing.T) {
 	if tl.PeakUtilization() > 1 {
 		t.Errorf("peak utilization = %v before the budget is blown", tl.PeakUtilization())
 	}
-	tl.Add(r, f.TrayCapacity) // blow the budget
+	tl.Add(r, TrayCapacity) // blow the budget
 	if tl.PeakUtilization() <= 1 {
 		t.Errorf("peak utilization = %v, want > 1", tl.PeakUtilization())
 	}
@@ -202,9 +200,9 @@ func TestWalkingDistance(t *testing.T) {
 // to the hall bounds, are positive, and tray segments are always in range.
 func TestQuickRouteBounds(t *testing.T) {
 	f := testHall(t, 5, 12)
-	maxLen := float64(2*f.RiserLength+
-		units.Meters(2*(f.RacksPerRow-1))*f.RackPitch+
-		units.Meters(f.Rows-1)*f.RowPitch) * f.SlackFactor
+	maxLen := float64(2*RiserLength+
+		units.Meters(2*(f.RacksPerRow-1))*RackPitch+
+		units.Meters(f.Rows-1)*RowPitch) * SlackFactor
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		a := RackLoc{Row: rng.IntN(5), Slot: rng.IntN(12)}

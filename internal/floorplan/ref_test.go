@@ -18,9 +18,9 @@ func (f *Floorplan) refRoute(a, b RackLoc) Route {
 		for s := lo; s < hi; s++ {
 			segs = append(segs, f.rowSegment(a.Row, s))
 		}
-		length := 2*f.RiserLength + units.Meters(hi-lo)*f.RackPitch
+		length := 2*RiserLength + units.Meters(hi-lo)*RackPitch
 		return Route{From: a, To: b,
-			Length:   units.Meters(float64(length) * f.SlackFactor),
+			Length:   units.Meters(float64(length) * SlackFactor),
 			Segments: segs}
 	}
 	// Different rows: compare going via the left spine (slot 0) with the
@@ -43,11 +43,11 @@ func (f *Floorplan) refRoute(a, b RackLoc) Route {
 		segs = append(segs, f.spineSegment(r, end))
 	}
 	segs = append(segs, f.refRowSpanToEnd(b, end)...)
-	length := 2*f.RiserLength +
-		units.Meters(run)*f.RackPitch +
-		units.Meters(hiRow-loRow)*f.RowPitch
+	length := 2*RiserLength +
+		units.Meters(run)*RackPitch +
+		units.Meters(hiRow-loRow)*RowPitch
 	return Route{From: a, To: b,
-		Length:   units.Meters(float64(length) * f.SlackFactor),
+		Length:   units.Meters(float64(length) * SlackFactor),
 		Segments: segs}
 }
 
@@ -78,7 +78,7 @@ func (f *Floorplan) refWalkingDistance(a, b RackLoc) units.Meters {
 		if d < 0 {
 			d = -d
 		}
-		return units.Meters(d) * f.RackPitch
+		return units.Meters(d) * RackPitch
 	}
 	last := f.RacksPerRow - 1
 	leftRun := a.Slot + b.Slot
@@ -91,5 +91,5 @@ func (f *Floorplan) refWalkingDistance(a, b RackLoc) units.Meters {
 	if dr < 0 {
 		dr = -dr
 	}
-	return units.Meters(run)*f.RackPitch + units.Meters(dr)*f.RowPitch
+	return units.Meters(run)*RackPitch + units.Meters(dr)*RowPitch
 }

@@ -79,14 +79,14 @@ func (f *Floorplan) routeLength(a, b RackLoc) units.Meters {
 	}
 	var length units.Meters
 	if a.Row == b.Row {
-		length = 2*f.RiserLength + units.Meters(abs(a.Slot-b.Slot))*f.RackPitch
+		length = 2*RiserLength + units.Meters(abs(a.Slot-b.Slot))*RackPitch
 	} else {
 		_, run := f.spineRun(a, b)
-		length = 2*f.RiserLength +
-			units.Meters(run)*f.RackPitch +
-			units.Meters(abs(a.Row-b.Row))*f.RowPitch
+		length = 2*RiserLength +
+			units.Meters(run)*RackPitch +
+			units.Meters(abs(a.Row-b.Row))*RowPitch
 	}
-	return units.Meters(float64(length) * f.SlackFactor)
+	return units.Meters(float64(length) * SlackFactor)
 }
 
 // spineRun picks the spine a cross-row route takes: the left one (end 0,
@@ -160,13 +160,12 @@ func (f *Floorplan) CheckLoc(l RackLoc) error {
 // routinely hidden by abstraction ("a space that is just a little too
 // small to accommodate the safe bending radius").
 type TrayLoad struct {
-	f    *Floorplan
 	used []units.SquareMillimeters
 }
 
 // NewTrayLoad returns an empty load tracker for f.
 func NewTrayLoad(f *Floorplan) *TrayLoad {
-	return &TrayLoad{f: f, used: make([]units.SquareMillimeters, f.NumTraySegments())}
+	return &TrayLoad{used: make([]units.SquareMillimeters, f.NumTraySegments())}
 }
 
 // Add records one cable of the given cross-section along route r.
@@ -183,7 +182,7 @@ func (t *TrayLoad) Used(s int) units.SquareMillimeters { return t.used[s] }
 func (t *TrayLoad) PeakUtilization() float64 {
 	peak := 0.0
 	for _, u := range t.used {
-		if r := float64(u) / float64(t.f.TrayCapacity); r > peak {
+		if r := float64(u) / float64(TrayCapacity); r > peak {
 			peak = r
 		}
 	}
@@ -198,10 +197,10 @@ func (f *Floorplan) WalkingDistance(a, b RackLoc) units.Meters {
 		return 0
 	}
 	if a.Row == b.Row {
-		return units.Meters(abs(a.Slot-b.Slot)) * f.RackPitch
+		return units.Meters(abs(a.Slot-b.Slot)) * RackPitch
 	}
 	_, run := f.spineRun(a, b)
-	return units.Meters(run)*f.RackPitch + units.Meters(abs(a.Row-b.Row))*f.RowPitch
+	return units.Meters(run)*RackPitch + units.Meters(abs(a.Row-b.Row))*RowPitch
 }
 
 func abs(x int) int {

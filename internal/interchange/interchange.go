@@ -102,10 +102,9 @@ type Provenance struct {
 // Hall is the optional floorplan geometry: the rows × slots grid that the
 // physdep CLI and daemon expose. Every surface that evaluates a document
 // applies it by one rule, cli.ResolveHall: a row or slot count the caller
-// gives explicitly wins, then this hall, then the default. All remaining
-// hall parameters (pitches, tray capacities, door width) stay at library
-// defaults — floorplan.DefaultHall(Rows, Slots) — matching the knob
-// surface of the rest of the system.
+// gives explicitly wins, then this hall, then the default. The rest of
+// the hall geometry (pitches, tray capacities, door width) is
+// floorplan's constants, the same for every hall.
 type Hall struct {
 	Rows  int `json:"rows"`
 	Slots int `json:"slots"`

@@ -24,18 +24,14 @@
 //     through the same lowest-index channel as task errors.
 //
 // Worker count defaults to GOMAXPROCS and is overridable — upward too,
-// for scheduling experiments — via SetWorkers or the PHYSDEP_WORKERS
-// environment variable, which is how the benchmark harness records
-// scaling curves.
+// for scheduling experiments — via SetWorkers (the -workers flag).
 package par
 
 import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -43,59 +39,13 @@ import (
 	"physdep/internal/physerr"
 )
 
-// EnvWorkers is the environment variable that overrides the worker count
-// for every pool in the process (benchmarking scaling curves without code
-// changes). SetWorkers takes precedence over the environment.
-const EnvWorkers = "PHYSDEP_WORKERS"
-
 var workerOverride atomic.Int64
 
-// envWorkersCell holds the cached one-time parse of PHYSDEP_WORKERS.
-// Workers() sits inside every parallel fan-out, so it must not hit the
-// environment (a syscall on some platforms) and re-parse on each call;
-// the variable cannot change mid-process anyway. Tests that mutate the
-// environment re-arm the cell via resetEnvCache — through an atomic
-// pointer, so a reset racing a running par loop is only a stale read,
-// not a data race.
-var envWorkersCell atomic.Pointer[func() int]
-
-func init() { resetEnvCache() }
-
-// envWorkers returns the cached PHYSDEP_WORKERS parse.
-func envWorkers() int { return (*envWorkersCell.Load())() }
-
-// readEnvWorkers parses PHYSDEP_WORKERS once. Unset returns 0 (no
-// override); a malformed or non-positive value warns once on stderr and
-// is ignored rather than silently changing the worker count.
-func readEnvWorkers() int {
-	s := os.Getenv(EnvWorkers)
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		fmt.Fprintf(os.Stderr, "physdep: ignoring %s=%q: want a positive integer\n", EnvWorkers, s)
-		return 0
-	}
-	return n
-}
-
-// resetEnvCache re-arms the PHYSDEP_WORKERS parse; for tests using
-// t.Setenv only.
-func resetEnvCache() {
-	f := sync.OnceValue(readEnvWorkers)
-	envWorkersCell.Store(&f)
-}
-
 // Workers returns the worker count parallel loops will use: the
-// SetWorkers override if set, else PHYSDEP_WORKERS if set and positive,
-// else GOMAXPROCS.
+// SetWorkers override if set, else GOMAXPROCS.
 func Workers() int {
 	if v := workerOverride.Load(); v > 0 {
 		return int(v)
-	}
-	if n := envWorkers(); n > 0 {
-		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -127,63 +127,15 @@ func TestSeedAtMatchesRand(t *testing.T) {
 }
 
 func TestWorkersEnvAndOverride(t *testing.T) {
-	t.Setenv(EnvWorkers, "3")
-	resetEnvCache()
-	t.Cleanup(resetEnvCache)
+	// Without an override the pools follow the environment's GOMAXPROCS;
+	// SetWorkers overrides it, upward too, until SetWorkers(0).
 	SetWorkers(0)
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d with %s=3, want 3", got, EnvWorkers)
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Workers() = %d without an override, want GOMAXPROCS %d", got, want)
 	}
 	SetWorkers(5)
 	defer SetWorkers(0)
 	if got := Workers(); got != 5 {
 		t.Fatalf("Workers() = %d after SetWorkers(5), want 5", got)
 	}
-}
-
-func TestWorkersEnvCached(t *testing.T) {
-	t.Setenv(EnvWorkers, "3")
-	resetEnvCache()
-	t.Cleanup(resetEnvCache)
-	SetWorkers(0)
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d with %s=3, want 3", got, EnvWorkers)
-	}
-	// A later env change must NOT be observed: the parse is once-per-process.
-	t.Setenv(EnvWorkers, "7")
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d after env change, want cached 3", got)
-	}
-}
-
-func TestResetEnvCacheConcurrentWithWorkers(t *testing.T) {
-	// Regression: resetEnvCache used to reassign the cache variable with
-	// no synchronization, a -race finding when a reset overlapped a
-	// running par loop. A racing reset may yield a stale read, never a
-	// torn one.
-	resetEnvCache()
-	t.Cleanup(resetEnvCache)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			resetEnvCache()
-		}
-	}()
-	if err := ForCtx(context.Background(), 200, func(int) error { _ = Workers(); return nil }); err != nil {
-		t.Fatalf("For returned %v", err)
-	}
-	<-done
-}
-
-func TestWorkersMalformedEnvIgnored(t *testing.T) {
-	for _, bad := range []string{"banana", "-2", "0", "1.5"} {
-		t.Setenv(EnvWorkers, bad)
-		resetEnvCache()
-		SetWorkers(0)
-		if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
-			t.Errorf("Workers() = %d with %s=%q, want GOMAXPROCS %d", got, EnvWorkers, bad, want)
-		}
-	}
-	resetEnvCache()
 }

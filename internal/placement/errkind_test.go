@@ -4,29 +4,16 @@ import (
 	"errors"
 	"testing"
 
+	"physdep/internal/floorplan"
 	"physdep/internal/physerr"
 )
 
-// TestGreedyErrorKinds pins the classification contract: malformed
-// configs are out-of-range, while a well-formed request that simply does
-// not fit the hall is a capacity failure.
+// TestGreedyErrorKinds pins the classification contract: a well-formed
+// request that does not fit the hall, for want of slots or of rack
+// units, is a capacity failure.
 func TestGreedyErrorKinds(t *testing.T) {
 	ft := smallFatTree(t)
 
-	t.Run("negative NetSwitchesPerRack", func(t *testing.T) {
-		f := newFloor(t, 3, 10)
-		_, err := Greedy(ft, f, Config{NetSwitchesPerRack: -1})
-		if !errors.Is(err, physerr.ErrOutOfRange) {
-			t.Fatalf("err = %v, want ErrOutOfRange", err)
-		}
-	})
-	t.Run("negative SwitchRU", func(t *testing.T) {
-		f := newFloor(t, 3, 10)
-		_, err := Greedy(ft, f, Config{SwitchRU: -4})
-		if !errors.Is(err, physerr.ErrOutOfRange) {
-			t.Fatalf("err = %v, want ErrOutOfRange", err)
-		}
-	})
 	t.Run("hall too small is capacity", func(t *testing.T) {
 		f := newFloor(t, 1, 5)
 		_, err := Greedy(ft, f, Config{})
@@ -36,8 +23,13 @@ func TestGreedyErrorKinds(t *testing.T) {
 	})
 	t.Run("rack overpacked is capacity", func(t *testing.T) {
 		f := newFloor(t, 3, 10)
-		// 1 switch per network rack at 50 RU each cannot fit a 42U rack.
-		_, err := Greedy(ft, f, Config{NetSwitchesPerRack: 1, SwitchRU: 50})
+		// Leave one free RU per rack: no switch fits.
+		for i := 0; i < f.NumRacks(); i++ {
+			if err := f.ReserveRU(i, floorplan.RackUnits-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Greedy(ft, f, Config{})
 		if !errors.Is(err, physerr.ErrCapacity) {
 			t.Fatalf("err = %v, want ErrCapacity", err)
 		}

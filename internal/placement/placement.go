@@ -17,34 +17,16 @@ import (
 	"physdep/internal/units"
 )
 
-// Config tunes how switches map to racks.
-type Config struct {
-	// NetSwitchesPerRack is how many non-ToR switches share one network
-	// rack. Default 8.
-	NetSwitchesPerRack int
-	// SwitchRU is the rack units one non-ToR switch occupies. Default 4.
-	SwitchRU int
-}
+// Rack packing: how many non-ToR switches share one network rack, and
+// the rack units one non-ToR switch occupies.
+const (
+	NetSwitchesPerRack = 8
+	SwitchRU           = 4
+)
 
-// Validate rejects negative knobs (zero means "use the default").
-func (c Config) Validate() error {
-	if c.NetSwitchesPerRack < 0 {
-		return physerr.OutOfRange("placement: NetSwitchesPerRack must be >= 0, got %d", c.NetSwitchesPerRack)
-	}
-	if c.SwitchRU < 0 {
-		return physerr.OutOfRange("placement: SwitchRU must be >= 0, got %d", c.SwitchRU)
-	}
-	return nil
-}
-
-func (c *Config) defaults() {
-	if c.NetSwitchesPerRack == 0 {
-		c.NetSwitchesPerRack = 8
-	}
-	if c.SwitchRU == 0 {
-		c.SwitchRU = 4
-	}
-}
+// Config is Greedy's option set. It has no fields: rack packing is the
+// constants above.
+type Config struct{}
 
 // Placement binds a topology to a floorplan: each switch belongs to a
 // logical rack, and each logical rack sits in a floor slot.
@@ -149,11 +131,7 @@ func (p *Placement) Demands(extraLoss func(edgeID int) units.DB) []cabling.Deman
 // non-ToR switches in role/pod order) claim the most central floor slots,
 // then ToR racks fill the remaining slots row-major in pod order, keeping
 // each pod physically contiguous.
-func Greedy(t *topology.Topology, f *floorplan.Floorplan, cfg Config) (*Placement, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.defaults()
+func Greedy(t *topology.Topology, f *floorplan.Floorplan, _ Config) (*Placement, error) {
 	tors := t.ToRs()
 	var nonToR []int
 	for _, n := range t.Nodes {
@@ -173,7 +151,7 @@ func Greedy(t *topology.Topology, f *floorplan.Floorplan, cfg Config) (*Placemen
 		}
 		return a.ID < b.ID
 	})
-	nNetRacks := (len(nonToR) + cfg.NetSwitchesPerRack - 1) / cfg.NetSwitchesPerRack
+	nNetRacks := (len(nonToR) + NetSwitchesPerRack - 1) / NetSwitchesPerRack
 	nRacks := nNetRacks + len(tors)
 	if nRacks > f.NumRacks() {
 		return nil, physerr.Capacity("placement: need %d racks (%d network + %d ToR) but hall has %d slots",
@@ -192,7 +170,7 @@ func Greedy(t *topology.Topology, f *floorplan.Floorplan, cfg Config) (*Placemen
 		p.slotUsed[central[r]] = true
 	}
 	for i, sw := range nonToR {
-		p.RackOfSwitch[sw] = i / cfg.NetSwitchesPerRack
+		p.RackOfSwitch[sw] = i / NetSwitchesPerRack
 	}
 	// ToR racks: pods in order, row-major through the remaining slots.
 	sort.Slice(tors, func(i, j int) bool {
@@ -212,14 +190,14 @@ func Greedy(t *topology.Topology, f *floorplan.Floorplan, cfg Config) (*Placemen
 		p.SlotOfRack[r] = next
 		p.slotUsed[next] = true
 	}
-	// Account rack units so over-packed configs fail loudly.
+	// Account rack units, so a rack without room fails loudly.
 	for r := 0; r < nRacks; r++ {
 		ru := 0
 		for _, sw := range p.SwitchesInRack(r) {
 			if t.Nodes[sw].Role == topology.RoleToR {
 				ru += 2 // a ToR takes ~2U; its servers are the rack's business
 			} else {
-				ru += cfg.SwitchRU
+				ru += SwitchRU
 			}
 		}
 		if err := f.ReserveRU(p.SlotOfRack[r], ru); err != nil {
@@ -248,7 +226,7 @@ func slotsByCentrality(f *floorplan.Floorplan) []int {
 			ds = -ds
 		}
 		// Rows are farther apart than slots; weight by pitch.
-		all[i] = slotDist{i, dr*float64(f.RowPitch) + ds*float64(f.RackPitch)}
+		all[i] = slotDist{i, dr*float64(floorplan.RowPitch) + ds*float64(floorplan.RackPitch)}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].d != all[j].d {

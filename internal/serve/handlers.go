@@ -32,10 +32,9 @@ const StatusClientClosedRequest = 499
 const maxBodyBytes = 1 << 20
 
 // HallSpec selects the machine hall a custom evaluation places into —
-// the daemon twin of physdep's -rows/-slots flags (the full Hall
-// geometry stays at library defaults; see floorplan.DefaultHall). An
-// unset (0) dimension follows cli.ResolveHall: an uploaded document's
-// own hall, else the default.
+// the daemon twin of physdep's -rows/-slots flags (the rest of the hall
+// geometry is floorplan's constants). An unset (0) dimension follows
+// cli.ResolveHall: an uploaded document's own hall, else the default.
 type HallSpec struct {
 	Rows  int `json:"rows,omitempty"`
 	Slots int `json:"slots,omitempty"`
@@ -82,7 +81,9 @@ type StatsResponse struct {
 }
 
 // WhatIfRequest asks a failure what-if: degrade the named fabric by
-// random link-failure fractions and report retained throughput.
+// random link-failure fractions and report retained throughput. Trials
+// and the number of FailFracs are capped by core.MaxWhatIfTrials and
+// core.MaxWhatIfFracs.
 type WhatIfRequest struct {
 	Topo       *cli.TopoParams `json:"topo"`
 	FailFracs  []float64       `json:"fail_fracs,omitempty"`  // default [0, 0.02, 0.05, 0.10]
@@ -395,8 +396,14 @@ func normalizeWhatIf(req WhatIfRequest) (WhatIfRequest, error) {
 	if req.Topo == nil {
 		return req, physerr.OutOfRange("serve: whatif needs a topo spec")
 	}
-	if req.Trials < 0 || req.EgressGbps < 0 {
-		return req, physerr.OutOfRange("serve: trials and egress_gbps must be >= 0")
+	if req.Trials < 0 || req.Trials > core.MaxWhatIfTrials {
+		return req, physerr.OutOfRange("serve: trials must be in [0, %d], got %d", core.MaxWhatIfTrials, req.Trials)
+	}
+	if len(req.FailFracs) > core.MaxWhatIfFracs {
+		return req, physerr.OutOfRange("serve: at most %d fail_fracs, got %d", core.MaxWhatIfFracs, len(req.FailFracs))
+	}
+	if req.EgressGbps < 0 {
+		return req, physerr.OutOfRange("serve: egress_gbps must be >= 0")
 	}
 	for _, f := range req.FailFracs {
 		if f < 0 || f >= 1 {

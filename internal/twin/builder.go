@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"physdep/internal/cabling"
+	"physdep/internal/floorplan"
 	"physdep/internal/physerr"
 	"physdep/internal/placement"
 	"physdep/internal/topology"
@@ -89,16 +90,16 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 		return nil, err
 	}
 	if _, err := add("door-main", KindDoor, map[string]float64{
-		"width_m": float64(f.DoorWidth),
+		"width_m": float64(floorplan.DoorWidth),
 	}); err != nil {
 		return nil, err
 	}
 	rackAt := make([]int32, len(inUse)) // slot → rack handle; 0 (the hall's) if unused
 	for _, slot := range slots {
 		rack, err := add(nextID(), KindRack, map[string]float64{
-			"ru_capacity": float64(f.RackUnits),
-			"plenum_mm2":  float64(f.PlenumCapacity),
-			"width_m":     float64(f.RackWidth),
+			"ru_capacity": float64(floorplan.RackUnits),
+			"plenum_mm2":  float64(floorplan.PlenumCapacity),
+			"width_m":     float64(floorplan.RackWidth),
 		})
 		if err != nil {
 			return nil, err
@@ -130,7 +131,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 	tray0 := int32(len(m.ents))
 	for seg := 0; seg < nTray; seg++ {
 		if _, err := add(nextID(), KindTray, map[string]float64{
-			"capacity_mm2": float64(f.TrayCapacity),
+			"capacity_mm2": float64(floorplan.TrayCapacity),
 		}); err != nil {
 			return nil, err
 		}

@@ -16,6 +16,9 @@
 # random deadline under -race, asserting the DESIGN.md §9 contract —
 # nonzero exit, classified diagnostic, interrupted-but-intact manifest.
 #
+# Examples: every examples/* main runs once; a nonzero exit fails the
+# gate.
+#
 # Fuzz smoke: each library-boundary fuzz target runs briefly past its
 # committed seed corpus. Go allows one -fuzz pattern per invocation, so
 # the targets run one at a time. FUZZTIME=0 skips the live fuzzing (the
@@ -63,9 +66,21 @@ echo "== bench module (vet + test)"
 # edit that breaks the benchmark harness must fail here instead.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== observability smoke (manifest + trace)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== examples (each runs once and must exit 0)"
+# go build only compiles the examples; running them catches an API edit
+# that still compiles but breaks what an example does. Each takes a few
+# milliseconds.
+for dir in examples/*/; do
+  name="$(basename "$dir")"
+  echo "-- $name"
+  go build -o "$tmp/example-$name" "./$dir"
+  "$tmp/example-$name" >/dev/null
+done
+
+echo "== observability smoke (manifest + trace)"
 go run ./cmd/experiments -run E2 -manifest "$tmp/manifest.json" -trace \
   >/dev/null 2>"$tmp/trace.txt"
 grep -q '"experiment:E2"' "$tmp/manifest.json"
