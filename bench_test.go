@@ -143,7 +143,7 @@ func BenchmarkKernelKSPThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.DefaultKSP()); err != nil {
+		if _, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.JellyfishK); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func BenchmarkAblationThroughputProxy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ak, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.DefaultKSP())
+		ak, err := trafficsim.KSPThroughputCtx(context.Background(), jf, m, trafficsim.JellyfishK)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -83,9 +83,9 @@ func main() {
 		if err == nil {
 			fmt.Printf("  uniform-traffic alpha (ECMP): %.3f\n", ae)
 		}
-		ak, err := trafficsim.KSPThroughputCtx(ctx, tp, m, trafficsim.DefaultKSP())
+		ak, err := trafficsim.KSPThroughputCtx(ctx, tp, m, trafficsim.JellyfishK)
 		if err == nil {
-			fmt.Printf("  uniform-traffic alpha (KSP-8): %.3f\n", ak)
+			fmt.Printf("  uniform-traffic alpha (KSP-%d): %.3f\n", trafficsim.JellyfishK, ak)
 		}
 	}
 }

@@ -68,11 +68,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.DefaultKSP())
+	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.JellyfishK)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.DefaultKSP())
+	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.JellyfishK)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,9 +81,7 @@ func main() {
 			{AddToRs: 2, AddTrunks: 1},
 			{AddToRs: 2, AddTrunks: 1},
 		},
-		Floor:       lifecycle.FloorModel{ToRsPerRack: 4, Rows: 4, Cols: 4, RackPitch: 3, EndSlack: 1},
-		Costs:       lifecycle.DefaultActionCosts(m),
-		AnnealSteps: 2000, Restarts: 4, RewireTries: 64, Seed: 42,
+		AnnealSteps: 2000, Seed: 42,
 	}
 	plan, err := lifecycle.PlanGrowthCtx(context.Background(), jf, lifecycle.JellyfishGrower{Cfg: jcfg}, pcfg)
 	if err != nil {

@@ -92,8 +92,8 @@ type Report struct {
 
 // Caps on the evaluator's work knobs. Each sizes work up front: a crew
 // slice the scheduler scans for every task, annealing steps, and one
-// placement clone per restart chain. The step and restart caps are the
-// bounds lifecycle.PlannerConfig.Validate uses.
+// placement clone per restart chain. The step cap is also the bound
+// lifecycle.PlannerConfig.Validate puts on AnnealSteps.
 const (
 	MaxTechs             = 1024
 	MaxPlacementSteps    = 1 << 20

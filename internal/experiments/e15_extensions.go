@@ -105,11 +105,11 @@ func E16TopologyEngineering(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		au, err := trafficsim.KSPThroughputCtx(ctx, tu, tm, trafficsim.DefaultKSP())
+		au, err := trafficsim.KSPThroughputCtx(ctx, tu, tm, trafficsim.JellyfishK)
 		if err != nil {
 			return nil, err
 		}
-		ae, err := trafficsim.KSPThroughputCtx(ctx, te, tm, trafficsim.DefaultKSP())
+		ae, err := trafficsim.KSPThroughputCtx(ctx, te, tm, trafficsim.JellyfishK)
 		if err != nil {
 			return nil, err
 		}

@@ -131,7 +131,7 @@ func E7ThroughputVsDeploy(ctx context.Context) (*Result, error) {
 			alpha, err = trafficsim.ECMPThroughput(tp, m)
 		} else {
 			routing = "ksp"
-			alpha, err = trafficsim.KSPThroughputCtx(ctx, tp, m, trafficsim.KSPConfig{K: 12, Slack: 1, Chunks: 12})
+			alpha, err = trafficsim.KSPThroughputCtx(ctx, tp, m, 12)
 		}
 		if err != nil {
 			return "", fmt.Errorf("%s throughput: %w", tp.Name, err)

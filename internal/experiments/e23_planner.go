@@ -4,27 +4,18 @@ import (
 	"context"
 	"fmt"
 
-	"physdep/internal/costmodel"
 	"physdep/internal/lifecycle"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
 	"physdep/internal/units"
 )
 
-// plannerFloor is the shared rack grid for the lifecycle-planner
-// experiments: 16 racks of 4 ToRs at 3 m pitch — room for every
-// schedule's final switch count.
-func plannerFloor() lifecycle.FloorModel {
-	return lifecycle.FloorModel{ToRsPerRack: 4, Rows: 4, Cols: 4, RackPitch: 3, EndSlack: 1}
-}
-
 // E23PlannerGrowthCost grows a Jellyfish, an Xpander, and a panel-Clos
 // through the same four-stage schedule and compares cumulative physical
 // cost stage by stage: the expanders pay splice labor, downtime windows,
 // and floor walks on every stage; the Clos pays only panel jumpers.
 func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
-	m := costmodel.Default()
-	costs := lifecycle.DefaultActionCosts(m)
+	costs := lifecycle.DefaultActionCosts()
 	res := &Result{
 		ID:    "E23",
 		Title: "Multi-step growth plans: cumulative cost per stage across fabrics",
@@ -36,10 +27,7 @@ func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
 		{AddToRs: 2, AddTrunks: 1}, {AddToRs: 2, AddTrunks: 1},
 		{AddToRs: 2, AddTrunks: 1}, {AddToRs: 2, AddTrunks: 1},
 	}
-	pcfg := lifecycle.PlannerConfig{
-		Stages: stages, Floor: plannerFloor(), Costs: costs,
-		AnnealSteps: 2000, Restarts: 4, RewireTries: 64, Seed: 23,
-	}
+	pcfg := lifecycle.PlannerConfig{Stages: stages, AnnealSteps: 2000, Seed: 23}
 	planRows := func(name string, plan *lifecycle.Plan) {
 		for _, st := range plan.Stages {
 			res.Lines = append(res.Lines, fmt.Sprintf("%-10s %6d %9d %9d %7d %10.1f %8.0f %9.0f",
@@ -95,7 +83,7 @@ func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
 		cum.Rewired += step.Rewired
 		cum.NewLinks += step.NewLinks
 		cum.FloorTasks += step.FloorTasks
-		closLabor += step.LaborMinutes(costs.Rewire, costs.NewLink) +
+		closLabor += step.LaborMinutes() +
 			costs.InstallToR*units.Minutes(step.AddedToRs) +
 			costs.FloorVisit*units.Minutes(step.FloorTasks)
 		res.Lines = append(res.Lines, fmt.Sprintf("%-10s %6d %9d %9d %7d %10.1f %8.0f %9.0f",
@@ -111,8 +99,7 @@ func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
 // ordering — with identical rewire choices, isolating what ordering
 // alone is worth in floor visits and walking.
 func E24PlannerVsNaive(ctx context.Context) (*Result, error) {
-	m := costmodel.Default()
-	costs := lifecycle.DefaultActionCosts(m)
+	costs := lifecycle.DefaultActionCosts()
 	res := &Result{
 		ID:    "E24",
 		Title: "Expansion work ordering: annealed plan vs naive schedule order",
@@ -125,17 +112,12 @@ func E24PlannerVsNaive(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := lifecycle.PlannerConfig{
-		Stages: []lifecycle.GrowthStage{{AddToRs: 3, AddTrunks: 3}, {AddToRs: 3, AddTrunks: 3}},
-		Floor:  plannerFloor(), Costs: costs,
-		Restarts: 4, RewireTries: 64, Seed: 24,
-	}
+	stages := []lifecycle.GrowthStage{{AddToRs: 3, AddTrunks: 3}, {AddToRs: 3, AddTrunks: 3}}
 	for _, mode := range []struct {
 		name  string
 		steps int
 	}{{"naive", 0}, {"planned", 4000}} {
-		cfg := base
-		cfg.AnnealSteps = mode.steps
+		cfg := lifecycle.PlannerConfig{Stages: stages, AnnealSteps: mode.steps, Seed: 24}
 		plan, err := lifecycle.PlanGrowthCtx(ctx, jf, lifecycle.JellyfishGrower{Cfg: jcfg}, cfg)
 		if err != nil {
 			return nil, err

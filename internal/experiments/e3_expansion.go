@@ -16,7 +16,6 @@ import (
 // rewiring à la Zhao), Xpander (d/2 per ToR), and Jellyfish (r/2 random
 // splices per ToR) — the Zhang-style lifecycle metrics.
 func E3ExpansionComplexity(ctx context.Context) (*Result, error) {
-	m := costmodel.Default()
 	res := &Result{
 		ID:    "E3",
 		Title: "Incremental expansion: live links rewired per unit added",
@@ -27,12 +26,7 @@ func E3ExpansionComplexity(ctx context.Context) (*Result, error) {
 	const d = 16 // uplinks per unit across all three fabrics
 
 	addRow := func(name string, step lifecycle.ExpansionStep) {
-		// The per-rewire rate prices the whole splice: the careful live
-		// break (three jumper-moves' worth) plus re-terminating both freed
-		// cables (four connector ends). NewLinks now counts only links on
-		// previously-free ports, so splice terminations are billed here and
-		// nowhere else.
-		labor := step.LaborMinutes(m.JumperMove*3+m.ConnectEnd*4, m.ConnectEnd*2).Hours()
+		labor := step.LaborMinutes().Hours()
 		res.Lines = append(res.Lines, fmt.Sprintf("%-14s %6d %9d %9d %10d %12.1f",
 			name, step.AddedToRs, step.Rewired, step.NewLinks, step.FloorTasks, float64(labor)))
 	}

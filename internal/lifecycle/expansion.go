@@ -29,15 +29,15 @@ type ExpansionStep struct {
 	FloorTasks int // distinct physical locations visited (racks or panels)
 }
 
-// LaborMinutes prices the step: a rewire costs a full live-fiber move —
-// break the in-service link and re-terminate both freed ends (paper §4.3
-// shows these are slow and careful) — so perRewire must price the whole
-// splice, re-terminations included; perNewLink prices an ordinary
-// connection on previously-free ports. The two never bill the same
-// physical action twice.
-func (s ExpansionStep) LaborMinutes(perRewire, perNewLink units.Minutes) units.Minutes {
-	return units.Minutes(float64(perRewire)*float64(s.Rewired) +
-		float64(perNewLink)*float64(s.NewLinks))
+// LaborMinutes prices the step at DefaultActionCosts: a rewire costs a
+// full live-fiber move — break the in-service link and re-terminate both
+// freed ends (paper §4.3 shows these are slow and careful) — so the
+// rewire price covers the whole splice, re-terminations included; a new
+// link is an ordinary connection on previously-free ports. The two never
+// bill the same physical action twice.
+func (s ExpansionStep) LaborMinutes() units.Minutes {
+	return units.Minutes(float64(plannerCosts.Rewire)*float64(s.Rewired) +
+		float64(plannerCosts.NewLink)*float64(s.NewLinks))
 }
 
 // addRewires folds one add's outcome into the step: the rewires performed,

@@ -181,21 +181,22 @@ func TestExpansionStepRewireBilling(t *testing.T) {
 		t.Error("ring lost 2-regularity")
 	}
 
-	// The labor table: the rewire rate covers the whole splice. Under the
-	// old double-billing (NewLinks also counted the 2 splice-created
-	// links) the first case would have billed 10 + 2×3 = 16.
+	// The labor table at the default prices: 20 min per rewire (three
+	// jumper-moves plus four connector ends) covers the whole splice, and
+	// 4 min per new link. Under the old double-billing (NewLinks also
+	// counted the 2 splice-created links) the first case would have
+	// billed 20 + 2×4 = 28.
 	cases := []struct {
-		step              ExpansionStep
-		perRewire, perNew units.Minutes
-		want              units.Minutes
+		step ExpansionStep
+		want units.Minutes
 	}{
-		{step, 10, 3, 10},
-		{ExpansionStep{Rewired: 4}, 7, 100, 28},
-		{ExpansionStep{NewLinks: 5}, 100, 2, 10},
-		{ExpansionStep{Rewired: 2, NewLinks: 3}, 10, 2, 26},
+		{step, 20},
+		{ExpansionStep{Rewired: 4}, 80},
+		{ExpansionStep{NewLinks: 5}, 20},
+		{ExpansionStep{Rewired: 2, NewLinks: 3}, 52},
 	}
 	for i, c := range cases {
-		if got := c.step.LaborMinutes(c.perRewire, c.perNew); got != c.want {
+		if got := c.step.LaborMinutes(); got != c.want {
 			t.Errorf("case %d: LaborMinutes = %v, want %v", i, got, c.want)
 		}
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // This file is the multi-step expansion planner (DESIGN.md §14): given a
-// fabric, a growth schedule, and per-action costs, it searches — via
+// fabric and a growth schedule, it prices each action with
+// DefaultActionCosts on a fixed rack grid and searches — via
 // internal/solver — over rewire choices (which live links each added ToR
 // splices) and work ordering (the crew's route across the floor) for a
 // cheap feasible plan, and returns the plan as typed steps with
@@ -33,23 +34,27 @@ type GrowthStage struct {
 	AddTrunks int
 }
 
-// FloorModel places switches on a rack grid so the planner can price
+// floorModel places switches on a rack grid so the planner can price
 // walking and cable runs. Switch id lives in rack id/ToRsPerRack; racks
 // fill a Rows×Cols grid in row-major order at RackPitch spacing, and
 // distances are aisle (Manhattan) distances. EndSlack is the per-end
 // dressing allowance added to every cable run.
-type FloorModel struct {
+type floorModel struct {
 	ToRsPerRack int
 	Rows, Cols  int
 	RackPitch   units.Meters
 	EndSlack    units.Meters
 }
 
-func (f FloorModel) racks() int          { return f.Rows * f.Cols }
-func (f FloorModel) rackOf(node int) int { return node / f.ToRsPerRack }
+// plannerFloor is the planner's rack grid: 16 racks of 4 ToRs at 3 m
+// pitch — room for every schedule's final switch count.
+var plannerFloor = floorModel{ToRsPerRack: 4, Rows: 4, Cols: 4, RackPitch: 3, EndSlack: 1}
+
+func (f floorModel) racks() int          { return f.Rows * f.Cols }
+func (f floorModel) rackOf(node int) int { return node / f.ToRsPerRack }
 
 // dist is the aisle distance between two racks.
-func (f FloorModel) dist(r1, r2 int) units.Meters {
+func (f floorModel) dist(r1, r2 int) units.Meters {
 	dr := r1/f.Cols - r2/f.Cols
 	if dr < 0 {
 		dr = -dr
@@ -76,10 +81,11 @@ type ActionCosts struct {
 	WalkMetersPerMinute float64
 }
 
-// DefaultActionCosts derives planner prices from the labor book: a
-// rewire is three jumper-moves of care plus four connector ends (two
-// cables re-terminated), matching how E3 prices expander splices.
-func DefaultActionCosts(m *costmodel.Model) ActionCosts {
+// DefaultActionCosts derives planner prices from the default labor book:
+// a rewire is three jumper-moves of care plus four connector ends (two
+// cables re-terminated).
+func DefaultActionCosts() ActionCosts {
+	m := costmodel.Default()
 	return ActionCosts{
 		InstallToR:          m.InstallSwitch,
 		Rewire:              m.JumperMove*3 + m.ConnectEnd*4,
@@ -90,27 +96,34 @@ func DefaultActionCosts(m *costmodel.Model) ActionCosts {
 	}
 }
 
-// PlannerConfig parameterizes a planning run. AnnealSteps and Restarts
-// drive the work-ordering search (0 steps keeps the schedule order — the
-// naive baseline E24 compares against); RewireTries is the hill-climb
-// budget per added ToR for choosing which live links to splice (≤ 1
-// takes the first random legal set). Seed fixes every random stream, so
-// a config plans identically on every run and worker count.
+// PlannerConfig parameterizes a planning run. AnnealSteps drives the
+// work-ordering search across plannerRestarts chains (0 steps keeps the
+// schedule order — the naive baseline E24 compares against). Seed fixes
+// every random stream, so a config plans identically on every run and
+// worker count.
 type PlannerConfig struct {
 	Stages      []GrowthStage
-	Floor       FloorModel
-	Costs       ActionCosts
 	AnnealSteps int
-	Restarts    int
-	RewireTries int
 	Seed        uint64
 }
 
-// maxPlannerAdds bounds schedule size well past any experiment while
-// keeping overflow arithmetic trivially safe.
-const maxPlannerAdds = 1 << 16
+// The planner's search budgets: parallel anneal chains for the work
+// ordering, and hill-climb tries per added ToR for choosing which live
+// links to splice.
+const (
+	plannerRestarts = 4
+	rewireTries     = 64
+)
 
-// Validate checks the schedule, floor, and search knobs; errors wrap the
+// Bounds on a planning run: maxPlannerAdds bounds schedule size well
+// past any experiment while keeping overflow arithmetic trivially safe;
+// maxAnnealSteps caps the ordering search.
+const (
+	maxPlannerAdds = 1 << 16
+	maxAnnealSteps = 1 << 20
+)
+
+// Validate checks the schedule and the step count; errors wrap the
 // physerr sentinels per the DESIGN.md §8 boundary contract.
 func (c PlannerConfig) Validate() error {
 	if len(c.Stages) == 0 {
@@ -132,24 +145,8 @@ func (c PlannerConfig) Validate() error {
 	if total > maxPlannerAdds {
 		return physerr.OutOfRange("lifecycle: schedule adds %d units, bound is %d", total, maxPlannerAdds)
 	}
-	f := c.Floor
-	if f.ToRsPerRack < 1 || f.Rows < 1 || f.Cols < 1 {
-		return physerr.OutOfRange("lifecycle: floor model needs positive ToRsPerRack/Rows/Cols, got %+v", f)
-	}
-	if f.RackPitch <= 0 || f.EndSlack < 0 {
-		return physerr.OutOfRange("lifecycle: floor pitch must be positive and slack non-negative, got %+v", f)
-	}
-	cc := c.Costs
-	if cc.InstallToR < 0 || cc.Rewire < 0 || cc.NewLink < 0 || cc.FloorVisit < 0 || cc.RewireDowntime < 0 {
-		return physerr.OutOfRange("lifecycle: action costs must be non-negative, got %+v", cc)
-	}
-	if cc.WalkMetersPerMinute <= 0 {
-		return physerr.OutOfRange("lifecycle: walk pace must be positive, got %v", cc.WalkMetersPerMinute)
-	}
-	if c.AnnealSteps < 0 || c.AnnealSteps > 1<<20 || c.Restarts < 0 || c.Restarts > 1<<10 ||
-		c.RewireTries < 0 || c.RewireTries > 1<<20 {
-		return physerr.OutOfRange("lifecycle: search knobs out of range (steps=%d restarts=%d tries=%d)",
-			c.AnnealSteps, c.Restarts, c.RewireTries)
+	if c.AnnealSteps < 0 || c.AnnealSteps > maxAnnealSteps {
+		return physerr.OutOfRange("lifecycle: AnnealSteps must be in [0, %d], got %d", maxAnnealSteps, c.AnnealSteps)
 	}
 	return nil
 }
@@ -272,6 +269,9 @@ type Plan struct {
 	Walk        units.Meters
 }
 
+// plannerCosts prices every planned action.
+var plannerCosts = DefaultActionCosts()
+
 // plannerSeedMix decorrelates the planner's PCG seed words ("plan").
 const plannerSeedMix uint64 = 0x706c616e
 
@@ -301,13 +301,14 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 	if err := ctx.Err(); err != nil {
 		return nil, physerr.Canceled(err)
 	}
+	f := plannerFloor
 	totalToRs := t.N
 	for _, st := range cfg.Stages {
 		totalToRs += st.AddToRs
 	}
-	if need := (totalToRs + cfg.Floor.ToRsPerRack - 1) / cfg.Floor.ToRsPerRack; need > cfg.Floor.racks() {
+	if need := (totalToRs + f.ToRsPerRack - 1) / f.ToRsPerRack; need > f.racks() {
 		return nil, physerr.Capacity("lifecycle: schedule ends at %d switches needing %d racks, floor has %d",
-			totalToRs, need, cfg.Floor.racks())
+			totalToRs, need, f.racks())
 	}
 	defer obs.Time("lifecycle.plan")()
 
@@ -318,16 +319,16 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 	addIdx := 0
 	for si, st := range cfg.Stages {
 		for k := 0; k < st.AddToRs; k++ {
-			chooser := newSpliceChooser(cfg, rng, par.SeedAt(cfg.Seed^plannerSeedMix, addIdx))
+			chooser := newSpliceChooser(f, rng, par.SeedAt(cfg.Seed^plannerSeedMix, addIdx))
 			id, rewires, err := g.AddToR(work, addIdx, chooser)
 			if err != nil {
 				return nil, fmt.Errorf("lifecycle: stage %d add %d: %w", si, addIdx, err)
 			}
-			orders = append(orders, makeToROrder(si, id, rewires, cfg.Floor))
+			orders = append(orders, makeToROrder(si, id, rewires, f))
 			addIdx++
 		}
 		for k := 0; k < st.AddTrunks; k++ {
-			o, err := addTrunk(work, si, rng, cfg.Floor)
+			o, err := addTrunk(work, si, rng, f)
 			if err != nil {
 				return nil, fmt.Errorf("lifecycle: stage %d trunk: %w", si, err)
 			}
@@ -347,11 +348,11 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 		}
 	}
 
-	seq, err := orderWork(ctx, orders, cfg)
+	seq, err := orderWork(ctx, orders, cfg, f)
 	if err != nil {
 		return nil, err
 	}
-	plan := emitPlan(g.Label(), orders, seq, stageStats, cfg)
+	plan := emitPlan(g.Label(), orders, seq, stageStats, f)
 	if obs.Enabled() {
 		obs.Add("lifecycle.plan.orders", int64(len(orders)))
 		obs.Add("lifecycle.plan.rewires", int64(plan.Rewired))
@@ -363,7 +364,7 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 // makeToROrder bundles one ToR install with its rewires and the distinct
 // racks to visit: the new ToR's rack plus both endpoints of every
 // broken link.
-func makeToROrder(stage, newID int, rewires []topology.Rewire, f FloorModel) workOrder {
+func makeToROrder(stage, newID int, rewires []topology.Rewire, f floorModel) workOrder {
 	o := workOrder{stage: stage, install: true, newID: newID, rewires: rewires}
 	o.racks = distinctRacks(f, append(rewireNodes(rewires), newID))
 	return o
@@ -379,7 +380,7 @@ func rewireNodes(rewires []topology.Rewire) []int {
 
 // distinctRacks maps nodes to their racks, deduplicated and ascending —
 // the deterministic per-order visit list.
-func distinctRacks(f FloorModel, nodes []int) []int {
+func distinctRacks(f floorModel, nodes []int) []int {
 	seen := map[int]bool{}
 	var out []int
 	for _, n := range nodes {
@@ -401,7 +402,7 @@ func distinctRacks(f FloorModel, nodes []int) []int {
 // addTrunk performs one pure-addition capacity augment: a parallel trunk
 // on a live pair whose endpoints can each reclaim one server-side port.
 // No live link is touched and no edge is removed.
-func addTrunk(t *topology.Topology, stage int, rng *rand.Rand, f FloorModel) (workOrder, error) {
+func addTrunk(t *topology.Topology, stage int, rng *rand.Rand, f floorModel) (workOrder, error) {
 	var elig []int
 	for _, e := range t.Edges {
 		if e.U == -1 || e.U == e.V {
@@ -427,14 +428,13 @@ func addTrunk(t *topology.Topology, stage int, rng *rand.Rand, f FloorModel) (wo
 // spliceState is the Annealable over one add's splice choice: swap a
 // chosen candidate edge for another while keeping endpoint disjointness,
 // minimizing the floor cost of the visit set. Used with solver.HillClimb
-// under the per-add RewireTries budget.
+// under the per-add rewireTries budget.
 type spliceState struct {
 	t       *topology.Topology
 	cand    []int
 	chosen  []int
 	newRack int
-	floor   FloorModel
-	costs   ActionCosts
+	floor   floorModel
 	cur     float64
 }
 
@@ -457,7 +457,13 @@ func (s *spliceState) cost(chosen []int) float64 {
 			}
 		}
 	}
-	return float64(visits)*float64(s.costs.FloorVisit) + float64(walk)/s.costs.WalkMetersPerMinute
+	return floorMinutes(visits, walk)
+}
+
+// floorMinutes prices floor overhead: a fixed cost per rack entered plus
+// the walking time.
+func floorMinutes(visits int, walk units.Meters) float64 {
+	return float64(visits)*float64(plannerCosts.FloorVisit) + float64(walk)/plannerCosts.WalkMetersPerMinute
 }
 
 func (s *spliceState) Propose(rng *rand.Rand) (float64, func(), bool) {
@@ -490,9 +496,9 @@ func (s *spliceState) Propose(rng *rand.Rand) (float64, func(), bool) {
 
 // newSpliceChooser builds the planner's SpliceChooser: chooseSplices
 // picks the edges, then the splices are applied.
-func newSpliceChooser(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64) SpliceChooser {
+func newSpliceChooser(f floorModel, rng *rand.Rand, climbSeed uint64) SpliceChooser {
 	return func(t *topology.Topology, newID, need int, legal func(graph.Edge) bool) ([]topology.Rewire, error) {
-		st, err := chooseSplices(cfg, rng, climbSeed, t, newID, need, legal)
+		st, err := chooseSplices(f, rng, climbSeed, t, newID, need, legal)
 		if err != nil {
 			return nil, err
 		}
@@ -501,13 +507,12 @@ func newSpliceChooser(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64) Splic
 }
 
 // chooseSplices enumerates the legal candidate edges for newID, takes a
-// random endpoint-disjoint set of need, and, when RewireTries > 1,
-// hill-climbs it toward fewer and closer racks. It returns the search
-// state (candidates and final choice) without touching t. rng drives the
-// initial pick (shared planner stream, consumed identically whatever
-// RewireTries is); the hill-climb runs on its own per-add seed so
-// changing the budget cannot shift later adds' streams.
-func chooseSplices(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64, t *topology.Topology, newID, need int, legal func(graph.Edge) bool) (*spliceState, error) {
+// random endpoint-disjoint set of need, and hill-climbs it toward fewer
+// and closer racks. It returns the search state (candidates and final
+// choice) without touching t. rng drives the initial pick (shared
+// planner stream); the hill-climb runs on its own per-add seed so it
+// cannot shift later adds' streams.
+func chooseSplices(f floorModel, rng *rand.Rand, climbSeed uint64, t *topology.Topology, newID, need int, legal func(graph.Edge) bool) (*spliceState, error) {
 	var cand []int
 	for _, e := range t.Edges {
 		if e.U == -1 || e.U == newID || e.V == newID || e.U == e.V {
@@ -540,12 +545,9 @@ func chooseSplices(cfg PlannerConfig, rng *rand.Rand, climbSeed uint64, t *topol
 		return nil, physerr.Infeasible("only %d of %d disjoint splice candidates for new ToR %d",
 			len(chosen), need, newID)
 	}
-	st := &spliceState{t: t, cand: cand, chosen: chosen,
-		newRack: cfg.Floor.rackOf(newID), floor: cfg.Floor, costs: cfg.Costs}
-	if cfg.RewireTries > 1 {
-		st.cur = st.cost(chosen)
-		solver.HillClimb(st, cfg.RewireTries, climbSeed)
-	}
+	st := &spliceState{t: t, cand: cand, chosen: chosen, newRack: f.rackOf(newID), floor: f}
+	st.cur = st.cost(chosen)
+	solver.HillClimb(st, rewireTries, climbSeed)
 	return st, nil
 }
 
@@ -575,8 +577,7 @@ type orderState struct {
 	// with ≥ 2 orders appear.
 	swappable [][]int
 	stages    []int // keys of swappable, ascending
-	floor     FloorModel
-	costs     ActionCosts
+	floor     floorModel
 	cur       float64
 }
 
@@ -590,7 +591,7 @@ func (s *orderState) Propose(rng *rand.Rand) (float64, func(), bool) {
 		return 0, nil, false
 	}
 	s.seq[i], s.seq[j] = s.seq[j], s.seq[i]
-	cost := routeCost(s.orders, s.seq, s.floor, s.costs)
+	cost := routeCost(s.orders, s.seq, s.floor)
 	s.seq[i], s.seq[j] = s.seq[j], s.seq[i]
 	delta := cost - s.cur
 	return delta, func() {
@@ -603,14 +604,13 @@ func (s *orderState) Propose(rng *rand.Rand) (float64, func(), bool) {
 // rack 0's aisle, visits each order's racks in listed sequence, and a
 // rack entered back-to-back is entered once. Minutes = visits·FloorVisit
 // + walk/pace.
-func routeCost(orders []workOrder, seq []int, f FloorModel, c ActionCosts) float64 {
-	visits, walk := routeWalk(orders, seq, f, nil)
-	return float64(visits)*float64(c.FloorVisit) + float64(walk)/c.WalkMetersPerMinute
+func routeCost(orders []workOrder, seq []int, f floorModel) float64 {
+	return floorMinutes(routeWalk(orders, seq, f, nil))
 }
 
 // routeWalk simulates the crew route, optionally emitting each rack
 // entry via visit(rack, walkFromPrev).
-func routeWalk(orders []workOrder, seq []int, f FloorModel, visit func(oi, rack int, walked units.Meters)) (visits int, walk units.Meters) {
+func routeWalk(orders []workOrder, seq []int, f floorModel, visit func(oi, rack int, walked units.Meters)) (visits int, walk units.Meters) {
 	cur := 0   // crew position (rack aisle)
 	last := -1 // last rack actually entered
 	for _, oi := range seq {
@@ -631,10 +631,10 @@ func routeWalk(orders []workOrder, seq []int, f FloorModel, visit func(oi, rack 
 }
 
 // orderWork picks the execution sequence: schedule order when
-// AnnealSteps is 0, otherwise annealed within stages across Restarts
-// parallel chains (deterministic winner), keeping the identity order if
-// the search somehow ends worse.
-func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig) ([]int, error) {
+// AnnealSteps is 0, otherwise annealed within stages across
+// plannerRestarts parallel chains (deterministic winner), keeping the
+// identity order if the search somehow ends worse.
+func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig, f floorModel) ([]int, error) {
 	seq := make([]int, len(orders))
 	for i := range seq {
 		seq[i] = i
@@ -642,14 +642,9 @@ func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig) ([]in
 	if cfg.AnnealSteps <= 0 || len(orders) < 2 {
 		return seq, nil
 	}
-	identity := routeCost(orders, seq, cfg.Floor, cfg.Costs)
-	restarts := cfg.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
+	identity := routeCost(orders, seq, f)
 	mkState := func() *orderState {
-		st := &orderState{orders: orders, seq: append([]int(nil), seq...),
-			floor: cfg.Floor, costs: cfg.Costs, cur: identity}
+		st := &orderState{orders: orders, seq: append([]int(nil), seq...), floor: f, cur: identity}
 		byStage := map[int][]int{}
 		for pos, oi := range st.seq {
 			byStage[orders[oi].stage] = append(byStage[orders[oi].stage], pos)
@@ -675,8 +670,8 @@ func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig) ([]in
 		}
 		return st
 	}
-	states := make([]solver.Annealable, restarts)
-	chainStates := make([]*orderState, restarts)
+	states := make([]solver.Annealable, plannerRestarts)
+	chainStates := make([]*orderState, plannerRestarts)
 	for c := range states {
 		chainStates[c] = mkState()
 		states[c] = chainStates[c]
@@ -700,9 +695,9 @@ func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig) ([]in
 // emitPlan walks the final sequence, emitting typed steps and cumulative
 // per-stage totals. Orders stay grouped by stage (the anneal only swaps
 // within stages), so stage boundaries in the sequence are contiguous.
-func emitPlan(fabric string, orders []workOrder, seq []int, stageStats []StageReport, cfg PlannerConfig) *Plan {
+func emitPlan(fabric string, orders []workOrder, seq []int, stageStats []StageReport, f floorModel) *Plan {
 	p := &Plan{Fabric: fabric, Stages: stageStats}
-	f, c := cfg.Floor, cfg.Costs
+	c := plannerCosts
 	addStep := func(s PlanStep) {
 		s.Seq = len(p.Steps)
 		p.Steps = append(p.Steps, s)

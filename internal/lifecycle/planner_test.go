@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"physdep/internal/costmodel"
 	"physdep/internal/obs"
 	"physdep/internal/par"
 	"physdep/internal/physerr"
@@ -25,9 +24,7 @@ func plannerFixture(t *testing.T) (*topology.Topology, JellyfishGrower, PlannerC
 	}
 	pcfg := PlannerConfig{
 		Stages:      []GrowthStage{{AddToRs: 2}, {AddTrunks: 2}, {AddToRs: 1, AddTrunks: 1}},
-		Floor:       FloorModel{ToRsPerRack: 4, Rows: 4, Cols: 4, RackPitch: 3, EndSlack: 1},
-		Costs:       DefaultActionCosts(costmodel.Default()),
-		AnnealSteps: 400, Restarts: 3, RewireTries: 32, Seed: 11,
+		AnnealSteps: 400, Seed: 11,
 	}
 	return jf, JellyfishGrower{Cfg: cfg}, pcfg
 }
@@ -51,26 +48,32 @@ func TestPlannerConfigValidate(t *testing.T) {
 		{"no stages", mut(func(c *PlannerConfig) { c.Stages = nil }), physerr.ErrOutOfRange},
 		{"negative counts", mut(func(c *PlannerConfig) { c.Stages[0].AddToRs = -1 }), physerr.ErrOutOfRange},
 		{"empty stage", mut(func(c *PlannerConfig) { c.Stages[0] = GrowthStage{} }), physerr.ErrOutOfRange},
-		{"bad floor grid", mut(func(c *PlannerConfig) { c.Floor.Cols = 0 }), physerr.ErrOutOfRange},
-		{"bad pitch", mut(func(c *PlannerConfig) { c.Floor.RackPitch = 0 }), physerr.ErrOutOfRange},
-		{"negative cost", mut(func(c *PlannerConfig) { c.Costs.Rewire = -1 }), physerr.ErrOutOfRange},
-		{"zero pace", mut(func(c *PlannerConfig) { c.Costs.WalkMetersPerMinute = 0 }), physerr.ErrOutOfRange},
-		{"huge knobs", mut(func(c *PlannerConfig) { c.AnnealSteps = 1 << 21 }), physerr.ErrOutOfRange},
+		{"negative steps", mut(func(c *PlannerConfig) { c.AnnealSteps = -1 }), physerr.ErrOutOfRange},
+		{"huge steps", mut(func(c *PlannerConfig) { c.AnnealSteps = maxAnnealSteps + 1 }), physerr.ErrOutOfRange},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); !errors.Is(err, c.kind) {
 			t.Errorf("%s: Validate() = %v, want %v", c.name, err, c.kind)
 		}
 	}
+	if err := mut(func(c *PlannerConfig) { c.AnnealSteps = maxAnnealSteps }).Validate(); err != nil {
+		t.Errorf("AnnealSteps at its bound rejected: %v", err)
+	}
 }
 
-// TestPlanGrowthCapacity: a floor too small for the schedule's final
-// switch count is a capacity error from PlanGrowth (it needs t.N).
+// TestPlanGrowthCapacity: a schedule that outgrows the planner's floor
+// is a capacity error from PlanGrowth (it needs t.N), and one that ends
+// exactly at the floor's size is not.
 func TestPlanGrowthCapacity(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
-	cfg.Floor.Rows, cfg.Floor.Cols = 2, 3 // 6 racks × 4 ToRs < 27 switches
+	room := plannerFloor.racks()*plannerFloor.ToRsPerRack - jf.N // 64 − 24
+	cfg.Stages = []GrowthStage{{AddToRs: room + 1}}
 	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); !errors.Is(err, physerr.ErrCapacity) {
-		t.Fatalf("undersized floor: err = %v, want ErrCapacity", err)
+		t.Fatalf("schedule past the floor: err = %v, want ErrCapacity", err)
+	}
+	cfg.Stages = []GrowthStage{{AddToRs: room}}
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); err != nil {
+		t.Fatalf("schedule that fills the floor: %v", err)
 	}
 }
 
@@ -168,7 +171,7 @@ func TestPlanGrowthInputUntouched(t *testing.T) {
 }
 
 // TestPlannedOrderingNoWorseThanNaive: with identical rewire choices
-// (same RewireTries and seed), turning the ordering anneal on cannot
+// (same seed), turning the ordering anneal on cannot
 // produce a costlier crew route than schedule order — the planner keeps
 // the identity ordering if the search ends worse.
 func TestPlannedOrderingNoWorseThanNaive(t *testing.T) {
@@ -190,8 +193,7 @@ func TestPlannedOrderingNoWorseThanNaive(t *testing.T) {
 		t.Fatalf("ordering search changed the work itself: %+v vs %+v", planned, naive)
 	}
 	routeCostOf := func(p *Plan) float64 {
-		return float64(p.FloorVisits)*float64(cfg.Costs.FloorVisit) +
-			float64(p.Walk)/cfg.Costs.WalkMetersPerMinute
+		return floorMinutes(p.FloorVisits, p.Walk)
 	}
 	if routeCostOf(planned) > routeCostOf(naive) {
 		t.Errorf("annealed route costs %.2f, naive %.2f — identity guard failed",
@@ -216,12 +218,7 @@ func TestXpanderGrowerLegality(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := XpanderGrower{Cfg: xcfg}
-	cfg := PlannerConfig{
-		Stages:      []GrowthStage{{AddToRs: 3}},
-		Floor:       FloorModel{ToRsPerRack: 4, Rows: 4, Cols: 4, RackPitch: 3, EndSlack: 1},
-		Costs:       DefaultActionCosts(costmodel.Default()),
-		RewireTries: 16, Seed: 7,
-	}
+	cfg := PlannerConfig{Stages: []GrowthStage{{AddToRs: 3}}, Seed: 7}
 	plan, err := PlanGrowthCtx(context.Background(), x, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +229,7 @@ func TestXpanderGrowerLegality(t *testing.T) {
 	// Run one add through the grower with the planner's own chooser and
 	// check every splice endpoint lies outside the new ToR's meta-node.
 	work := x.CloneTopology()
-	chooser := newSpliceChooser(cfg, rand.New(rand.NewPCG(7, 7)), 99)
+	chooser := newSpliceChooser(plannerFloor, rand.New(rand.NewPCG(7, 7)), 99)
 	id, rewires, err := g.AddToR(work, 0, chooser)
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +268,7 @@ func TestPlanGrowthFreezesOncePerStage(t *testing.T) {
 			stages[i] = GrowthStage{AddTrunks: 1} // additions only
 		}
 	}
-	pcfg := PlannerConfig{
-		Stages:      stages,
-		Floor:       FloorModel{ToRsPerRack: 4, Rows: 5, Cols: 4, RackPitch: 3, EndSlack: 1},
-		Costs:       DefaultActionCosts(costmodel.Default()),
-		RewireTries: 8, Seed: 2,
-	}
+	pcfg := PlannerConfig{Stages: stages, Seed: 2}
 	obs.Enable()
 	defer func() {
 		obs.Disable()

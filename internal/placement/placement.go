@@ -18,9 +18,11 @@ import (
 )
 
 // Rack packing: how many non-ToR switches share one network rack, and
-// the rack units one non-ToR switch occupies.
+// the rack units a switch occupies — a ToR takes 2U (its servers are the
+// rack's business), any other switch 4U.
 const (
 	NetSwitchesPerRack = 8
+	ToRRU              = 2
 	SwitchRU           = 4
 )
 
@@ -68,17 +70,6 @@ func (p *Placement) adopt(src *Placement) {
 // LocOfSwitch returns the floor location of a switch.
 func (p *Placement) LocOfSwitch(sw int) floorplan.RackLoc {
 	return p.Floor.LocOf(p.SlotOfRack[p.RackOfSwitch[sw]])
-}
-
-// SwitchesInRack lists the switches housed in logical rack r.
-func (p *Placement) SwitchesInRack(r int) []int {
-	var out []int
-	for sw, rr := range p.RackOfSwitch {
-		if rr == r {
-			out = append(out, sw)
-		}
-	}
-	return out
 }
 
 // EdgeLength returns the pulled length of topology edge id's route under
@@ -191,16 +182,16 @@ func Greedy(t *topology.Topology, f *floorplan.Floorplan, _ Config) (*Placement,
 		p.slotUsed[next] = true
 	}
 	// Account rack units, so a rack without room fails loudly.
-	for r := 0; r < nRacks; r++ {
-		ru := 0
-		for _, sw := range p.SwitchesInRack(r) {
-			if t.Nodes[sw].Role == topology.RoleToR {
-				ru += 2 // a ToR takes ~2U; its servers are the rack's business
-			} else {
-				ru += SwitchRU
-			}
+	ru := make([]int, nRacks)
+	for sw, r := range p.RackOfSwitch {
+		if t.Nodes[sw].Role == topology.RoleToR {
+			ru[r] += ToRRU
+		} else {
+			ru[r] += SwitchRU
 		}
-		if err := f.ReserveRU(p.SlotOfRack[r], ru); err != nil {
+	}
+	for r, n := range ru {
+		if err := f.ReserveRU(p.SlotOfRack[r], n); err != nil {
 			return nil, fmt.Errorf("placement: %w", err)
 		}
 	}

@@ -449,7 +449,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		m := trafficsim.Uniform(len(topo.ToRs()), norm.EgressGbps)
 		var baseline float64
 		if norm.UseKSP {
-			baseline, err = trafficsim.KSPThroughputCtx(ctx, topo, m, trafficsim.DefaultKSP())
+			baseline, err = trafficsim.KSPThroughputCtx(ctx, topo, m, trafficsim.JellyfishK)
 		} else {
 			baseline, err = trafficsim.ECMPThroughput(topo, m)
 		}

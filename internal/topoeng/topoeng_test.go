@@ -140,11 +140,11 @@ func TestEngineeredMeshBeatsUniformOnSkewedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.DefaultKSP())
+	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.DefaultKSP())
+	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}

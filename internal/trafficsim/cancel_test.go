@@ -17,7 +17,7 @@ func TestKSPThroughputCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := Uniform(len(ft.ToRs()), 100)
-	_, err = KSPThroughputCtx(ctx, ft, m, DefaultKSP())
+	_, err = KSPThroughputCtx(ctx, ft, m, JellyfishK)
 	if !errors.Is(err, physerr.ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -77,13 +77,13 @@ func TestKSPThroughputCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Uniform(len(ft.ToRs()), 100)
-	want, err := KSPThroughputCtx(context.Background(), ft, m, DefaultKSP())
+	want, err := KSPThroughputCtx(context.Background(), ft, m, JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := KSPThroughputCtx(ctx, ft, m, DefaultKSP())
+	got, err := KSPThroughputCtx(ctx, ft, m, JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}

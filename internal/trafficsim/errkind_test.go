@@ -10,36 +10,37 @@ import (
 	"physdep/internal/topology"
 )
 
+// TestKSPConfigValidateKinds: a path count outside [1, MaxKSPK] is an
+// out-of-range error, and both ends of the range are accepted.
 func TestKSPConfigValidateKinds(t *testing.T) {
+	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Uniform(len(ft.ToRs()), 1)
 	bad := []struct {
 		name string
-		cfg  KSPConfig
+		k    int
 	}{
-		{"zero K", KSPConfig{K: 0, Chunks: 8}},
-		{"huge K", KSPConfig{K: MaxKSPK + 1}},
-		{"negative Slack", KSPConfig{K: 8, Slack: -1}},
-		{"huge Slack", KSPConfig{K: 8, Slack: MaxKSPSlack + 1}},
-		{"negative Chunks", KSPConfig{K: 8, Chunks: -3}},
-		{"huge Chunks", KSPConfig{K: 8, Chunks: MaxKSPChunks + 1}},
+		{"zero K", 0},
+		{"negative K", -3},
+		{"huge K", MaxKSPK + 1},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
+			_, err := KSPThroughputCtx(context.Background(), ft, m, tc.k)
 			if err == nil {
-				t.Fatal("invalid config was accepted")
+				t.Fatal("invalid k was accepted")
 			}
 			if !errors.Is(err, physerr.ErrOutOfRange) {
 				t.Fatalf("err = %v, want ErrOutOfRange", err)
 			}
 		})
 	}
-	// Chunks 0 means "default" and must stay valid — the golden corpus
-	// depends on it.
-	if err := (KSPConfig{K: 8, Slack: 1}).Validate(); err != nil {
-		t.Errorf("Chunks=0 config rejected: %v", err)
-	}
-	if err := DefaultKSP().Validate(); err != nil {
-		t.Errorf("DefaultKSP rejected: %v", err)
+	for _, k := range []int{1, MaxKSPK} {
+		if _, err := KSPThroughputCtx(context.Background(), ft, m, k); err != nil {
+			t.Errorf("k=%d rejected: %v", k, err)
+		}
 	}
 }
 
@@ -59,7 +60,7 @@ func TestNothingRoutedIsOutOfRange(t *testing.T) {
 	one.AddSwitch(topology.Node{Role: topology.RoleToR, Radix: 8, Rate: 100, ServerPorts: 8, Pod: -1})
 	m := Uniform(len(one.ToRs()), 100)
 	_, ecmpErr := ECMPThroughput(one, m)
-	_, kspErr := KSPThroughputCtx(context.Background(), one, m, DefaultKSP())
+	_, kspErr := KSPThroughputCtx(context.Background(), one, m, JellyfishK)
 	for name, err := range map[string]error{"ECMP": ecmpErr, "KSP": kspErr} {
 		if !errors.Is(err, physerr.ErrOutOfRange) {
 			t.Errorf("%s on one ToR: err = %v, want ErrOutOfRange", name, err)

@@ -66,7 +66,7 @@ func FailureDegradationCtx(ctx context.Context, t *topology.Topology, m Matrix,
 			if torsConnected(c) {
 				var err error
 				if useKSP {
-					alpha, err = KSPThroughputCtx(ctx, c, m, DefaultKSP())
+					alpha, err = KSPThroughputCtx(ctx, c, m, JellyfishK)
 				} else {
 					alpha, err = ECMPThroughput(c, m)
 				}

@@ -9,33 +9,30 @@ import (
 	"physdep/internal/topology"
 )
 
-// FuzzKSPConfig throws arbitrary routing knobs at KSPThroughput on a
-// fixed small fabric. Invalid configs must classify as out-of-range;
-// valid ones must produce a usable throughput factor. Either way, no
-// panic and no hang — Validate's bounds are what keep the enumeration
-// finite.
-func FuzzKSPConfig(f *testing.F) {
-	f.Add(8, 1, 8)
-	f.Add(1, 0, 0)
-	// Regression seeds: the silent-default Chunks path and the knobs that
-	// used to be unbounded.
-	f.Add(0, 0, 0)
-	f.Add(8, -1, -3)
-	f.Add(1<<30, 1, 8)
-	f.Add(2, 1<<30, 8)
-	f.Fuzz(func(t *testing.T, k, slack, chunks int) {
+// FuzzKSP throws arbitrary path counts at KSPThroughputCtx on a fixed
+// small fabric. A k outside [1, MaxKSPK] must classify as out-of-range;
+// a valid one must produce a usable throughput factor. Either way, no
+// panic and no hang — the bound on k is what keeps the enumeration and
+// the water-fill finite.
+func FuzzKSP(f *testing.F) {
+	f.Add(JellyfishK)
+	f.Add(1)
+	// Regression seeds: zero, negative and past-the-bound path counts.
+	f.Add(0)
+	f.Add(-1)
+	f.Add(MaxKSPK + 1)
+	f.Add(MaxKSPK)
+	f.Fuzz(func(t *testing.T, k int) {
 		topo, err := topology.LeafSpine(topology.LeafSpineConfig{
 			Leaves: 4, Spines: 2, UplinksPerTor: 2, LeafRadix: 6, SpineRadix: 4, Rate: 100,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := Uniform(4, 10)
-		cfg := KSPConfig{K: k, Slack: slack, Chunks: chunks}
-		alpha, err := KSPThroughputCtx(context.Background(), topo, m, cfg)
-		if verr := cfg.Validate(); verr != nil {
+		alpha, err := KSPThroughputCtx(context.Background(), topo, Uniform(4, 10), k)
+		if k < 1 || k > MaxKSPK {
 			if err == nil {
-				t.Fatalf("invalid config %+v was accepted", cfg)
+				t.Fatalf("invalid k=%d was accepted", k)
 			}
 			if !errors.Is(err, physerr.ErrOutOfRange) {
 				t.Fatalf("error kind = %v, want ErrOutOfRange", err)
@@ -43,10 +40,10 @@ func FuzzKSPConfig(f *testing.F) {
 			return
 		}
 		if err != nil {
-			t.Fatalf("valid config %+v rejected: %v", cfg, err)
+			t.Fatalf("valid k=%d rejected: %v", k, err)
 		}
 		if alpha < 0 {
-			t.Fatalf("negative throughput factor %v for %+v", alpha, cfg)
+			t.Fatalf("negative throughput factor %v for k=%d", alpha, k)
 		}
 	})
 }

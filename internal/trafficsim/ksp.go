@@ -13,44 +13,20 @@ import (
 	"physdep/internal/topology"
 )
 
-// KSPConfig tunes k-shortest-paths routing, the scheme the Jellyfish
-// evaluation actually uses (plain ECMP is known to waste expander
-// capacity — Harsh et al.'s "Spineless Data Centers" point).
-type KSPConfig struct {
-	K     int // paths per pair (≤ K kept)
-	Slack int // extra hops allowed beyond the pair's shortest distance
-	// Chunks is the water-filling granularity: each pair's demand is
-	// placed in Chunks equal increments, each on the pair's currently
-	// least-loaded path. Higher is smoother and slower. Default 8.
-	Chunks int
-}
-
-// DefaultKSP mirrors the Jellyfish paper's 8-shortest-paths routing with
-// one hop of slack.
-func DefaultKSP() KSPConfig { return KSPConfig{K: 8, Slack: 1, Chunks: 8} }
-
-// Bounds on the KSP knobs. Path enumeration is exponential in Slack and
-// linear in K·Chunks, so a runaway config must fail fast rather than hang.
+// k-shortest-paths routing is the scheme the Jellyfish evaluation
+// actually uses (plain ECMP is known to waste expander capacity — Harsh
+// et al.'s "Spineless Data Centers" point). JellyfishK is that paper's
+// path count per pair; MaxKSPK bounds k, since path enumeration and the
+// water-fill are linear in it and a runaway k must fail fast rather than
+// hang.
 const (
-	MaxKSPK      = 1 << 12
-	MaxKSPSlack  = 64
-	MaxKSPChunks = 1 << 16
+	JellyfishK = 8
+	MaxKSPK    = 1 << 12
 )
 
-// Validate rejects KSP configs outside the workable envelope. Chunks 0 is
-// allowed and means "use the default of 8"; negative values are errors.
-func (cfg KSPConfig) Validate() error {
-	if cfg.K < 1 || cfg.K > MaxKSPK {
-		return physerr.OutOfRange("trafficsim: KSP K must be in [1, %d], got %d", MaxKSPK, cfg.K)
-	}
-	if cfg.Slack < 0 || cfg.Slack > MaxKSPSlack {
-		return physerr.OutOfRange("trafficsim: KSP Slack must be in [0, %d], got %d", MaxKSPSlack, cfg.Slack)
-	}
-	if cfg.Chunks < 0 || cfg.Chunks > MaxKSPChunks {
-		return physerr.OutOfRange("trafficsim: KSP Chunks must be in [0, %d], got %d", MaxKSPChunks, cfg.Chunks)
-	}
-	return nil
-}
+// kspSlack is how many hops beyond a pair's shortest distance a KSP path
+// may take.
+const kspSlack = 1
 
 // kspScratch is the per-worker reusable state of path enumeration: the
 // BFS buffers for the per-destination distance field, the on-path marks,
@@ -84,8 +60,8 @@ func (sc *kspScratch) pathKey(nodes []int) []byte {
 	return sc.key
 }
 
-// kShortestNodePaths enumerates up to cfg.K node-distinct paths from src
-// to dst whose length is at most dist(src,dst)+cfg.Slack, as node
+// kShortestNodePaths enumerates up to k node-distinct paths from src
+// to dst whose length is at most dist(src,dst)+kspSlack, as node
 // sequences. Parallel edges between two switches are one logical hop
 // here — they are capacity, not extra path diversity — and the router
 // spreads each hop's load across them evenly. The DFS is bounded by a
@@ -93,7 +69,7 @@ func (sc *kspScratch) pathKey(nodes []int) []byte {
 // rows come from the shared CSR snapshot (distinct, ascending — the
 // same sequence the old per-call table held), so enumeration order and
 // therefore every path set is unchanged.
-func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KSPConfig, sc *kspScratch) [][]int {
+func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, k int, sc *kspScratch) [][]int {
 	if distTo[src] < 0 {
 		return nil
 	}
@@ -102,14 +78,14 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KS
 	cur := []int{src}
 	onPath := sc.onPath
 	// Rotate neighbor exploration per (src, dst) so different pairs keep
-	// different detour sets when K caps the enumeration — otherwise every
+	// different detour sets when k caps the enumeration — otherwise every
 	// pair's spill converges on the lowest-numbered intermediates and
 	// manufactures hot spots no real traffic-engineering scheme would
 	// produce.
 	rot := src*31 + dst*17
 	var dfs func(u, remaining int)
 	dfs = func(u, remaining int) {
-		if len(paths) >= cfg.K {
+		if len(paths) >= k {
 			return
 		}
 		if u == dst {
@@ -132,29 +108,29 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KS
 			cur = append(cur, w)
 			dfs(w, remaining-1)
 			cur = cur[:len(cur)-1]
-			if len(paths) >= cfg.K {
+			if len(paths) >= k {
 				return
 			}
 		}
 	}
-	// Shortest paths take priority in the K budget: enumerate with zero
+	// Shortest paths take priority in the k budget: enumerate with zero
 	// slack first, widening only while quota remains. Otherwise a pair
 	// could fill its quota with detours and never learn its direct path.
-	for s := 0; s <= cfg.Slack && len(paths) < cfg.K; s++ {
+	for s := 0; s <= kspSlack && len(paths) < k; s++ {
 		dfs(src, distTo[src]+s)
 	}
 	return paths
 }
 
-// KSPThroughputCtx routes M over up to K near-shortest node paths per
-// pair using greedy water-filling (each demand increment takes the path
-// whose bottleneck trunk stays coolest — the fluid analogue of MPTCP
+// KSPThroughputCtx routes M over up to k near-shortest node paths per
+// pair using greedy water-filling in k equal increments (each takes the
+// path whose bottleneck trunk stays coolest — the fluid analogue of MPTCP
 // subflows avoiding hot paths), splitting every hop's load evenly across
 // its parallel trunk members, and returns the scaling margin α, directly
 // comparable to ECMPThroughput. This is the fair way to evaluate
 // expander fabrics, which ECMP systematically under-serves.
 //
-// Internally the expensive phase — one BFS plus up-to-K path enumeration
+// Internally the expensive phase — one BFS plus up-to-k path enumeration
 // per (src,dst) pair — fans out across par.Workers() goroutines, one
 // destination per task with per-worker scratch. Load placement stays a
 // strictly sequential commit phase in the serial pair order, so the
@@ -162,16 +138,13 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, cfg KS
 // enumeration tasks are handed out (par contract) and between
 // water-filling chunks, so a canceled solve stops within one destination
 // BFS or one chunk and returns an error matching physerr.ErrCanceled.
-func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg KSPConfig) (float64, error) {
+func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, k int) (float64, error) {
 	tors := t.ToRs()
 	if len(tors) != m.N {
 		return 0, fmt.Errorf("trafficsim: matrix is %d×%d but topology has %d ToRs", m.N, m.N, len(tors))
 	}
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if cfg.Chunks == 0 {
-		cfg.Chunks = 8
+	if k < 1 || k > MaxKSPK {
+		return 0, physerr.OutOfRange("trafficsim: KSP k must be in [1, %d], got %d", MaxKSPK, k)
 	}
 	defer obs.Time("trafficsim.ksp")()
 
@@ -203,7 +176,7 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg K
 			if d <= 0 || src == dst {
 				continue
 			}
-			raw := kShortestNodePaths(snap, src, dst, sc.dist, cfg, sc)
+			raw := kShortestNodePaths(snap, src, dst, sc.dist, k, sc)
 			if len(raw) == 0 {
 				return fmt.Errorf("trafficsim: no path %d→%d", src, dst)
 			}
@@ -265,7 +238,7 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg K
 	}
 	load := make([]float64, 2*len(t.Edges))
 	cancellable := ctx.Done() != nil
-	for c := 0; c < cfg.Chunks; c++ {
+	for c := 0; c < k; c++ {
 		// One chunk sweeps every pair once; checking between chunks keeps
 		// the check count independent of pair count, and a completed fill
 		// identical to an uncancellable one.
@@ -275,7 +248,7 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, cfg K
 			}
 		}
 		for pi := range pairDemand {
-			f := pairDemand[pi] / float64(cfg.Chunks)
+			f := pairDemand[pi] / float64(k)
 			best, bestCost := int32(-1), 0.0
 			for p := pairPathOff[pi]; p < pairPathOff[pi+1]; p++ {
 				cost := 0.0

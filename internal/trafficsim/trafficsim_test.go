@@ -104,7 +104,7 @@ func TestKSPFindsPathsAndBeatsECMPOnExpanders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughputCtx(context.Background(), jf, m, DefaultKSP())
+	ak, err := KSPThroughputCtx(context.Background(), jf, m, JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,9 @@ func TestKSPFindsPathsAndBeatsECMPOnExpanders(t *testing.T) {
 }
 
 func TestKSPEqualsECMPOnUniquePathGraphs(t *testing.T) {
-	// Leaf-spine with one uplink per spine: KSP with slack 0 finds the
-	// same spine paths ECMP uses; throughputs must agree.
+	// Leaf-spine with one uplink per spine: KSP finds the same spine
+	// paths ECMP uses, since the fabric is bipartite and its one hop of
+	// slack admits no extra leaf-to-leaf path; throughputs must agree.
 	ls, err := topology.LeafSpine(topology.LeafSpineConfig{
 		Leaves: 4, Spines: 2, UplinksPerTor: 2,
 		ServerPorts: 10, LeafRadix: 12, SpineRadix: 4, Rate: 100,
@@ -128,7 +129,7 @@ func TestKSPEqualsECMPOnUniquePathGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughputCtx(context.Background(), ls, m, KSPConfig{K: 8, Slack: 0})
+	ak, err := KSPThroughputCtx(context.Background(), ls, m, JellyfishK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestKSPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(2, 1), DefaultKSP()); err == nil {
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(2, 1), JellyfishK); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(len(ft.ToRs()), 1), KSPConfig{K: 0}); err == nil {
-		t.Error("K=0 accepted")
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(len(ft.ToRs()), 1), 0); err == nil {
+		t.Error("k=0 accepted")
 	}
 }
 
@@ -169,7 +170,7 @@ func TestExpanderBeatsFatTreeAtEqualEquipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := KSPThroughputCtx(context.Background(), jf, Uniform(80, 200), DefaultKSP()) // 2 servers × 100G
+	aj, err := KSPThroughputCtx(context.Background(), jf, Uniform(80, 200), JellyfishK) // 2 servers × 100G
 	if err != nil {
 		t.Fatal(err)
 	}

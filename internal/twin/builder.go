@@ -111,9 +111,9 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 	sw0 := int32(len(m.ents))
 	for sw := 0; sw < nSw; sw++ {
 		n := p.Topo.Nodes[sw]
-		ru := 2.0
+		ru := float64(placement.ToRRU)
 		if n.Role != topology.RoleToR {
-			ru = 4.0
+			ru = placement.SwitchRU
 		}
 		h, err := add(nextID(), KindSwitch, map[string]float64{
 			"radix": float64(n.Radix), "rate_gbps": float64(n.Rate),

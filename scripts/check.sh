@@ -243,7 +243,7 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzTopologyGenerators ./internal/topology"
     "FuzzRouteBetween       ./internal/floorplan"
     "FuzzPlanCables         ./internal/cabling"
-    "FuzzKSPConfig          ./internal/trafficsim"
+    "FuzzKSP                ./internal/trafficsim"
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
   )
