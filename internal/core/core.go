@@ -19,6 +19,7 @@ import (
 	"physdep/internal/obs"
 	"physdep/internal/physerr"
 	"physdep/internal/placement"
+	"physdep/internal/solver"
 	"physdep/internal/topology"
 	"physdep/internal/twin"
 	"physdep/internal/units"
@@ -92,11 +93,12 @@ type Report struct {
 
 // Caps on the evaluator's work knobs. Each sizes work up front: a crew
 // slice the scheduler scans for every task, annealing steps, and one
-// placement clone per restart chain. The step cap is also the bound
-// lifecycle.PlannerConfig.Validate puts on AnnealSteps.
+// placement clone per restart chain. The step cap is solver's
+// MaxAnnealSteps, the same bound lifecycle.PlannerConfig.Validate puts
+// on AnnealSteps.
 const (
 	MaxTechs             = 1024
-	MaxPlacementSteps    = 1 << 20
+	MaxPlacementSteps    = solver.MaxAnnealSteps
 	MaxPlacementRestarts = 1 << 10
 )
 

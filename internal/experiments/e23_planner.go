@@ -99,7 +99,6 @@ func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
 // ordering — with identical rewire choices, isolating what ordering
 // alone is worth in floor visits and walking.
 func E24PlannerVsNaive(ctx context.Context) (*Result, error) {
-	costs := lifecycle.DefaultActionCosts()
 	res := &Result{
 		ID:    "E24",
 		Title: "Expansion work ordering: annealed plan vs naive schedule order",
@@ -122,10 +121,8 @@ func E24PlannerVsNaive(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		routeMin := float64(plan.FloorVisits)*float64(costs.FloorVisit) +
-			float64(plan.Walk)/costs.WalkMetersPerMinute
 		res.Lines = append(res.Lines, fmt.Sprintf("%-10s %8d %8.0f %11.1f %11.1f %10.0f",
-			mode.name, plan.FloorVisits, float64(plan.Walk), routeMin,
+			mode.name, plan.FloorVisits, float64(plan.Walk), plan.RouteMinutes(),
 			float64(plan.Labor.Hours()), float64(plan.Cable)))
 	}
 	res.Notes = "both modes perform identical splices and trunks; the annealed ordering only re-sequences work within each stage, so its route cost is never worse"

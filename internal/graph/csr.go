@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"physdep/internal/obs"
 )
@@ -53,9 +52,10 @@ func (s *Snapshot) Degree(u int) int { return int(s.off[u+1] - s.off[u]) }
 
 // Row returns node u's incidence slots as two parallel slices — the edge
 // ID and the endpoint opposite u for each slot, in adjacency slot order.
-// Removal swap-deletes adjacency entries, so slot order is not sorted by
-// edge ID; callers that need the EdgesBetween order must sort. Both
-// slices alias the snapshot and must not be modified.
+// Edges are appended in ascending ID order and removal shift-deletes, so
+// every row is ascending by edge ID (a self-loop's two slots are equal
+// and adjacent); a filter of the row is already in EdgesBetween order.
+// Both slices alias the snapshot and must not be modified.
 func (s *Snapshot) Row(u int) (edge, nbr []int32) {
 	return s.edge[s.off[u]:s.off[u+1]], s.nbr[s.off[u]:s.off[u+1]]
 }
@@ -63,7 +63,7 @@ func (s *Snapshot) Row(u int) (edge, nbr []int32) {
 // Freeze returns the graph's CSR snapshot, building and caching it on
 // first use. Freeze is idempotent and safe to call from multiple
 // goroutines (concurrent builds produce identical snapshots; one wins).
-// Any mutation — AddNode, AddEdge, RemoveEdge — invalidates the cached
+// Any mutation — AddNode(s), AddEdge, RemoveEdge — invalidates the cached
 // snapshot, and the next Freeze repacks it from the live adjacency;
 // mutating the graph while a kernel is iterating a snapshot it already
 // loaded is the caller's race, exactly as it was for the live adjacency.
@@ -82,8 +82,14 @@ func (g *Graph) Freeze() *Snapshot {
 }
 
 // invalidateSnapshot drops the cached snapshot; every adjacency mutation
-// calls it so a stale packed view can never be observed.
-func (g *Graph) invalidateSnapshot() { g.snap.Store(nil) }
+// calls it so a stale packed view can never be observed. It stores only
+// when a snapshot exists, so a generator adding thousands of edges to a
+// never-frozen graph pays one atomic load per edge, not a store.
+func (g *Graph) invalidateSnapshot() {
+	if g.snap.Load() != nil {
+		g.snap.Store(nil)
+	}
+}
 
 func (g *Graph) buildSnapshot() *Snapshot {
 	// The build counter is how snapshot sharing is proven, not just
@@ -102,46 +108,55 @@ func (g *Graph) buildSnapshot() *Snapshot {
 		panic(fmt.Sprintf("graph: Freeze: graph too large for CSR snapshot (%d nodes, %d incidence slots)", g.N, slots))
 	}
 	s := &Snapshot{
-		n:      g.N,
-		off:    make([]int32, g.N+1),
-		edge:   make([]int32, slots),
-		nbr:    make([]int32, slots),
-		caps:   make([]float64, slots),
-		nbrOff: make([]int32, g.N+1),
+		n:       g.N,
+		off:     make([]int32, g.N+1),
+		edge:    make([]int32, slots),
+		nbr:     make([]int32, slots),
+		caps:    make([]float64, slots),
+		nbrOff:  make([]int32, g.N+1),
+		nbrList: make([]int32, slots),
 	}
 	pos := int32(0)
 	for u, row := range g.adj {
 		s.off[u] = pos
-		for _, id := range row {
-			e := g.Edges[id]
-			s.edge[pos] = int32(id)
-			s.nbr[pos] = int32(e.Other(u))
-			s.caps[pos] = e.Cap
-			pos++
-		}
+		pos += int32(len(row))
 	}
 	s.off[g.N] = pos
-	// Distinct neighbor table. mark is reset via the per-node row itself,
-	// so the build stays O(nodes + slots + sort).
-	mark := make([]bool, g.N)
-	list := make([]int32, 0, slots)
-	for u := 0; u < g.N; u++ {
-		s.nbrOff[u] = int32(len(list))
-		start := len(list)
-		for _, w := range s.nbr[s.off[u]:s.off[u+1]] {
-			if int(w) == u || mark[w] {
+	// The distinct-neighbour table is built by transpose: visiting u in
+	// ascending order, u is appended to the row of each neighbour w, so
+	// every row comes out ascending with no sort. Row w is written into
+	// w's own slot window (its degree bounds its distinct neighbours),
+	// with nbrOff[w] as the write cursor. While u's slots are visited only
+	// u is appended, so parallel edges land adjacent and one look at the
+	// row's tail dedups them. Self-loops are skipped.
+	copy(s.nbrOff, s.off)
+	for u, row := range g.adj {
+		p := s.off[u]
+		for _, id := range row {
+			e := g.Edges[id]
+			w := int32(e.Other(u))
+			s.edge[p] = int32(id)
+			s.nbr[p] = w
+			s.caps[p] = e.Cap
+			p++
+			if int(w) == u {
 				continue
 			}
-			mark[w] = true
-			list = append(list, w)
+			if end := s.nbrOff[w]; end == s.off[w] || s.nbrList[end-1] != int32(u) {
+				s.nbrList[end] = int32(u)
+				s.nbrOff[w] = end + 1
+			}
 		}
-		row := list[start:]
-		for _, w := range row {
-			mark[w] = false
-		}
-		slices.Sort(row)
 	}
-	s.nbrOff[g.N] = int32(len(list))
-	s.nbrList = list
+	// Compact the rows: each moves left over the gaps its predecessors
+	// left, and nbrOff turns from write cursors into row starts.
+	pos = 0
+	for w := 0; w < g.N; w++ {
+		start, end := s.off[w], s.nbrOff[w]
+		s.nbrOff[w] = pos
+		pos += int32(copy(s.nbrList[pos:], s.nbrList[start:end]))
+	}
+	s.nbrOff[g.N] = pos
+	s.nbrList = s.nbrList[:pos]
 	return s
 }

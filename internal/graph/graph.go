@@ -4,13 +4,16 @@
 // (expander quality), Dinic max-flow, and a Kernighan–Lin style bisection
 // heuristic.
 //
-// Graphs here are small by networking standards (thousands of nodes — one
-// node per switch, not per server), so the implementations favor clarity
-// and determinism over asymptotic heroics.
+// Nodes are switches, not servers. The envelope is set by the topology
+// layer: ES1 runs a 10k-switch fabric and topology.MaxSwitches is 2^20, so
+// the kernels here are written against that scale (CSR snapshots, a
+// bit-parallel all-pairs sweep, bulk node rows for generators), always
+// with deterministic output.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -68,6 +71,26 @@ func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
 	g.N++
 	return g.N - 1
+}
+
+// AddNodes appends n nodes for a generator that knows their degree: their
+// adjacency rows are windows of one slab, each with capacity deg, and
+// room for n*deg/2 edges is reserved. Rows are three-index slices, so a
+// row that outgrows deg reallocates itself and never writes into its
+// neighbour's window. It panics on negative n or deg, an invariant
+// breach like New's.
+func (g *Graph) AddNodes(n, deg int) {
+	if n < 0 || deg < 0 {
+		panic(fmt.Sprintf("graph: AddNodes(%d, %d): negative count", n, deg))
+	}
+	g.invalidateSnapshot()
+	slab := make([]int, n*deg)
+	g.adj = slices.Grow(g.adj, n)
+	for i := 0; i < n; i++ {
+		g.adj = append(g.adj, slab[i*deg:i*deg:(i+1)*deg])
+	}
+	g.Edges = slices.Grow(g.Edges, n*deg/2)
+	g.N += n
 }
 
 // AddEdge adds an undirected edge u–v with capacity cap and returns its ID.

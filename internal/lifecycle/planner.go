@@ -115,13 +115,10 @@ const (
 	rewireTries     = 64
 )
 
-// Bounds on a planning run: maxPlannerAdds bounds schedule size well
-// past any experiment while keeping overflow arithmetic trivially safe;
-// maxAnnealSteps caps the ordering search.
-const (
-	maxPlannerAdds = 1 << 16
-	maxAnnealSteps = 1 << 20
-)
+// maxPlannerAdds bounds schedule size well past any experiment while
+// keeping overflow arithmetic trivially safe. The ordering search is
+// capped by solver.MaxAnnealSteps.
+const maxPlannerAdds = 1 << 16
 
 // Validate checks the schedule and the step count; errors wrap the
 // physerr sentinels per the DESIGN.md §8 boundary contract.
@@ -145,8 +142,8 @@ func (c PlannerConfig) Validate() error {
 	if total > maxPlannerAdds {
 		return physerr.OutOfRange("lifecycle: schedule adds %d units, bound is %d", total, maxPlannerAdds)
 	}
-	if c.AnnealSteps < 0 || c.AnnealSteps > maxAnnealSteps {
-		return physerr.OutOfRange("lifecycle: AnnealSteps must be in [0, %d], got %d", maxAnnealSteps, c.AnnealSteps)
+	if c.AnnealSteps < 0 || c.AnnealSteps > solver.MaxAnnealSteps {
+		return physerr.OutOfRange("lifecycle: AnnealSteps must be in [0, %d], got %d", solver.MaxAnnealSteps, c.AnnealSteps)
 	}
 	return nil
 }
@@ -459,6 +456,10 @@ func (s *spliceState) cost(chosen []int) float64 {
 	}
 	return floorMinutes(visits, walk)
 }
+
+// RouteMinutes prices the plan's crew route: FloorVisits rack entries
+// plus Walk metres of walking, on the planner's own rule.
+func (p *Plan) RouteMinutes() float64 { return floorMinutes(p.FloorVisits, p.Walk) }
 
 // floorMinutes prices floor overhead: a fixed cost per rack entered plus
 // the walking time.

@@ -11,6 +11,7 @@ import (
 	"physdep/internal/obs"
 	"physdep/internal/par"
 	"physdep/internal/physerr"
+	"physdep/internal/solver"
 	"physdep/internal/topology"
 	"physdep/internal/units"
 )
@@ -49,14 +50,14 @@ func TestPlannerConfigValidate(t *testing.T) {
 		{"negative counts", mut(func(c *PlannerConfig) { c.Stages[0].AddToRs = -1 }), physerr.ErrOutOfRange},
 		{"empty stage", mut(func(c *PlannerConfig) { c.Stages[0] = GrowthStage{} }), physerr.ErrOutOfRange},
 		{"negative steps", mut(func(c *PlannerConfig) { c.AnnealSteps = -1 }), physerr.ErrOutOfRange},
-		{"huge steps", mut(func(c *PlannerConfig) { c.AnnealSteps = maxAnnealSteps + 1 }), physerr.ErrOutOfRange},
+		{"huge steps", mut(func(c *PlannerConfig) { c.AnnealSteps = solver.MaxAnnealSteps + 1 }), physerr.ErrOutOfRange},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); !errors.Is(err, c.kind) {
 			t.Errorf("%s: Validate() = %v, want %v", c.name, err, c.kind)
 		}
 	}
-	if err := mut(func(c *PlannerConfig) { c.AnnealSteps = maxAnnealSteps }).Validate(); err != nil {
+	if err := mut(func(c *PlannerConfig) { c.AnnealSteps = solver.MaxAnnealSteps }).Validate(); err != nil {
 		t.Errorf("AnnealSteps at its bound rejected: %v", err)
 	}
 }

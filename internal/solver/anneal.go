@@ -42,6 +42,12 @@ type AnnealResult struct {
 	FinalTemp float64
 }
 
+// MaxAnnealSteps caps AnnealConfig.Steps wherever a caller takes a step
+// count from its input: the evaluator's placement search
+// (core.MaxPlacementSteps) and the growth planner's ordering search
+// (lifecycle.PlannerConfig.AnnealSteps) both check against it.
+const MaxAnnealSteps = 1 << 20
+
 // annealChunkSteps is how many annealing steps run between context
 // checks in AnnealCtx: coarse enough that the check cost vanishes into
 // the proposal cost, fine enough that a deadline stops a chain within

@@ -2,8 +2,25 @@ package topology
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
+
+// BenchmarkFlatRandom builds the flat random fabric /v1/stats serves
+// (radix 24, 12 network ports) from 1k switches up to 100k.
+func BenchmarkFlatRandom(b *testing.B) {
+	for _, n := range []int{1000, 3000, 5000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := FlatRandomConfig{N: n, K: 24, R: 12, Rate: 100, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FlatRandom(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkBasicStats runs the ToR path statistics on both sides of
 // graph.DefaultExhaustiveBelow: 1,800 ToRs take the exhaustive sweep,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"physdep/internal/graph"
 	"physdep/internal/obs"
@@ -212,8 +211,8 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, k int
 				for k := 0; k+1 < len(nodes); k++ {
 					u, v := nodes[k], nodes[k+1]
 					// Collect the parallel trunk members u→v from u's CSR
-					// row, sorted ascending — the order EdgesBetween has
-					// always returned (removal leaves slots unsorted).
+					// row. Rows are ascending by edge ID, so this is the
+					// order EdgesBetween returns.
 					hopIDs = hopIDs[:0]
 					edge, nbr := snap.Row(u)
 					for s, w := range nbr {
@@ -221,7 +220,6 @@ func KSPThroughputCtx(ctx context.Context, t *topology.Topology, m Matrix, k int
 							hopIDs = append(hopIDs, edge[s])
 						}
 					}
-					slices.Sort(hopIDs)
 					for _, id := range hopIDs {
 						dirArena = append(dirArena, int32(graph.DirLoad(int(id), t.Edges[id].U == u)))
 					}

@@ -246,6 +246,7 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzKSP                ./internal/trafficsim"
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
+    "FuzzFreeze             ./internal/graph"
   )
   for entry in "${fuzz_targets[@]}"; do
     read -r target pkg <<<"$entry"
