@@ -47,14 +47,18 @@ func main() {
 	// tray over row 0 is the shallow profile, add a pre-cabled conjoined
 	// two-rack unit, and trunk 200 thick 400G DACs through that shallow
 	// segment. Two physical mistakes hide inside.
+	rack := &twin.Entity{ID: "rack-new", Kind: twin.KindRack}
+	rack.SetAttr("ru_capacity", 42)
+	rack.SetAttr("plenum_mm2", 60000)
+	rack.SetAttr("width_m", 0.6)
+	rack.SetAttr("unit_width_m", 1.2) // pre-cabled double-wide!
+	trunk := &twin.Entity{ID: "trunk-new", Kind: twin.KindBundle}
+	trunk.SetAttr("cross_section_mm2", 200*95.0*1.2) // 200×400G DAC
 	ops := []twin.Op{
 		{Kind: twin.OpSetAttr, ID: "tray-0", Attr: "capacity_mm2", Value: 20000}, // shallow profile
-		{Kind: twin.OpAdd, Entity: &twin.Entity{ID: "rack-new", Kind: twin.KindRack,
-			Attrs: map[string]float64{"ru_capacity": 42, "plenum_mm2": 60000,
-				"width_m": 0.6, "unit_width_m": 1.2}}}, // pre-cabled double-wide!
+		{Kind: twin.OpAdd, Entity: rack},
 		{Kind: twin.OpRelate, From: "hall", Verb: twin.VerbContains, To: "rack-new"},
-		{Kind: twin.OpAdd, Entity: &twin.Entity{ID: "trunk-new", Kind: twin.KindBundle,
-			Attrs: map[string]float64{"cross_section_mm2": 200 * 95.0 * 1.2}}}, // 200×400G DAC
+		{Kind: twin.OpAdd, Entity: trunk},
 		{Kind: twin.OpRelate, From: "trunk-new", Verb: twin.VerbRoutesThrough, To: "tray-0"},
 	}
 	res, err := twin.DryRun(model, twin.DefaultSchema(), twin.DefaultRules(), ops)

@@ -63,14 +63,14 @@ func E10TwinDryRun(ctx context.Context) (*Result, error) {
 		{"tray-capacity", func() error {
 			for _, tr := range m.EntitiesOfKind(twin.KindTray) {
 				if len(m.RelatedTo(tr.ID, twin.VerbRoutesThrough)) > 0 {
-					tr.Attrs["capacity_mm2"] = 1
+					tr.SetAttr("capacity_mm2", 1)
 					return nil
 				}
 			}
 			return fmt.Errorf("no loaded tray")
 		}},
 		{"rack-space", func() error {
-			m.EntitiesOfKind(twin.KindRack)[0].Attrs["ru_capacity"] = 1
+			m.EntitiesOfKind(twin.KindRack)[0].SetAttr("ru_capacity", 1)
 			return nil
 		}},
 		{"rack-plenum", func() error {
@@ -79,7 +79,7 @@ func E10TwinDryRun(ctx context.Context) (*Result, error) {
 			for _, r := range m.EntitiesOfKind(twin.KindRack) {
 				for _, id := range m.Related(r.ID, twin.VerbContains) {
 					if id == "switch-0" {
-						r.Attrs["plenum_mm2"] = 1
+						r.SetAttr("plenum_mm2", 1)
 						return nil
 					}
 				}
@@ -91,7 +91,7 @@ func E10TwinDryRun(ctx context.Context) (*Result, error) {
 				occ := m.RelatedTo(tr.ID, twin.VerbRoutesThrough)
 				for _, id := range occ {
 					if e := m.Entity(id); e != nil && e.Kind == twin.KindCable {
-						tr.Attrs["min_bend_mm"] = 1
+						tr.SetAttr("min_bend_mm", 1)
 						return nil
 					}
 				}
@@ -100,11 +100,11 @@ func E10TwinDryRun(ctx context.Context) (*Result, error) {
 			if err := m.Relate("cable-0", twin.VerbRoutesThrough, "tray-0"); err != nil {
 				return err
 			}
-			m.Entity("tray-0").Attrs["min_bend_mm"] = 1
+			m.Entity("tray-0").SetAttr("min_bend_mm", 1)
 			return nil
 		}},
 		{"door-width", func() error {
-			m.EntitiesOfKind(twin.KindRack)[1].Attrs["unit_width_m"] = 1.3
+			m.EntitiesOfKind(twin.KindRack)[1].SetAttr("unit_width_m", 1.3)
 			return nil
 		}},
 		{"schema:unknown-kind", func() error {
@@ -227,10 +227,12 @@ func E14Envelope(ctx context.Context) (*Result, error) {
 		switch v % 5 {
 		case 0: // new entity of a (possibly exotic) kind
 			k := kinds[v%len(kinds)]
-			if err := m.Add(&twin.Entity{ID: fmt.Sprintf("mut-%d", v), Kind: k,
-				Attrs: map[string]float64{"radix": 1, "rate_gbps": 1, "ru": 1, "power_w": 1,
-					"length_m": 1, "diameter_mm": 1, "bend_radius_mm": 1,
-					"cross_section_mm2": 1}}); err != nil {
+			e := &twin.Entity{ID: fmt.Sprintf("mut-%d", v), Kind: k}
+			for _, name := range []string{"radix", "rate_gbps", "ru", "power_w",
+				"length_m", "diameter_mm", "bend_radius_mm", "cross_section_mm2"} {
+				e.SetAttr(name, 1)
+			}
+			if err := m.Add(e); err != nil {
 				return nil, err
 			}
 		case 1: // exotic relation between existing entities
@@ -240,13 +242,13 @@ func E14Envelope(ctx context.Context) (*Result, error) {
 			}
 		case 2: // physical overload: shrink a tray
 			trays := m.EntitiesOfKind(twin.KindTray)
-			trays[v%len(trays)].Attrs["capacity_mm2"] = 0.5
+			trays[v%len(trays)].SetAttr("capacity_mm2", 0.5)
 		case 3: // conjoined rack too wide
 			racks := m.EntitiesOfKind(twin.KindRack)
-			racks[v%len(racks)].Attrs["unit_width_m"] = 1.2 + float64(v%4)*0.2
+			racks[v%len(racks)].SetAttr("unit_width_m", 1.2+float64(v%4)*0.2)
 		case 4: // benign attribute tweak: stays in envelope, passes physics
 			racks := m.EntitiesOfKind(twin.KindRack)
-			racks[v%len(racks)].Attrs["ru_capacity"] = 44
+			racks[v%len(racks)].SetAttr("ru_capacity", 44)
 		}
 		vs := twin.CheckAll(m, schema, rules)
 		schemaViol := false

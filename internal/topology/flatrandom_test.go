@@ -60,6 +60,46 @@ func TestFlatRandomWireMatchesReference(t *testing.T) {
 	}
 }
 
+// flatRandomWire is one wiring attempt as a plain fabric, the shape the
+// reference returns.
+func flatRandomWire(cfg FlatRandomConfig, rng *rand.Rand) (*Topology, error) {
+	w, err := wireFlatRandom(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	return w.t, nil
+}
+
+// TestFlatWiringConnectedMatchesGraph pins the neighbour-table BFS that
+// FlatRandom's attempts check to graph.Connected on the built fabric.
+// R=2 wires unions of cycles, so most of its attempts are disconnected;
+// R=3…12 are mostly connected, with small N where they are not.
+func TestFlatWiringConnectedMatchesGraph(t *testing.T) {
+	verdicts := map[bool]int{}
+	for r := 2; r <= 12; r++ {
+		for n := r + 1; n <= r+6; n++ {
+			if n*r%2 != 0 {
+				continue
+			}
+			cfg := FlatRandomConfig{N: n, K: r + 4, R: r, Rate: 100}
+			for seed := uint64(0); seed < 100; seed++ {
+				w, err := wireFlatRandom(cfg, rand.New(rand.NewPCG(seed, seed^flatSeedMix)))
+				if err != nil {
+					continue // no splice: the attempt never reaches the check
+				}
+				got, want := w.connected(), w.t.Connected()
+				if got != want {
+					t.Fatalf("n=%d r=%d seed=%d: table says connected=%v, graph says %v", n, r, seed, got, want)
+				}
+				verdicts[got]++
+			}
+		}
+	}
+	if verdicts[false] == 0 || verdicts[true] == 0 {
+		t.Fatalf("verdicts %v: the shapes must give both answers", verdicts)
+	}
+}
+
 // TestFlatRandomAllocs pins the bulk build's allocation count: the
 // per-node labels and the per-link row growth are gone, so the count no
 // longer scales with the fabric (the per-link build made 20,822 here).

@@ -152,7 +152,11 @@ func (t *Topology) NumSwitches() int { return len(t.Nodes) }
 // Validate checks structural invariants: every switch's used ports
 // (network degree + server ports) fit its radix, edge endpoints exist, and
 // the fabric is connected. Generators call this before returning.
-func (t *Topology) Validate() error {
+func (t *Topology) Validate() error { return t.validate(t.Connected) }
+
+// validate is Validate with the connectivity test supplied: FlatRandom
+// answers it from its wiring's neighbour table, not the edge records.
+func (t *Topology) validate(connected func() bool) error {
 	for _, n := range t.Nodes {
 		used := t.Degree(n.ID) + n.ServerPorts
 		if used > n.Radix {
@@ -160,7 +164,7 @@ func (t *Topology) Validate() error {
 				t.Name, n.ID, n.Role, n.Label, used, n.Radix)
 		}
 	}
-	if t.N > 0 && !t.Connected() {
+	if t.N > 0 && !connected() {
 		return physerr.Infeasible("topology %s: fabric is not connected", t.Name)
 	}
 	return nil

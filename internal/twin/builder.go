@@ -76,31 +76,34 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 
 	m := &Model{}
 	m.init(nEnt, nRel)
-	// One backing array for every entity: it never grows past nEnt, so
-	// the pointers Add keeps stay valid.
+	// One backing array for every entity, and one for every attribute
+	// window: neither grows past its count, so the pointers Add keeps and
+	// the windows cut from it stay valid.
+	width := func(k int32) int { return len(layouts[k].names) }
 	slab := make([]Entity, 0, nEnt)
-	add := func(id string, k Kind, attrs map[string]float64) (int32, error) {
-		slab = append(slab, Entity{ID: id, Kind: k, Attrs: attrs})
+	floats := make([]float64, width(kHall)+width(kDoor)+len(slots)*width(kRack)+
+		nSw*width(kSwitch)+nTray*width(kTray)+nCable*width(kCable)+len(multi)*width(kBundle))
+	// add appends an entity of vocabulary kind k whose attributes are the
+	// first len(attrs) slots of k's layout.
+	add := func(id string, k int32, attrs ...float64) (int32, error) {
+		n := width(k)
+		slab = append(slab, Entity{ID: id, Kind: vocabularyKinds[k], lay: &layouts[k],
+			vals: floats[:n:n], set: 1<<len(attrs) - 1})
+		copy(floats, attrs)
+		floats = floats[n:]
 		return m.add(&slab[len(slab)-1])
 	}
-	hall, err := add("hall", KindHall, map[string]float64{
-		"rows": float64(f.Rows), "racks_per_row": float64(f.RacksPerRow),
-	})
+	hall, err := add("hall", kHall, float64(f.Rows), float64(f.RacksPerRow))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := add("door-main", KindDoor, map[string]float64{
-		"width_m": float64(floorplan.DoorWidth),
-	}); err != nil {
+	if _, err := add("door-main", kDoor, float64(floorplan.DoorWidth)); err != nil {
 		return nil, err
 	}
 	rackAt := make([]int32, len(inUse)) // slot → rack handle; 0 (the hall's) if unused
 	for _, slot := range slots {
-		rack, err := add(nextID(), KindRack, map[string]float64{
-			"ru_capacity": float64(floorplan.RackUnits),
-			"plenum_mm2":  float64(floorplan.PlenumCapacity),
-			"width_m":     float64(floorplan.RackWidth),
-		})
+		rack, err := add(nextID(), kRack, float64(floorplan.RackUnits),
+			float64(floorplan.PlenumCapacity), float64(floorplan.RackWidth))
 		if err != nil {
 			return nil, err
 		}
@@ -115,10 +118,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 		if n.Role != topology.RoleToR {
 			ru = placement.SwitchRU
 		}
-		h, err := add(nextID(), KindSwitch, map[string]float64{
-			"radix": float64(n.Radix), "rate_gbps": float64(n.Rate),
-			"ru": ru, "power_w": 50 + 4*float64(n.Radix),
-		})
+		h, err := add(nextID(), kSwitch, float64(n.Radix), float64(n.Rate), ru, 50+4*float64(n.Radix))
 		if err != nil {
 			return nil, err
 		}
@@ -130,24 +130,19 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 	}
 	tray0 := int32(len(m.ents))
 	for seg := 0; seg < nTray; seg++ {
-		if _, err := add(nextID(), KindTray, map[string]float64{
-			"capacity_mm2": float64(floorplan.TrayCapacity),
-		}); err != nil {
+		if _, err := add(nextID(), kTray, float64(floorplan.TrayCapacity)); err != nil {
 			return nil, err
 		}
 	}
 	cable0 := int32(len(m.ents))
 	for _, c := range plan.Cables {
-		attrs := map[string]float64{
-			"length_m":       float64(c.Route.Length),
-			"diameter_mm":    float64(c.Spec.Diameter),
-			"bend_radius_mm": float64(c.Spec.BendRadius),
-			"rate_gbps":      float64(c.Spec.Rate),
-		}
+		attrs := [...]float64{float64(c.Route.Length), float64(c.Spec.Diameter),
+			float64(c.Spec.BendRadius), float64(c.Spec.Rate), float64(c.Spec.LossBudget)}
+		n := sCableLossBudget // an electrical cable carries no loss budget
 		if c.Spec.PanelCompatible() {
-			attrs["loss_budget_db"] = float64(c.Spec.LossBudget)
+			n++
 		}
-		h, err := add(nextID(), KindCable, attrs)
+		h, err := add(nextID(), kCable, attrs[:n]...)
 		if err != nil {
 			return nil, err
 		}
@@ -179,9 +174,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 			}
 			continue
 		}
-		h, err := add(nextID(), KindBundle, map[string]float64{
-			"cross_section_mm2": float64(b.CrossSection),
-		})
+		h, err := add(nextID(), kBundle, float64(b.CrossSection))
 		if err != nil {
 			return nil, err
 		}

@@ -61,10 +61,9 @@ func (g *opGen) draw(ref *refModel) Op {
 		}
 		e := &Entity{ID: id, Kind: diffKinds[g.rng.IntN(len(diffKinds))]}
 		if g.rng.IntN(6) != 0 {
-			e.Attrs = map[string]float64{}
 			for _, a := range diffAttrs {
 				if g.rng.IntN(3) != 0 {
-					e.Attrs[a] = float64(g.rng.IntN(4000)) / 10
+					e.SetAttr(a, float64(g.rng.IntN(4000))/10)
 				}
 			}
 		}
@@ -96,8 +95,8 @@ func (g *opGen) draw(ref *refModel) Op {
 	}
 }
 
-// refOp is op as the reference applies it: an added entity is a copy.
-func refOp(op Op) Op {
+// copyOp is op with its added entity copied, for a second model.
+func copyOp(op Op) Op {
 	if op.Entity != nil {
 		op.Entity = cloneEntity(op.Entity)
 	}
@@ -105,6 +104,14 @@ func refOp(op Op) Op {
 }
 
 func entityIDs(es []*Entity) []string {
+	var ids []string
+	for _, e := range es {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
+func refEntityIDs(es []*refEntity) []string {
 	var ids []string
 	for _, e := range es {
 		ids = append(ids, e.ID)
@@ -124,7 +131,7 @@ func assertSameQueries(t *testing.T, step string, m *Model, ref *refModel, ids [
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(modelJSON{Entities: ref.allEntitiesSorted(), Relations: ref.relations})
+	want, err := json.Marshal(refModelJSON{Entities: ref.allEntitiesSorted(), Relations: ref.relations})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func assertSameQueries(t *testing.T, step string, m *Model, ref *refModel, ids [
 		t.Fatalf("%s: MarshalJSON diverges:\n got %s\nwant %s", step, got, want)
 	}
 	for _, k := range diffKinds {
-		if got, want := entityIDs(m.EntitiesOfKind(k)), entityIDs(ref.EntitiesOfKind(k)); !reflect.DeepEqual(got, want) {
+		if got, want := entityIDs(m.EntitiesOfKind(k)), refEntityIDs(ref.EntitiesOfKind(k)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: EntitiesOfKind(%s) = %v, reference %v", step, k, got, want)
 		}
 	}
@@ -176,7 +183,7 @@ func runDifferential(t *testing.T, m *Model, seed uint64, steps, sample int) {
 	for i := 0; i < steps; i++ {
 		op := g.draw(ref)
 		step := fmt.Sprintf("seed %d step %d (%+v)", seed, i, op)
-		refErr := ref.apply(refOp(op))
+		refErr := ref.apply(op)
 		res, err := DryRun(m, schema, rules, []Op{op})
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%s: DryRun err %v, reference err %v", step, err, refErr)
@@ -330,8 +337,8 @@ func TestZeroModelMatchesNewModel(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		op := g.draw(ref)
 		step := fmt.Sprintf("step %d (%+v)", i, op)
-		errRef := ref.apply(refOp(op))
-		errZero := applyOp(&zero, refOp(op))
+		errRef := ref.apply(op)
+		errZero := applyOp(&zero, copyOp(op))
 		errFresh := applyOp(fresh, op)
 		if fmt.Sprint(errZero) != fmt.Sprint(errFresh) || (errFresh == nil) != (errRef == nil) {
 			t.Fatalf("%s: zero Model err %v, NewModel err %v, reference err %v", step, errZero, errFresh, errRef)

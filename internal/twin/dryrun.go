@@ -136,7 +136,7 @@ func applyOp(m *Model, op Op) error {
 		if e == nil {
 			return fmt.Errorf("set attr on unknown entity %q", op.ID)
 		}
-		e.Attrs[op.Attr] = op.Value
+		e.SetAttr(op.Attr, op.Value)
 		return nil
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)

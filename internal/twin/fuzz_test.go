@@ -1,6 +1,7 @@
 package twin
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -10,7 +11,9 @@ import (
 // document is accepted, runs the full schema + rule suite over it. The
 // loader must reject malformed documents with an error (never a panic),
 // and every accepted model — however degenerate — must survive CheckAll
-// and get the same findings from the scanning reference model.
+// and get the same findings from the scanning reference model. The seeds
+// under testdata/fuzz cover attributes outside a kind's layout, on an
+// unknown kind, tags, and entities with no attributes.
 func FuzzTwinRules(f *testing.F) {
 	f.Add([]byte(`{"entities":[],"relations":[]}`))
 	f.Add([]byte(`{"entities":[{"ID":"hall","Kind":"hall","Attrs":{"rows":2,"racks_per_row":4}}],"relations":[]}`))
@@ -43,7 +46,8 @@ func FuzzTwinRules(f *testing.F) {
 		if want := refCheckAll(newRefModel(&m), DefaultSchema()); !reflect.DeepEqual(vs, want) {
 			t.Fatalf("indexed CheckAll diverges from the reference:\n got %v\nwant %v", vs, want)
 		}
-		// A loaded model must round-trip: marshal and re-load.
+		// A loaded model must round-trip byte for byte: marshal, re-load
+		// and marshal again give the same document and fingerprint.
 		b, err := json.Marshal(&m)
 		if err != nil {
 			t.Fatalf("accepted model failed to marshal: %v", err)
@@ -52,8 +56,19 @@ func FuzzTwinRules(f *testing.F) {
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatalf("round-trip reload failed: %v", err)
 		}
-		if back.NumEntities() != m.NumEntities() {
-			t.Fatalf("round-trip lost entities: %d vs %d", back.NumEntities(), m.NumEntities())
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatalf("reloaded model failed to marshal: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("round trip changed the document:\n got %s\nwant %s", again, b)
+		}
+		fp, err := m.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fpBack, err := back.Fingerprint(); err != nil || fpBack != fp {
+			t.Fatalf("round trip changed the fingerprint: %s, want %s (err %v)", fpBack, fp, err)
 		}
 	})
 }

@@ -11,23 +11,23 @@ import (
 func indexFixture(t *testing.T) *Model {
 	t.Helper()
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "door", Kind: KindDoor, Attrs: map[string]float64{"width_m": 1.1}})
-	mustAdd(t, m, &Entity{ID: "feed", Kind: KindPowerFeed, Attrs: map[string]float64{"capacity_w": 250}})
-	mustAdd(t, m, &Entity{ID: "rack", Kind: KindRack,
-		Attrs: map[string]float64{"ru_capacity": 4, "plenum_mm2": 100, "width_m": 0.6}})
+	mustAdd(t, m, newEntity("door", KindDoor, map[string]float64{"width_m": 1.1}))
+	mustAdd(t, m, newEntity("feed", KindPowerFeed, map[string]float64{"capacity_w": 250}))
+	mustAdd(t, m, newEntity("rack", KindRack,
+		map[string]float64{"ru_capacity": 4, "plenum_mm2": 100, "width_m": 0.6}))
 	for _, id := range []string{"sw-a", "sw-b"} {
-		mustAdd(t, m, &Entity{ID: id, Kind: KindSwitch,
-			Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}})
+		mustAdd(t, m, newEntity(id, KindSwitch,
+			map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
 		mustRelate(t, m, "rack", VerbContains, id)
 	}
 	mustRelate(t, m, "feed", VerbFeeds, "rack")
-	mustAdd(t, m, &Entity{ID: "cable", Kind: KindCable, Attrs: map[string]float64{
-		"length_m": 3, "diameter_mm": 6, "bend_radius_mm": 30, "rate_gbps": 100, "loss_budget_db": 3}})
+	mustAdd(t, m, newEntity("cable", KindCable, map[string]float64{
+		"length_m": 3, "diameter_mm": 6, "bend_radius_mm": 30, "rate_gbps": 100, "loss_budget_db": 3}))
 	mustRelate(t, m, "cable", VerbConnects, "sw-a")
 	mustRelate(t, m, "cable", VerbConnects, "sw-b")
-	mustAdd(t, m, &Entity{ID: "tray", Kind: KindTray, Attrs: map[string]float64{"capacity_mm2": 100}})
+	mustAdd(t, m, newEntity("tray", KindTray, map[string]float64{"capacity_mm2": 100}))
 	mustRelate(t, m, "cable", VerbRoutesThrough, "tray")
-	mustAdd(t, m, &Entity{ID: "panel", Kind: KindPanel, Attrs: map[string]float64{"ports": 8, "loss_db": 1}})
+	mustAdd(t, m, newEntity("panel", KindPanel, map[string]float64{"ports": 8, "loss_db": 1}))
 	mustRelate(t, m, "cable", VerbRoutesThrough, "panel")
 	if vs := CheckAll(m, DefaultSchema(), DefaultRules()); len(vs) != 0 {
 		t.Fatalf("fixture not clean: %v", vs)
@@ -45,7 +45,7 @@ func TestQueryResultsAreCallerOwned(t *testing.T) {
 	// the writes below would corrupt if they reached the index.
 	for id, attr := range map[string]string{"door": "width_m", "feed": "capacity_w",
 		"rack": "ru_capacity", "tray": "capacity_mm2", "cable": "loss_budget_db"} {
-		m.Entity(id).Attrs[attr] = 0.5
+		m.Entity(id).SetAttr(attr, 0.5)
 	}
 	want := CheckAll(m, schema, rules)
 	if len(want) != 5 {
@@ -88,7 +88,7 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 		check  func(t *testing.T, m *Model)
 	}{
 		{"Add", func(t *testing.T, m *Model) {
-			mustAdd(t, m, &Entity{ID: "a-door", Kind: KindDoor, Attrs: map[string]float64{"width_m": 0.5}})
+			mustAdd(t, m, newEntity("a-door", KindDoor, map[string]float64{"width_m": 0.5}))
 		}, func(t *testing.T, m *Model) {
 			if got := entityIDs(m.EntitiesOfKind(KindDoor)); !reflect.DeepEqual(got, []string{"a-door", "door"}) {
 				t.Errorf("EntitiesOfKind(door) = %v", got)
@@ -98,8 +98,8 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 			}
 		}},
 		{"Relate", func(t *testing.T, m *Model) {
-			mustAdd(t, m, &Entity{ID: "sw-c", Kind: KindSwitch,
-				Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}})
+			mustAdd(t, m, newEntity("sw-c", KindSwitch,
+				map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
 			CheckAll(m, schema, rules) // rebuild after the Add, so only Relate can drop it
 			mustRelate(t, m, "rack", VerbContains, "sw-c")
 		}, func(t *testing.T, m *Model) {
@@ -123,7 +123,7 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 			if got := m.RelatedTo("panel", VerbRoutesThrough); got != nil {
 				t.Errorf("RelatedTo(panel) = %v", got)
 			}
-			m.Entity("cable").Attrs["loss_budget_db"] = 0.7 // fits without the panel's 1 dB
+			m.Entity("cable").SetAttr("loss_budget_db", 0.7) // fits without the panel's 1 dB
 			if vs := CheckAll(m, schema, rules); len(vs) != 0 {
 				t.Errorf("panel loss still counted: %v", vs)
 			}
@@ -142,7 +142,7 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 			if got := entityIDs(m.EntitiesOfKind(KindSwitch)); !reflect.DeepEqual(got, []string{"sw-a"}) {
 				t.Errorf("EntitiesOfKind(switch) = %v", got)
 			}
-			m.Entity("feed").Attrs["capacity_w"] = 150 // one switch's 100 W fits
+			m.Entity("feed").SetAttr("capacity_w", 150) // one switch's 100 W fits
 			if vs := CheckAll(m, schema, rules); len(vs) != 0 {
 				t.Errorf("removed switch still counted: %v", vs)
 			}

@@ -14,6 +14,42 @@ type modelJSON struct {
 	Relations []Relation `json:"relations"`
 }
 
+// entityJSON is an Entity's wire shape: its exported fields, with the
+// attributes as one object.
+type entityJSON struct {
+	ID    string
+	Kind  Kind
+	Attrs map[string]float64
+	Tags  map[string]string
+}
+
+// MarshalJSON writes ID, Kind, Attrs and Tags, each object's keys
+// sorted, and {} for an entity with no attributes or nil Tags.
+func (e Entity) MarshalJSON() ([]byte, error) {
+	tags := e.Tags
+	if tags == nil {
+		tags = map[string]string{}
+	}
+	return json.Marshal(entityJSON{ID: e.ID, Kind: e.Kind, Attrs: e.attrMap(), Tags: tags})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes, setting each attribute
+// with SetAttr once Kind is known; empty Tags stay nil.
+func (e *Entity) UnmarshalJSON(data []byte) error {
+	var in entityJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	*e = Entity{ID: in.ID, Kind: in.Kind}
+	if len(in.Tags) > 0 {
+		e.Tags = in.Tags
+	}
+	for name, v := range in.Attrs {
+		e.SetAttr(name, v)
+	}
+	return nil
+}
+
 // MarshalJSON serializes the model deterministically: entities sorted by
 // ID, relations in insertion order.
 func (m *Model) MarshalJSON() ([]byte, error) {

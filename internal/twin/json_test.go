@@ -9,11 +9,12 @@ import (
 func buildSmallModel(t *testing.T) *Model {
 	t.Helper()
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "r1", Kind: KindRack,
-		Attrs: map[string]float64{"ru_capacity": 42, "plenum_mm2": 60000, "width_m": 0.6}})
-	mustAdd(t, m, &Entity{ID: "s1", Kind: KindSwitch,
-		Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 150},
-		Tags:  map[string]string{"vendor": "acme"}})
+	mustAdd(t, m, newEntity("r1", KindRack,
+		map[string]float64{"ru_capacity": 42, "plenum_mm2": 60000, "width_m": 0.6}))
+	s1 := newEntity("s1", KindSwitch,
+		map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 150})
+	s1.Tags = map[string]string{"vendor": "acme"}
+	mustAdd(t, m, s1)
 	mustRelate(t, m, "r1", VerbContains, "s1")
 	return m
 }
@@ -95,7 +96,7 @@ func TestFingerprintDetectsDrift(t *testing.T) {
 	if len(f1) != 16 {
 		t.Fatalf("fingerprint %q", f1)
 	}
-	m.Entity("s1").Attrs["power_w"] = 151 // a mundane as-built error
+	m.Entity("s1").SetAttr("power_w", 151) // a mundane as-built error
 	f2, err := m.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

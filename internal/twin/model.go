@@ -8,7 +8,11 @@
 // violation by how late it would otherwise have been caught.
 package twin
 
-import "physdep/internal/physerr"
+import (
+	"slices"
+
+	"physdep/internal/physerr"
+)
 
 // Kind classifies entities. The schema pins the closed set of kinds the
 // automation understands; a design needing a new kind is, by definition,
@@ -39,21 +43,145 @@ const (
 )
 
 // Entity is one modeled physical object: typed, with numeric attributes
-// (dimensions, capacities, loads) and free-form string tags. Once the
-// entity is added to a Model, its ID and Kind are fixed: the model's
-// index files it under both. Attrs and Tags stay freely mutable; no
-// index reads them.
+// (dimensions, capacities, loads) and free-form string tags.
+//
+// Attr reads an attribute and SetAttr writes one. An entity of a
+// vocabulary kind keeps the names of its kind's layout (the kind's
+// DefaultSchema requirements, then the optional names the default rules
+// read) in a window of floats with a presence bit per slot; FromNetwork
+// cuts every window from one slab. Any other name, and every attribute
+// of a kind outside the vocabulary, goes to an overflow map made on its
+// first write. The first SetAttr fixes the layout, so Kind is fixed from
+// then on, as ID and Kind are once the entity is added to a Model: Add
+// rejects an entity whose Kind changed after its first SetAttr. No index
+// reads the attributes, so they stay writable after Add.
+//
+// Tags is nil until a caller assigns a map; nothing in the model reads
+// it, and MarshalJSON writes nil as {}.
 type Entity struct {
-	ID    string
-	Kind  Kind
-	Attrs map[string]float64
-	Tags  map[string]string
+	ID   string
+	Kind Kind
+	Tags map[string]string
+
+	lay   *layout            // nil until the first SetAttr
+	vals  []float64          // lay's window: vals[i] holds lay.names[i]
+	set   uint8              // bit i: vals[i] has been written
+	extra map[string]float64 // names outside lay; nil until one is written
 }
 
 // Attr returns a numeric attribute, with ok=false when absent.
 func (e *Entity) Attr(name string) (float64, bool) {
-	v, ok := e.Attrs[name]
+	if e.lay != nil {
+		if i := e.lay.slot(name); i >= 0 {
+			return e.at(i)
+		}
+	}
+	v, ok := e.extra[name]
 	return v, ok
+}
+
+// SetAttr sets a numeric attribute. The first call fixes the entity's
+// layout from its Kind.
+func (e *Entity) SetAttr(name string, v float64) {
+	if e.lay == nil {
+		e.lay = layoutOf(e.Kind)
+	}
+	if i := e.lay.slot(name); i >= 0 {
+		if e.vals == nil {
+			e.vals = make([]float64, len(e.lay.names))
+		}
+		e.vals[i] = v
+		e.set |= 1 << i
+		return
+	}
+	if e.extra == nil {
+		e.extra = map[string]float64{}
+	}
+	e.extra[name] = v
+}
+
+// at reads layout slot i; the rules name slots by constant.
+func (e *Entity) at(i int) (float64, bool) {
+	if e.set&(1<<i) == 0 {
+		return 0, false
+	}
+	return e.vals[i], true
+}
+
+// attrMap returns a fresh map of every attribute the entity holds.
+func (e *Entity) attrMap() map[string]float64 {
+	out := make(map[string]float64, len(e.vals)+len(e.extra))
+	for i := range e.vals {
+		if v, ok := e.at(i); ok {
+			out[e.lay.names[i]] = v
+		}
+	}
+	for name, v := range e.extra {
+		out[name] = v
+	}
+	return out
+}
+
+// layout is one kind's attribute columns: slot i holds names[i].
+type layout struct{ names []string }
+
+// slot returns name's slot, or -1: a scan of at most five names, with no
+// hashing.
+func (l *layout) slot(name string) int {
+	for i, n := range l.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// optionalAttrs are the names the default rules read beyond the schema's
+// requirements. Each takes a slot after its kind's required names, so a
+// fibre cable's loss budget or a conjoined rack's width is no overflow.
+var optionalAttrs = map[Kind][]string{
+	KindCable: {"loss_budget_db"},
+	KindTray:  {"min_bend_mm"},
+	KindRack:  {"unit_width_m"},
+}
+
+// layouts[k] is vocabulary kind k's layout; otherLayout, with no slots,
+// is every other kind's.
+var (
+	layouts = func() (ls [len(vocabularyKinds)]layout) {
+		required := DefaultSchema().Required
+		for k, kind := range vocabularyKinds {
+			ls[k].names = append(slices.Clip(required[kind]), optionalAttrs[kind]...)
+			if len(ls[k].names) > 8 {
+				panic("twin: a layout outgrows its 8-bit presence mask")
+			}
+		}
+		return ls
+	}()
+	otherLayout layout
+)
+
+// The slots the rules read; TestLayoutSlots pins each to its name.
+const (
+	sRackRU, sRackPlenum, sRackWidth, sRackUnitWidth = 0, 1, 2, 3
+	sSwitchRU, sSwitchPower                          = 2, 3
+	sCableLength, sCableDiameter, sCableBend         = 0, 1, 2
+	sCableLossBudget                                 = 4
+	sBundleCrossSection                              = 0
+	sTrayCapacity, sTrayMinBend                      = 0, 1
+	sPanelLoss                                       = 1
+	sFeedCapacity                                    = 0
+	sDoorWidth                                       = 0
+)
+
+// layoutOf returns kind's layout.
+func layoutOf(kind Kind) *layout {
+	for k, v := range vocabularyKinds {
+		if v == kind {
+			return &layouts[k]
+		}
+	}
+	return &otherLayout
 }
 
 // Relation links two entities with a verb.
@@ -94,7 +222,7 @@ type rel struct{ from, verb, to int32 }
 // rules name kinds and verbs by constant code; any other kind or verb a
 // model meets gets the next free code.
 var (
-	vocabularyKinds = []Kind{KindHall, KindRack, KindSwitch, KindCable, KindBundle,
+	vocabularyKinds = [...]Kind{KindHall, KindRack, KindSwitch, KindCable, KindBundle,
 		KindTray, KindPanel, KindPowerFeed, KindDoor}
 	vocabularyVerbs = []Verb{VerbContains, VerbConnects, VerbRoutesThrough, VerbFeeds}
 )
@@ -152,14 +280,11 @@ func (m *Model) add(e *Entity) (int32, error) {
 	if _, dup := m.ids[e.ID]; dup {
 		return -1, physerr.OutOfRange("twin: duplicate entity %q", e.ID)
 	}
+	if e.lay != nil && e.lay != layoutOf(e.Kind) {
+		return -1, physerr.OutOfRange("twin: entity %q changed kind to %q after its first SetAttr", e.ID, e.Kind)
+	}
 	if m.ids == nil {
 		m.init(0, 0)
-	}
-	if e.Attrs == nil {
-		e.Attrs = map[string]float64{}
-	}
-	if e.Tags == nil {
-		e.Tags = map[string]string{}
 	}
 	h := int32(len(m.ents))
 	m.ids[e.ID] = h

@@ -9,29 +9,59 @@ import (
 // refModel is the reference the indexed Model is tested against: the
 // twin without an index, where every query scans the raw entity map or
 // relation slice and sorts what it found. Its mutators and rules are the
-// pre-index implementations, kept verbatim apart from the receiver.
+// pre-index implementations, kept verbatim apart from the receiver and
+// the entity type.
 type refModel struct {
-	entities  map[string]*Entity
+	entities  map[string]*refEntity
 	relations []Relation
+}
+
+// refEntity is an entity as the reference holds it: attributes and tags
+// in plain maps, the shape Entity had before its attributes moved into
+// per-kind columns. Its JSON is that shape's, which Entity's MarshalJSON
+// must reproduce byte for byte.
+type refEntity struct {
+	ID    string
+	Kind  Kind
+	Attrs map[string]float64
+	Tags  map[string]string
+}
+
+func (e *refEntity) Attr(name string) (float64, bool) {
+	v, ok := e.Attrs[name]
+	return v, ok
+}
+
+// refModelJSON is modelJSON over the reference's entities.
+type refModelJSON struct {
+	Entities  []*refEntity `json:"entities"`
+	Relations []Relation   `json:"relations"`
 }
 
 // newRefModel deep-copies m's entities and relations, so the two models
 // share no state and each op must be applied to both.
 func newRefModel(m *Model) *refModel {
-	r := &refModel{entities: map[string]*Entity{}, relations: m.Relations()}
+	r := &refModel{entities: map[string]*refEntity{}, relations: m.Relations()}
 	for id, h := range m.ids {
-		r.entities[id] = cloneEntity(m.ents[h])
+		r.entities[id] = toRef(m.ents[h])
 	}
 	return r
 }
 
+// toRef copies e into the reference's plain maps.
+func toRef(e *Entity) *refEntity {
+	c := &refEntity{ID: e.ID, Kind: e.Kind, Attrs: e.attrMap(), Tags: map[string]string{}}
+	for k, v := range e.Tags {
+		c.Tags[k] = v
+	}
+	return c
+}
+
+// cloneEntity copies e into a fresh Entity that shares no state with it.
 func cloneEntity(e *Entity) *Entity {
 	c := &Entity{ID: e.ID, Kind: e.Kind}
-	if e.Attrs != nil {
-		c.Attrs = map[string]float64{}
-		for k, v := range e.Attrs {
-			c.Attrs[k] = v
-		}
+	for k, v := range e.attrMap() {
+		c.SetAttr(k, v)
 	}
 	if e.Tags != nil {
 		c.Tags = map[string]string{}
@@ -42,24 +72,18 @@ func cloneEntity(e *Entity) *Entity {
 	return c
 }
 
-func (m *refModel) Add(e *Entity) error {
+func (m *refModel) Add(e *refEntity) error {
 	if e.ID == "" {
 		return fmt.Errorf("empty ID")
 	}
 	if _, dup := m.entities[e.ID]; dup {
 		return fmt.Errorf("duplicate entity %q", e.ID)
 	}
-	if e.Attrs == nil {
-		e.Attrs = map[string]float64{}
-	}
-	if e.Tags == nil {
-		e.Tags = map[string]string{}
-	}
 	m.entities[e.ID] = e
 	return nil
 }
 
-func (m *refModel) Entity(id string) *Entity { return m.entities[id] }
+func (m *refModel) Entity(id string) *refEntity { return m.entities[id] }
 
 func (m *refModel) Remove(id string) error {
 	if _, ok := m.entities[id]; !ok {
@@ -118,8 +142,8 @@ func (m *refModel) RelatedTo(to string, verb Verb) []string {
 	return out
 }
 
-func (m *refModel) EntitiesOfKind(k Kind) []*Entity {
-	var out []*Entity
+func (m *refModel) EntitiesOfKind(k Kind) []*refEntity {
+	var out []*refEntity
 	for _, e := range m.entities {
 		if e.Kind == k {
 			out = append(out, e)
@@ -129,8 +153,8 @@ func (m *refModel) EntitiesOfKind(k Kind) []*Entity {
 	return out
 }
 
-func (m *refModel) allEntitiesSorted() []*Entity {
-	var out []*Entity
+func (m *refModel) allEntitiesSorted() []*refEntity {
+	var out []*refEntity
 	for _, e := range m.entities {
 		out = append(out, e)
 	}
@@ -138,11 +162,11 @@ func (m *refModel) allEntitiesSorted() []*Entity {
 	return out
 }
 
-// apply is applyOp over the reference.
+// apply is applyOp over the reference; an added entity is copied.
 func (m *refModel) apply(op Op) error {
 	switch op.Kind {
 	case OpAdd:
-		return m.Add(op.Entity)
+		return m.Add(toRef(op.Entity))
 	case OpRemove:
 		return m.Remove(op.ID)
 	case OpRelate:

@@ -48,15 +48,15 @@ func (TrayCapacityRule) Check(m *Model) []Violation {
 	// once per tray it crosses; other kinds occupy nothing.
 	area := make([]float64, len(m.ents))
 	for _, b := range x.ofKind(kBundle) {
-		area[b], _ = m.ents[b].Attr("cross_section_mm2")
+		area[b], _ = m.ents[b].at(sBundleCrossSection)
 	}
 	for _, c := range x.ofKind(kCable) {
-		d, _ := m.ents[c].Attr("diameter_mm")
+		d, _ := m.ents[c].at(sCableDiameter)
 		area[c] = math.Pi * d * d / 4
 	}
 	for _, t := range x.ofKind(kTray) {
 		tray := m.ents[t]
-		cap, _ := tray.Attr("capacity_mm2")
+		cap, _ := tray.at(sTrayCapacity)
 		used := 0.0
 		for _, o := range x.in.list(t, vRoutesThrough) {
 			if k := m.kind[o]; k == kBundle || k == kCable {
@@ -81,11 +81,11 @@ func (RackSpaceRule) Check(m *Model) []Violation {
 	x := m.index()
 	for _, r := range x.ofKind(kRack) {
 		rack := m.ents[r]
-		cap, _ := rack.Attr("ru_capacity")
+		cap, _ := rack.at(sRackRU)
 		used := 0.0
 		for _, s := range x.out.list(r, vContains) {
 			if m.kind[s] == kSwitch {
-				ru, _ := m.ents[s].Attr("ru")
+				ru, _ := m.ents[s].at(sSwitchRU)
 				used += ru
 			}
 		}
@@ -118,7 +118,7 @@ func (PlenumRule) Check(m *Model) []Violation {
 	}
 	used := make([]float64, len(m.ents))
 	for _, c := range x.ofKind(kCable) {
-		d, _ := m.ents[c].Attr("diameter_mm")
+		d, _ := m.ents[c].at(sCableDiameter)
 		area := math.Pi * d * d / 4
 		for _, s := range x.out.list(c, vConnects) {
 			if r := rackOf[s]; r >= 0 {
@@ -128,7 +128,7 @@ func (PlenumRule) Check(m *Model) []Violation {
 	}
 	for _, r := range x.ofKind(kRack) {
 		rack := m.ents[r]
-		cap, _ := rack.Attr("plenum_mm2")
+		cap, _ := rack.at(sRackPlenum)
 		if used[r] > cap {
 			vs = append(vs, Violation{Rule: "rack-plenum", EntityID: rack.ID, Severity: SevError,
 				Detail: fmt.Sprintf("%.0f mm² of cable in %.0f mm² plenum", used[r], cap)})
@@ -152,7 +152,7 @@ func (BendRadiusRule) Check(m *Model) []Violation {
 	// through it; +Inf, which no radius exceeds, where it sets none.
 	avail := make([]float64, len(m.ents))
 	for _, t := range x.ofKind(kTray) {
-		if b, ok := m.ents[t].Attr("min_bend_mm"); ok {
+		if b, ok := m.ents[t].at(sTrayMinBend); ok {
 			avail[t] = b
 		} else {
 			avail[t] = math.Inf(1)
@@ -160,7 +160,7 @@ func (BendRadiusRule) Check(m *Model) []Violation {
 	}
 	for _, c := range x.ofKind(kCable) {
 		cable := m.ents[c]
-		need, _ := cable.Attr("bend_radius_mm")
+		need, _ := cable.at(sCableBend)
 		for _, t := range x.out.list(c, vRoutesThrough) {
 			if m.kind[t] == kTray && need > avail[t] {
 				vs = append(vs, Violation{Rule: "bend-radius", EntityID: cable.ID, Severity: SevError,
@@ -189,15 +189,15 @@ func (DoorWidthRule) Check(m *Model) []Violation {
 	var tightest string
 	for _, h := range doors {
 		d := m.ents[h]
-		w, _ := d.Attr("width_m")
+		w, _ := d.at(sDoorWidth)
 		if w < minDoor {
 			minDoor, tightest = w, d.ID
 		}
 	}
 	for _, r := range x.ofKind(kRack) {
 		rack := m.ents[r]
-		w, _ := rack.Attr("width_m")
-		if uw, ok := rack.Attr("unit_width_m"); ok && uw > w {
+		w, _ := rack.at(sRackWidth)
+		if uw, ok := rack.at(sRackUnitWidth); ok && uw > w {
 			w = uw
 		}
 		if w > minDoor {
@@ -219,12 +219,12 @@ func (PowerRule) Check(m *Model) []Violation {
 	x := m.index()
 	for _, f := range x.ofKind(kPowerFeed) {
 		feed := m.ents[f]
-		cap, _ := feed.Attr("capacity_w")
+		cap, _ := feed.at(sFeedCapacity)
 		used := 0.0
 		for _, r := range x.out.list(f, vFeeds) {
 			for _, s := range x.out.list(r, vContains) {
 				if m.kind[s] == kSwitch {
-					p, _ := m.ents[s].Attr("power_w")
+					p, _ := m.ents[s].at(sSwitchPower)
 					used += p
 				}
 			}
@@ -255,12 +255,12 @@ func (LossBudgetRule) Check(m *Model) []Violation {
 		panels := 0
 		for _, p := range x.out.list(c, vRoutesThrough) {
 			if m.kind[p] == kPanel {
-				l, _ := m.ents[p].Attr("loss_db")
+				l, _ := m.ents[p].at(sPanelLoss)
 				panelLoss += l
 				panels++
 			}
 		}
-		budget, optical := cable.Attr("loss_budget_db")
+		budget, optical := cable.at(sCableLossBudget)
 		if !optical {
 			if panels > 0 {
 				vs = append(vs, Violation{Rule: "loss-budget", EntityID: cable.ID, Severity: SevError,
@@ -268,7 +268,7 @@ func (LossBudgetRule) Check(m *Model) []Violation {
 			}
 			continue
 		}
-		length, _ := cable.Attr("length_m")
+		length, _ := cable.at(sCableLength)
 		total := 2*connectorLoss + 0.0004*length + panelLoss
 		if total > budget {
 			vs = append(vs, Violation{Rule: "loss-budget", EntityID: cable.ID, Severity: SevError,

@@ -86,8 +86,23 @@ func (s *Schema) Check(m *Model) []Violation {
 	x := m.index()
 	for k, kind := range vocabularyKinds { // k is kind's code
 		required := s.Required[kind]
+		// The layout slots of kind's requirements: an entity with every
+		// one set needs no name lookup. A requirement outside the layout
+		// (a custom schema's) can only be in the overflow.
+		var need uint8
+		inLayout := true
+		for _, attr := range required {
+			if i := layouts[k].slot(attr); i >= 0 {
+				need |= 1 << i
+			} else {
+				inLayout = false
+			}
+		}
 		for _, h := range x.ofKind(int32(k)) {
 			e := m.ents[h]
+			if inLayout && e.set&need == need {
+				continue
+			}
 			for _, attr := range required {
 				if _, ok := e.Attr(attr); !ok {
 					vs = append(vs, Violation{Rule: "schema:required-attr", EntityID: e.ID,

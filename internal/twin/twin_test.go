@@ -17,6 +17,15 @@ func mustAdd(t *testing.T, m *Model, e *Entity) {
 	}
 }
 
+// newEntity makes an entity and sets attrs on it.
+func newEntity(id string, k Kind, attrs map[string]float64) *Entity {
+	e := &Entity{ID: id, Kind: k}
+	for name, v := range attrs {
+		e.SetAttr(name, v)
+	}
+	return e
+}
+
 func mustRelate(t *testing.T, m *Model, from string, v Verb, to string) {
 	t.Helper()
 	if err := m.Relate(from, v, to); err != nil {
@@ -26,7 +35,7 @@ func mustRelate(t *testing.T, m *Model, from string, v Verb, to string) {
 
 func TestModelBasics(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "r1", Kind: KindRack, Attrs: map[string]float64{"ru_capacity": 42}})
+	mustAdd(t, m, newEntity("r1", KindRack, map[string]float64{"ru_capacity": 42}))
 	mustAdd(t, m, &Entity{ID: "s1", Kind: KindSwitch})
 	if err := m.Add(&Entity{ID: "r1", Kind: KindRack}); err == nil {
 		t.Error("duplicate ID accepted")
@@ -75,10 +84,10 @@ func TestSchemaUnknownKindIsOutOfEnvelope(t *testing.T) {
 
 func TestSchemaVerbCheck(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "s1", Kind: KindSwitch,
-		Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}})
-	mustAdd(t, m, &Entity{ID: "s2", Kind: KindSwitch,
-		Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}})
+	mustAdd(t, m, newEntity("s1", KindSwitch,
+		map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
+	mustAdd(t, m, newEntity("s2", KindSwitch,
+		map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
 	mustRelate(t, m, "s1", VerbContains, "s2") // switch contains switch: nonsense
 	vs := DefaultSchema().Check(m)
 	if len(vs) != 1 || vs[0].Rule != "schema:verb" {
@@ -88,15 +97,15 @@ func TestSchemaVerbCheck(t *testing.T) {
 
 func TestTrayCapacityRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "t1", Kind: KindTray, Attrs: map[string]float64{"capacity_mm2": 100}})
-	mustAdd(t, m, &Entity{ID: "b1", Kind: KindBundle, Attrs: map[string]float64{"cross_section_mm2": 150}})
+	mustAdd(t, m, newEntity("t1", KindTray, map[string]float64{"capacity_mm2": 100}))
+	mustAdd(t, m, newEntity("b1", KindBundle, map[string]float64{"cross_section_mm2": 150}))
 	mustRelate(t, m, "b1", VerbRoutesThrough, "t1")
 	vs := TrayCapacityRule{}.Check(m)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v, want 1", vs)
 	}
 	// Shrink the bundle: violation clears.
-	m.Entity("b1").Attrs["cross_section_mm2"] = 90
+	m.Entity("b1").SetAttr("cross_section_mm2", 90)
 	if vs := (TrayCapacityRule{}).Check(m); len(vs) != 0 {
 		t.Errorf("violation persists after fix: %v", vs)
 	}
@@ -104,11 +113,11 @@ func TestTrayCapacityRule(t *testing.T) {
 
 func TestRackSpaceRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "r1", Kind: KindRack,
-		Attrs: map[string]float64{"ru_capacity": 4, "plenum_mm2": 1000, "width_m": 0.6}})
+	mustAdd(t, m, newEntity("r1", KindRack,
+		map[string]float64{"ru_capacity": 4, "plenum_mm2": 1000, "width_m": 0.6}))
 	for _, id := range []string{"s1", "s2", "s3"} {
-		mustAdd(t, m, &Entity{ID: id, Kind: KindSwitch,
-			Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}})
+		mustAdd(t, m, newEntity(id, KindSwitch,
+			map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
 		mustRelate(t, m, "r1", VerbContains, id)
 	}
 	vs := RackSpaceRule{}.Check(m)
@@ -119,10 +128,10 @@ func TestRackSpaceRule(t *testing.T) {
 
 func TestBendRadiusRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "c1", Kind: KindCable,
-		Attrs: map[string]float64{"length_m": 3, "diameter_mm": 11, "bend_radius_mm": 110, "rate_gbps": 400}})
-	mustAdd(t, m, &Entity{ID: "t1", Kind: KindTray,
-		Attrs: map[string]float64{"capacity_mm2": 1e6, "min_bend_mm": 80}})
+	mustAdd(t, m, newEntity("c1", KindCable,
+		map[string]float64{"length_m": 3, "diameter_mm": 11, "bend_radius_mm": 110, "rate_gbps": 400}))
+	mustAdd(t, m, newEntity("t1", KindTray,
+		map[string]float64{"capacity_mm2": 1e6, "min_bend_mm": 80}))
 	mustRelate(t, m, "c1", VerbRoutesThrough, "t1")
 	vs := BendRadiusRule{}.Check(m)
 	if len(vs) != 1 {
@@ -132,9 +141,9 @@ func TestBendRadiusRule(t *testing.T) {
 
 func TestDoorWidthRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "d1", Kind: KindDoor, Attrs: map[string]float64{"width_m": 1.1}})
-	mustAdd(t, m, &Entity{ID: "r1", Kind: KindRack,
-		Attrs: map[string]float64{"ru_capacity": 42, "plenum_mm2": 1000, "width_m": 0.6, "unit_width_m": 1.2}})
+	mustAdd(t, m, newEntity("d1", KindDoor, map[string]float64{"width_m": 1.1}))
+	mustAdd(t, m, newEntity("r1", KindRack,
+		map[string]float64{"ru_capacity": 42, "plenum_mm2": 1000, "width_m": 0.6, "unit_width_m": 1.2}))
 	vs := DoorWidthRule{}.Check(m)
 	if len(vs) != 1 {
 		t.Errorf("double-wide unit through 1.1 m door: violations = %v", vs)
@@ -143,11 +152,11 @@ func TestDoorWidthRule(t *testing.T) {
 
 func TestPowerRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "f1", Kind: KindPowerFeed, Attrs: map[string]float64{"capacity_w": 100}})
-	mustAdd(t, m, &Entity{ID: "r1", Kind: KindRack,
-		Attrs: map[string]float64{"ru_capacity": 42, "plenum_mm2": 1000, "width_m": 0.6}})
-	mustAdd(t, m, &Entity{ID: "s1", Kind: KindSwitch,
-		Attrs: map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 150}})
+	mustAdd(t, m, newEntity("f1", KindPowerFeed, map[string]float64{"capacity_w": 100}))
+	mustAdd(t, m, newEntity("r1", KindRack,
+		map[string]float64{"ru_capacity": 42, "plenum_mm2": 1000, "width_m": 0.6}))
+	mustAdd(t, m, newEntity("s1", KindSwitch,
+		map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 150}))
 	mustRelate(t, m, "f1", VerbFeeds, "r1")
 	mustRelate(t, m, "r1", VerbContains, "s1")
 	vs := PowerRule{}.Check(m)
@@ -158,21 +167,21 @@ func TestPowerRule(t *testing.T) {
 
 func TestLossBudgetRule(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "p1", Kind: KindPanel, Attrs: map[string]float64{"ports": 64, "loss_db": 1.0}})
-	mustAdd(t, m, &Entity{ID: "p2", Kind: KindPanel, Attrs: map[string]float64{"ports": 64, "loss_db": 1.0}})
+	mustAdd(t, m, newEntity("p1", KindPanel, map[string]float64{"ports": 64, "loss_db": 1.0}))
+	mustAdd(t, m, newEntity("p2", KindPanel, map[string]float64{"ports": 64, "loss_db": 1.0}))
 	// Fiber with 2.0 dB budget through two 1.0 dB panels + 0.6 connector
 	// loss: 2.6 > 2.0 → violation.
-	mustAdd(t, m, &Entity{ID: "c1", Kind: KindCable, Attrs: map[string]float64{
+	mustAdd(t, m, newEntity("c1", KindCable, map[string]float64{
 		"length_m": 50, "diameter_mm": 2, "bend_radius_mm": 15, "rate_gbps": 100,
-		"loss_budget_db": 2.0}})
+		"loss_budget_db": 2.0}))
 	mustRelate(t, m, "c1", VerbRoutesThrough, "p1")
 	mustRelate(t, m, "c1", VerbRoutesThrough, "p2")
 	if vs := (LossBudgetRule{}).Check(m); len(vs) != 1 {
 		t.Errorf("over-budget fiber: violations = %v", vs)
 	}
 	// Electrical cable through a panel: also flagged.
-	mustAdd(t, m, &Entity{ID: "c2", Kind: KindCable, Attrs: map[string]float64{
-		"length_m": 2, "diameter_mm": 6.7, "bend_radius_mm": 60, "rate_gbps": 100}})
+	mustAdd(t, m, newEntity("c2", KindCable, map[string]float64{
+		"length_m": 2, "diameter_mm": 6.7, "bend_radius_mm": 60, "rate_gbps": 100}))
 	mustRelate(t, m, "c2", VerbRoutesThrough, "p1")
 	vs := LossBudgetRule{}.Check(m)
 	found := false
@@ -204,13 +213,13 @@ func TestRemediationEscalation(t *testing.T) {
 
 func TestDryRunAttributesViolationsToStep(t *testing.T) {
 	m := NewModel()
-	mustAdd(t, m, &Entity{ID: "t1", Kind: KindTray, Attrs: map[string]float64{"capacity_mm2": 100}})
+	mustAdd(t, m, newEntity("t1", KindTray, map[string]float64{"capacity_mm2": 100}))
 	ops := []Op{
-		{Kind: OpAdd, Entity: &Entity{ID: "b1", Kind: KindBundle,
-			Attrs: map[string]float64{"cross_section_mm2": 60}}},
+		{Kind: OpAdd, Entity: newEntity("b1", KindBundle,
+			map[string]float64{"cross_section_mm2": 60})},
 		{Kind: OpRelate, From: "b1", Verb: VerbRoutesThrough, To: "t1"}, // 60/100: fine
-		{Kind: OpAdd, Entity: &Entity{ID: "b2", Kind: KindBundle,
-			Attrs: map[string]float64{"cross_section_mm2": 70}}},
+		{Kind: OpAdd, Entity: newEntity("b2", KindBundle,
+			map[string]float64{"cross_section_mm2": 70})},
 		{Kind: OpRelate, From: "b2", Verb: VerbRoutesThrough, To: "t1"}, // 130/100: overload
 	}
 	res, err := DryRun(m, DefaultSchema(), DefaultRules(), ops)
@@ -311,7 +320,7 @@ func TestFromNetworkDetectsPlantedViolation(t *testing.T) {
 	if loaded == nil {
 		t.Fatal("no loaded tray found")
 	}
-	loaded.Attrs["capacity_mm2"] = 0.001
+	loaded.SetAttr("capacity_mm2", 0.001)
 	vs := CheckAll(m, DefaultSchema(), DefaultRules())
 	found := false
 	for _, v := range vs {
