@@ -91,30 +91,46 @@ func PlanCables(f *floorplan.Floorplan, cat *Catalog, demands []Demand, opts Opt
 	}
 	// One stable sort groups the cables by rack pair: groups in key order,
 	// each in demand order. Every bundle's CableIdx is a capped window of
-	// order, so no bundle copies its cables.
+	// order, so no bundle copies its cables. One walk over the bundles
+	// counts them, so the bundle list is sized once; a second builds them.
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(pair[i], pair[j]) })
+	nb := 0
+	eachBundle(order, pair, func(lo, hi int) { nb++ })
+	p.Bundles = make([]Bundle, 0, nb)
+	eachBundle(order, pair, func(lo, hi int) {
+		packing := 1.0 // singleton: no packing overhead
+		if hi-lo >= MinBundleSize {
+			packing = PackingFactor
+		}
+		p.addBundle(order[lo:hi:hi], packing)
+	})
+	obs.Add("cabling.plan.cables", int64(len(p.Cables)))
+	obs.Add("cabling.plan.bundles", int64(len(p.Bundles)))
+	return p, nil
+}
+
+// eachBundle calls fn(lo, hi) for each bundle of the cables in order,
+// sorted by their rack-pair keys in pair: bundle order[lo:hi] is a chunk
+// of at most MaxBundleCables cables of one rack-pair group, or a single
+// cable of a chunk below MinBundleSize, which is pulled cable by cable.
+func eachBundle(order, pair []int, fn func(lo, hi int)) {
 	for lo := 0; lo < len(order); {
 		hi := lo + 1
 		for hi < len(order) && pair[order[hi]] == pair[order[lo]] {
 			hi++
 		}
-		// Long groups split into chunks of MaxBundleCables; a chunk below
-		// MinBundleSize is pulled cable by cable.
 		for start := lo; start < hi; start += MaxBundleCables {
 			end := min(start+MaxBundleCables, hi)
 			if end-start >= MinBundleSize {
-				p.addBundle(order[start:end:end], PackingFactor)
+				fn(start, end)
 				continue
 			}
 			for i := start; i < end; i++ {
-				p.addBundle(order[i:i+1:i+1], 1.0) // singleton: no packing overhead
+				fn(i, i+1)
 			}
 		}
 		lo = hi
 	}
-	obs.Add("cabling.plan.cables", int64(len(p.Cables)))
-	obs.Add("cabling.plan.bundles", int64(len(p.Bundles)))
-	return p, nil
 }
 
 func (p *Plan) addBundle(cables []int, packing float64) {

@@ -178,10 +178,11 @@ func groupSizes(f *floorplan.Floorplan, demands []cabling.Demand) map[[2]int]int
 }
 
 // TestPlanCablesAllocs holds PlanCables on the 96-switch fixture to a
-// fixed allocation ceiling. Its 384 routes' segment lists, one exactly
-// sized allocation each, make up nearly all of the 400 allocations;
-// grouping costs a handful, with no per-group copies (the map-grouped
-// planner made 3,847, and appending segments made 3,055).
+// fixed allocation ceiling, 5% above its 391 allocations. Its 384
+// routes' segment lists, one exactly sized allocation each, make up
+// nearly all of them; grouping costs a handful, with no per-group copies,
+// and the bundle list is sized once (the map-grouped planner made 3,847,
+// appending segments made 3,055, and appending bundles 400).
 func TestPlanCablesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -193,7 +194,7 @@ func TestPlanCablesAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 412
+	const ceiling = 410
 	if allocs > ceiling {
 		t.Errorf("PlanCables: %.0f allocs, ceiling %d", allocs, ceiling)
 	}

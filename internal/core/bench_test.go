@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"physdep/internal/cli"
@@ -26,12 +27,15 @@ func BenchmarkEvaluateFleet(b *testing.B) {
 }
 
 // TestEvaluateAllocs holds a whole evaluation of the 96-switch jellyfish
-// in the default 6×16 hall to a fixed allocation ceiling, 5% above its
-// 622 allocations. Plans allocate per plan, not per task or cable,
-// greedy placement sums rack units in one pass, and the twin keeps its
-// attributes in one slab, not per-entity maps (the evaluation with a
-// slice per task and per child list made 10,481; with a switch list per
-// rack, 2,750; with the twin's maps, 2,655).
+// in the default 6×16 hall to fixed ceilings, 5% above its 590
+// allocations and 877,891 bytes; the GC's share of the CPU follows the
+// bytes. Plans allocate per plan, not per task or cable, greedy
+// placement sums rack units in one pass, the twin keeps its attributes
+// in one slab, not per-entity maps, and the scheduler reads the work plan
+// in place (the evaluation with a slice per task and per child list made
+// 10,481 allocations; with a switch list per rack, 2,750; with the twin's
+// maps, 2,655; with the scheduler's copy of the task list, 622
+// allocations and 1.22 MB).
 func TestEvaluateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -41,13 +45,31 @@ func TestEvaluateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := DefaultInput(topo, floorplan.DefaultHall(cli.DefaultRows, cli.DefaultSlots))
-	allocs := testing.AllocsPerRun(5, func() {
+	run := func() {
 		if _, err := EvaluateCtx(context.Background(), in); err != nil {
 			t.Fatal(err)
 		}
-	})
-	const ceiling = 653
+	}
+	allocs, bytes := testing.AllocsPerRun(5, run), bytesPerRun(5, run)
+	const ceiling, byteCeiling = 619, 921_785
 	if allocs > ceiling {
 		t.Errorf("EvaluateCtx: %.0f allocs, ceiling %d", allocs, ceiling)
 	}
+	if bytes > byteCeiling {
+		t.Errorf("EvaluateCtx: %d bytes, ceiling %d", bytes, byteCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average number of
+// heap bytes one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -227,9 +227,11 @@ func TestWalkTimeCharged(t *testing.T) {
 	if s.WalkMinutes <= 0 {
 		t.Error("no walking time charged across a 3x10 hall")
 	}
+	// At yield 1 there are no reworks, so the crew's task minutes are
+	// exactly the plan's.
 	var sum units.Minutes
-	for _, m := range s.ByKind {
-		sum += m
+	for _, task := range dp.Tasks {
+		sum += task.Minutes
 	}
 	if diff := float64(s.LaborMinutes - s.WalkMinutes - sum); diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("labor (%v) != walk (%v) + task minutes (%v)", s.LaborMinutes, s.WalkMinutes, sum)

@@ -12,16 +12,18 @@ import (
 	"physdep/internal/units"
 )
 
-// Schedule summarizes a simulated deployment execution.
+// Schedule summarizes a simulated deployment execution: crew time and
+// labor totals, yield counts, and the start time of each plan task.
+// Reworks and their revalidates count toward the totals but have no
+// start times of their own.
 type Schedule struct {
-	Makespan        units.Minutes // wall-clock with Techs working in parallel
-	LaborMinutes    units.Minutes // on-floor technician minutes, walking included
-	WalkMinutes     units.Minutes // walking component of LaborMinutes
-	OffFloorMinutes units.Minutes // prefab line labor
-	Reworks         int           // failed validations that needed rework
-	Connections     int           // validated links
-	ByKind          map[TaskKind]units.Minutes
-	TaskStart       []units.Minutes // per original plan task; reworks excluded
+	Makespan        units.Minutes   // wall-clock with Techs working in parallel
+	LaborMinutes    units.Minutes   // on-floor technician minutes, walking included
+	WalkMinutes     units.Minutes   // walking component of LaborMinutes
+	OffFloorMinutes units.Minutes   // prefab line labor
+	Reworks         int             // failed validations that needed rework
+	Connections     int             // validated links
+	TaskStart       []units.Minutes // per plan task; reworks excluded
 }
 
 // FirstPassYield is the observed fraction of connections that validated
@@ -60,6 +62,10 @@ const executeChunkTasks = 1024
 // walking time charged for relocation. Validation failures (per
 // first-pass yield) insert rework + revalidate work on the fly.
 //
+// The plan is read in place and never copied. Its tasks keep their IDs
+// 0..n-1; the k-th rework gets ID n+2k and its revalidate n+2k+1, and
+// both live in a side list, not in the per-task arrays.
+//
 // ctx is checked every executeChunkTasks dispatches of the scheduling
 // loop. A canceled run discards the half-built schedule (its makespan and
 // labor totals would describe a deployment nobody finished) and returns
@@ -78,36 +84,42 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	}
 	rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xdeb107))
 
-	// Critical-path priority: longest path (sum of minutes) from each task
-	// downstream. Children lists first: a counting pass sizes each task's
-	// list, and every list is a capped window of one array, filled in
-	// task order.
+	// Children in CSR form: task d's children are flat[off[d]:off[d+1]],
+	// in task order. The counting pass tallies d's children at off[d+2],
+	// so that after the prefix sums off[d+1] is where d's list starts;
+	// the fill pass advances it to where the list ends, which is also
+	// where d+1's starts.
 	n := len(p.Tasks)
-	indeg := make([]int, n)
-	off := make([]int, n+1) // task d's children go to flat[off[d]:off[d+1]]
-	for _, t := range p.Tasks {
+	indeg := make([]int32, n)
+	off := make([]int32, n+2)
+	roots := 0
+	for i := range p.Tasks {
+		t := &p.Tasks[i]
+		if len(t.Deps) == 0 {
+			roots++
+		}
 		for _, d := range t.Deps {
-			off[d+1]++
+			off[d+2]++
 			indeg[t.ID]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	for i := 2; i <= n+1; i++ {
+		off[i] += off[i-1]
 	}
-	flat := make([]int, off[n])
-	children := make([][]int, n)
-	for i := range children {
-		children[i] = flat[off[i]:off[i]:off[i+1]]
-	}
-	for _, t := range p.Tasks {
+	flat := make([]int32, off[n+1])
+	for i := range p.Tasks {
+		t := &p.Tasks[i]
 		for _, d := range t.Deps {
-			children[d] = append(children[d], t.ID)
+			flat[off[d+1]] = int32(t.ID)
+			off[d+1]++
 		}
 	}
+	// Critical-path priority: longest path (sum of minutes) from each task
+	// downstream.
 	prio := make([]float64, n)
 	for i := n - 1; i >= 0; i-- { // IDs topologically ordered by construction
 		longest := 0.0
-		for _, c := range children[i] {
+		for _, c := range flat[off[i]:off[i+1]] {
 			if prio[c] > longest {
 				longest = prio[c]
 			}
@@ -115,11 +127,12 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 		prio[i] = longest + float64(p.Tasks[i].Minutes)
 	}
 
-	// Ready queue ordered by priority desc.
-	rq := &readyQueue{prio: prio}
+	// Ready queue ordered by priority desc, sized for the tasks ready at
+	// the start.
+	rq := readyQueue{items: make([]readyItem, 0, roots)}
 	for i := range p.Tasks {
 		if len(p.Tasks[i].Deps) == 0 {
-			rq.push(i)
+			rq.push(prio[i], i)
 		}
 	}
 
@@ -135,22 +148,16 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	if opts.MaxWorkersPerRack > 0 {
 		rackSlots = map[floorplan.RackLoc][]units.Minutes{}
 	}
-	sched := Schedule{ByKind: map[TaskKind]units.Minutes{}, TaskStart: make([]units.Minutes, n)}
-	done := make([]units.Minutes, n) // finish time per task
-	remaining := n
-
-	// Dynamic tasks (rework/revalidate) extend these slices.
-	tasks := append([]Task(nil), p.Tasks...)
-	extend := func(t Task) int {
-		t.ID = len(tasks)
-		tasks = append(tasks, t)
-		children = append(children, nil)
-		done = append(done, 0)
-		prio = append(prio, float64(t.Minutes))
-		rq.prio = prio
-		remaining++
-		return t.ID
+	sched := Schedule{TaskStart: make([]units.Minutes, n)}
+	done := make([]units.Minutes, n) // finish time per plan task
+	// reworks[k] is the k-th failed validation: the plan task that failed
+	// and the finish time of its rework, which its revalidate waits on.
+	type rework struct {
+		validate int
+		finish   units.Minutes
 	}
+	var reworks []rework
+	remaining := n
 
 	cancellable := ctx.Done() != nil
 	for dispatched := 0; remaining > 0; dispatched++ {
@@ -159,17 +166,32 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 				return Schedule{}, physerr.Canceled(err)
 			}
 		}
-		if len(rq.ids) == 0 {
+		if len(rq.items) == 0 {
 			return Schedule{}, fmt.Errorf("deploy: scheduler starved with %d tasks remaining (cycle?)", remaining)
 		}
 		id := rq.pop()
-		t := tasks[id]
 		// Earliest start: max(dep finishes); assign to tech who can start
 		// it soonest including walking.
-		var depReady units.Minutes
-		for _, d := range t.Deps {
-			if done[d] > depReady {
-				depReady = done[d]
+		var (
+			mins     units.Minutes
+			loc      floorplan.RackLoc
+			depReady units.Minutes
+		)
+		if id < n {
+			t := &p.Tasks[id]
+			mins, loc = t.Minutes, t.Loc
+			for _, d := range t.Deps {
+				if done[d] > depReady {
+					depReady = done[d]
+				}
+			}
+		} else {
+			rw := &reworks[(id-n)/2]
+			loc = p.Tasks[rw.validate].Loc
+			if (id-n)%2 == 0 { // the rework waits on its failed validation
+				mins, depReady = m.ReworkFailedConnect, done[rw.validate]
+			} else { // the revalidate waits on its rework
+				mins, depReady = m.ValidateLink, rw.finish
 			}
 		}
 		// Rack-slot gate: the earliest time a worker may stand at this
@@ -177,10 +199,10 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 		rackReady := units.Minutes(0)
 		slotIdx := -1
 		if rackSlots != nil {
-			slots := rackSlots[t.Loc]
+			slots := rackSlots[loc]
 			if len(slots) < opts.MaxWorkersPerRack {
 				slots = append(slots, 0)
-				rackSlots[t.Loc] = slots
+				rackSlots[loc] = slots
 			}
 			slotIdx = 0
 			for i := 1; i < len(slots); i++ {
@@ -192,7 +214,7 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 		}
 		best, bestStart, bestWalk := -1, units.Minutes(0), units.Minutes(0)
 		for i, tc := range techs {
-			walk := units.Minutes(float64(f.WalkingDistance(tc.loc, t.Loc)) / m.WalkMetersPerMinute)
+			walk := units.Minutes(float64(f.WalkingDistance(tc.loc, loc)) / m.WalkMetersPerMinute)
 			start := tc.free + walk
 			if start < depReady {
 				start = depReady
@@ -204,49 +226,51 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 				best, bestStart, bestWalk = i, start, walk
 			}
 		}
-		finish := bestStart + t.Minutes
+		finish := bestStart + mins
 		techs[best].free = finish
-		techs[best].loc = t.Loc
+		techs[best].loc = loc
 		if slotIdx >= 0 {
-			rackSlots[t.Loc][slotIdx] = finish
-		}
-		done[id] = finish
-		if id < n {
-			sched.TaskStart[id] = bestStart
+			rackSlots[loc][slotIdx] = finish
 		}
 		remaining--
-		sched.LaborMinutes += t.Minutes + bestWalk
+		sched.LaborMinutes += mins + bestWalk
 		sched.WalkMinutes += bestWalk
-		sched.ByKind[t.Kind] += t.Minutes
 		if finish > sched.Makespan {
 			sched.Makespan = finish
 		}
+		if id >= n {
+			// A finished rework releases its revalidate; a revalidate
+			// always passes and releases nothing.
+			if (id-n)%2 == 0 {
+				reworks[(id-n)/2].finish = finish
+				rq.push(float64(m.ValidateLink), id+1)
+			}
+			continue
+		}
+		done[id] = finish
+		sched.TaskStart[id] = bestStart
 		// Release children.
-		for _, c := range children[id] {
+		for _, c := range flat[off[id]:off[id+1]] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				rq.push(c)
+				rq.push(prio[c], int(c))
 			}
 		}
 		// Yield roll on first-pass validation; revalidations always pass.
-		if t.Kind == TaskValidate && !t.Revalidate {
+		if t := &p.Tasks[id]; t.Kind == TaskValidate && !t.Revalidate {
 			sched.Connections++
 			if rng.Float64() > yield {
 				sched.Reworks++
-				rw := extend(Task{Kind: TaskRework, Minutes: m.ReworkFailedConnect,
-					Loc: t.Loc, Deps: []int{id}, CableIdx: t.CableIdx})
-				rv := extend(Task{Kind: TaskValidate, Minutes: m.ValidateLink,
-					Loc: t.Loc, Deps: []int{rw}, CableIdx: t.CableIdx, Revalidate: true})
 				// The rework is ready immediately (its dep just finished).
-				indeg = append(indeg, 0, 1) // rw ready; rv waits on rw
-				children[rw] = append(children[rw], rv)
-				rq.push(rw)
+				rq.push(float64(m.ReworkFailedConnect), n+2*len(reworks))
+				reworks = append(reworks, rework{validate: id})
+				remaining += 2
 			}
 		}
 	}
 	sched.OffFloorMinutes = p.OffFloorMinutes
 	if obs.Enabled() {
-		obs.Add("deploy.tasks", int64(len(tasks)))
+		obs.Add("deploy.tasks", int64(n+2*len(reworks)))
 		obs.Add("deploy.techs", int64(opts.Techs))
 		obs.Add("deploy.connections", int64(sched.Connections))
 		obs.Add("deploy.reworks", int64(sched.Reworks))
@@ -256,31 +280,35 @@ func ExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.F
 	return sched, nil
 }
 
-// readyQueue is a max-heap of task IDs by priority. push and pop sift
-// exactly as container/heap's Push and Pop do, so tasks of equal
+// readyQueue is a max-heap of (priority, task ID) pairs. push and pop
+// sift exactly as container/heap's Push and Pop do, so tasks of equal
 // priority leave in the same order; it only skips boxing each ID.
 type readyQueue struct {
-	ids  []int
-	prio []float64
+	items []readyItem
 }
 
-func (q *readyQueue) less(i, j int) bool { return q.prio[q.ids[i]] > q.prio[q.ids[j]] }
+type readyItem struct {
+	prio float64
+	id   int
+}
 
-func (q *readyQueue) push(id int) {
-	q.ids = append(q.ids, id)
-	for j := len(q.ids) - 1; j > 0; {
+func (q *readyQueue) less(i, j int) bool { return q.items[i].prio > q.items[j].prio }
+
+func (q *readyQueue) push(prio float64, id int) {
+	q.items = append(q.items, readyItem{prio, id})
+	for j := len(q.items) - 1; j > 0; {
 		i := (j - 1) / 2 // parent
 		if !q.less(j, i) {
 			break
 		}
-		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		q.items[i], q.items[j] = q.items[j], q.items[i]
 		j = i
 	}
 }
 
 func (q *readyQueue) pop() int {
-	n := len(q.ids) - 1
-	q.ids[0], q.ids[n] = q.ids[n], q.ids[0]
+	n := len(q.items) - 1
+	q.items[0], q.items[n] = q.items[n], q.items[0]
 	for i := 0; ; {
 		j := 2*i + 1
 		if j >= n {
@@ -292,10 +320,10 @@ func (q *readyQueue) pop() int {
 		if !q.less(j, i) {
 			break
 		}
-		q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
+		q.items[i], q.items[j] = q.items[j], q.items[i]
 		i = j
 	}
-	id := q.ids[n]
-	q.ids = q.ids[:n]
+	id := q.items[n].id
+	q.items = q.items[:n]
 	return id
 }

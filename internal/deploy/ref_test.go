@@ -72,8 +72,9 @@ func refBuild(p *placement.Placement, plan *cabling.Plan, m *costmodel.Model, op
 
 // refExecuteCtx is the ExecuteCtx that predates the children windows and
 // the typed ready queue, kept verbatim as the differential test's
-// reference: one children slice per task and a container/heap queue that
-// boxes every task ID.
+// reference, less the per-kind minutes that Schedule no longer has: one
+// children slice per task, a copy of the task list that reworks extend,
+// and a container/heap queue that boxes every task ID.
 func refExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorplan.Floorplan, opts ExecOptions) (Schedule, error) {
 	defer obs.Time("deploy.execute")()
 	if err := p.Validate(); err != nil {
@@ -130,7 +131,7 @@ func refExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorpla
 	if opts.MaxWorkersPerRack > 0 {
 		rackSlots = map[floorplan.RackLoc][]units.Minutes{}
 	}
-	sched := Schedule{ByKind: map[TaskKind]units.Minutes{}, TaskStart: make([]units.Minutes, n)}
+	sched := Schedule{TaskStart: make([]units.Minutes, n)}
 	done := make([]units.Minutes, n) // finish time per task
 	remaining := n
 
@@ -212,7 +213,6 @@ func refExecuteCtx(ctx context.Context, p *Plan, m *costmodel.Model, f *floorpla
 		remaining--
 		sched.LaborMinutes += t.Minutes + bestWalk
 		sched.WalkMinutes += bestWalk
-		sched.ByKind[t.Kind] += t.Minutes
 		if finish > sched.Makespan {
 			sched.Makespan = finish
 		}

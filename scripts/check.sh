@@ -247,6 +247,7 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
     "FuzzFreeze             ./internal/graph"
+    "FuzzExecute            ./internal/deploy"
   )
   for entry in "${fuzz_targets[@]}"; do
     read -r target pkg <<<"$entry"
