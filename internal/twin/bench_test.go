@@ -91,9 +91,10 @@ func BenchmarkTwinFleet(b *testing.B) {
 }
 
 // TestFromNetworkAllocs holds FromNetwork on the 96-switch fixture to a
-// count that does not grow with the fabric: IDs, entities, attribute
-// windows and relations are each allocated in bulk, and Tags stays nil.
-// It makes 38; with per-entity Attrs and Tags maps it made 2,071.
+// count that does not grow with the fabric, 5% above its 35: IDs,
+// entities, attribute windows, relations and the ID order are each
+// allocated in bulk, Tags stays nil, and no ID map is built. With an ID
+// map it made 38; with per-entity Attrs and Tags maps, 2,071.
 func TestFromNetworkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -104,14 +105,16 @@ func TestFromNetworkAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 64 // 678 entities
+	const ceiling = 36 // 678 entities
 	if allocs > ceiling {
 		t.Errorf("FromNetwork: %.0f allocs, ceiling %d", allocs, ceiling)
 	}
 }
 
 // TestCheckAllAllocs holds a check of a freshly built 96-switch model,
-// index build included, to a fixed allocation ceiling; it makes 27.
+// index build included, to a fixed allocation ceiling, 5% above its 17.
+// With a string sort of the IDs per index build and a list of allowed
+// kind pairs per verb it made 27.
 func TestCheckAllAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -126,7 +129,7 @@ func TestCheckAllAllocs(t *testing.T) {
 		m.idx = nil // as after a mutation: the check builds the index
 		benchSink += len(CheckAll(m, schema, rules))
 	})
-	const ceiling = 40
+	const ceiling = 17
 	if allocs > ceiling {
 		t.Errorf("CheckAll: %.0f allocs, ceiling %d", allocs, ceiling)
 	}

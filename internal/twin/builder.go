@@ -1,6 +1,7 @@
 package twin
 
 import (
+	"slices"
 	"strconv"
 
 	"physdep/internal/cabling"
@@ -84,29 +85,22 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 	floats := make([]float64, width(kHall)+width(kDoor)+len(slots)*width(kRack)+
 		nSw*width(kSwitch)+nTray*width(kTray)+nCable*width(kCable)+len(multi)*width(kBundle))
 	// add appends an entity of vocabulary kind k whose attributes are the
-	// first len(attrs) slots of k's layout.
-	add := func(id string, k int32, attrs ...float64) (int32, error) {
+	// first len(attrs) slots of k's layout. Every generated ID is unique,
+	// so no entity needs the duplicate check.
+	add := func(id string, k int32, attrs ...float64) int32 {
 		n := width(k)
 		slab = append(slab, Entity{ID: id, Kind: vocabularyKinds[k], lay: &layouts[k],
 			vals: floats[:n:n], set: 1<<len(attrs) - 1})
 		copy(floats, attrs)
 		floats = floats[n:]
-		return m.add(&slab[len(slab)-1])
+		return m.add(&slab[len(slab)-1], k)
 	}
-	hall, err := add("hall", kHall, float64(f.Rows), float64(f.RacksPerRow))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := add("door-main", kDoor, float64(floorplan.DoorWidth)); err != nil {
-		return nil, err
-	}
+	hall := add("hall", kHall, float64(f.Rows), float64(f.RacksPerRow))
+	door := add("door-main", kDoor, float64(floorplan.DoorWidth))
 	rackAt := make([]int32, len(inUse)) // slot → rack handle; 0 (the hall's) if unused
 	for _, slot := range slots {
-		rack, err := add(nextID(), kRack, float64(floorplan.RackUnits),
+		rack := add(nextID(), kRack, float64(floorplan.RackUnits),
 			float64(floorplan.PlenumCapacity), float64(floorplan.RackWidth))
-		if err != nil {
-			return nil, err
-		}
 		rackAt[slot] = rack
 		m.relate(hall, vContains, rack)
 	}
@@ -118,10 +112,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 		if n.Role != topology.RoleToR {
 			ru = placement.SwitchRU
 		}
-		h, err := add(nextID(), kSwitch, float64(n.Radix), float64(n.Rate), ru, 50+4*float64(n.Radix))
-		if err != nil {
-			return nil, err
-		}
+		h := add(nextID(), kSwitch, float64(n.Radix), float64(n.Rate), ru, 50+4*float64(n.Radix))
 		slot := f.RackIndex(p.LocOfSwitch(sw))
 		if slot < 0 || slot >= len(rackAt) || rackAt[slot] == hall {
 			return nil, physerr.OutOfRange("twin: relation from unknown entity %q", "rack-"+strconv.Itoa(slot))
@@ -130,9 +121,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 	}
 	tray0 := int32(len(m.ents))
 	for seg := 0; seg < nTray; seg++ {
-		if _, err := add(nextID(), kTray, float64(floorplan.TrayCapacity)); err != nil {
-			return nil, err
-		}
+		add(nextID(), kTray, float64(floorplan.TrayCapacity))
 	}
 	cable0 := int32(len(m.ents))
 	for _, c := range plan.Cables {
@@ -142,10 +131,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 		if c.Spec.PanelCompatible() {
 			n++
 		}
-		h, err := add(nextID(), kCable, attrs[:n]...)
-		if err != nil {
-			return nil, err
-		}
+		h := add(nextID(), kCable, attrs[:n]...)
 		e := p.Topo.Edges[c.Demand.ID]
 		for _, sw := range [2]int{e.U, e.V} {
 			to, err := member(sw0, nSw, sw, "switch-")
@@ -165,6 +151,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 		}
 		return nil
 	}
+	bundle0 := int32(len(m.ents))
 	for _, b := range plan.Bundles {
 		if len(b.CableIdx) == 1 {
 			// Singletons route through trays directly.
@@ -174,10 +161,7 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 			}
 			continue
 		}
-		h, err := add(nextID(), kBundle, float64(b.CrossSection))
-		if err != nil {
-			return nil, err
-		}
+		h := add(nextID(), kBundle, float64(b.CrossSection))
 		for _, ci := range b.CableIdx {
 			to, err := member(cable0, nCable, ci, "cable-")
 			if err != nil {
@@ -189,7 +173,51 @@ func FromNetwork(p *placement.Placement, plan *cabling.Plan) (*Model, error) {
 			return nil, err
 		}
 	}
+
+	// The ID order, with no comparisons: the families in byte order of
+	// their IDs, each numbered family's members in the order of their
+	// numbers' decimal strings.
+	m.order = make([]int32, 0, nEnt)
+	run := func(base int32, n int) {
+		decimalOrder(n, func(i int) { m.order = append(m.order, base+int32(i)) })
+	}
+	decimalOrder(len(plan.Bundles), func(bi int) {
+		if k, ok := slices.BinarySearch(multi, bi); ok { // multi ascends, as its handles do
+			m.order = append(m.order, bundle0+int32(k))
+		}
+	})
+	run(cable0, nCable)
+	m.order = append(m.order, door, hall)
+	decimalOrder(len(inUse), func(slot int) {
+		if inUse[slot] {
+			m.order = append(m.order, rackAt[slot])
+		}
+	})
+	run(sw0, nSw)
+	run(tray0, nTray)
 	return m, nil
+}
+
+// decimalOrder visits 0, …, n-1 in the order of their decimal strings
+// ("0", "1", "10", "100", …, "11", …, "2"): a preorder walk of the
+// decimal trie, descending to x·10 while it is below n and otherwise
+// moving to the next sibling, climbing past every 9 and the end.
+func decimalOrder(n int, visit func(int)) {
+	if n <= 0 {
+		return
+	}
+	visit(0)
+	for x, i := 1, 1; i < n; i++ {
+		visit(x)
+		if x*10 < n {
+			x *= 10
+			continue
+		}
+		for x%10 == 9 || x+1 >= n {
+			x /= 10
+		}
+		x++
+	}
 }
 
 // member returns the handle of entry i of a run of n entities added

@@ -12,60 +12,71 @@ import (
 // build. It is never handed out: the public queries copy from it.
 //
 // Every list holds handles in ID order, the order sort.Strings gives
-// the IDs themselves: one string sort ranks the live entities, and
-// counting sorts on those ranks order everything else.
+// the IDs themselves: the model's kept order ranks the live entities,
+// and counting sorts on those ranks order everything else.
 type index struct {
-	sorted []int32 // live handles by ID
 	// Kind k's handles, by ID, are byKind[kindEnd[k-1]:kindEnd[k]]
-	// (from 0 for k = 0): a counting sort of sorted by kind code.
+	// (from 0 for k = 0): a counting sort of the kept order by kind code.
 	byKind, kindEnd []int32
 	out, in         adjacency // (from, verb) → to; (to, verb) → from
 }
 
 // index returns the model's index, building it if a mutation dropped it,
 // in O(E log E + R + H·V) for E live entities, R relations, H handles
-// and V verbs.
+// and V verbs; the E log E string sort only if Add or Remove dropped the
+// kept order too.
 func (m *Model) index() *index {
 	if m.idx != nil {
 		return m.idx
 	}
-	if m.ids == nil {
+	if m.kinds.names == nil {
 		m.init(0, 0)
 	}
-	type keyed struct {
-		id string
-		h  int32
+	if m.order == nil {
+		m.sortOrder()
 	}
-	live := make([]keyed, 0, len(m.ids))
-	for h, e := range m.ents {
-		if e != nil {
-			live = append(live, keyed{e.ID, int32(h)})
-		}
-	}
-	slices.SortFunc(live, func(a, b keyed) int { return strings.Compare(a.id, b.id) })
-	x := &index{sorted: make([]int32, len(live))}
+	x := &index{}
 	rank := make([]int32, len(m.ents)) // retired handles keep rank 0; no relation names them
-	for i, k := range live {
-		x.sorted[i], rank[k.h] = k.h, int32(i)
+	for i, h := range m.order {
+		rank[h] = int32(i)
 	}
 
-	x.byKind, x.kindEnd = make([]int32, len(live)), make([]int32, len(m.kinds.names))
-	for _, h := range x.sorted {
+	x.byKind, x.kindEnd = make([]int32, len(m.order)), make([]int32, len(m.kinds.names))
+	for _, h := range m.order {
 		x.kindEnd[m.kind[h]]++
 	}
 	toStarts(x.kindEnd)
-	for _, h := range x.sorted {
+	for _, h := range m.order {
 		k := m.kind[h]
 		x.byKind[x.kindEnd[k]] = h
 		x.kindEnd[k]++
 	}
 
 	nv := int32(len(m.verbs.names))
-	s := adjScratch{byRank: make([]entry, len(m.rels)), ranks: make([]int32, len(live))}
+	s := adjScratch{byRank: make([]entry, len(m.rels)), ranks: make([]int32, len(m.order))}
 	x.out = newAdjacency(m.rels, rank, nv, len(m.ents), false, s)
 	x.in = newAdjacency(m.rels, rank, nv, len(m.ents), true, s)
 	m.idx = x
 	return x
+}
+
+// sortOrder rebuilds the kept order with one string sort of the live IDs.
+func (m *Model) sortOrder() {
+	type keyed struct {
+		id string
+		h  int32
+	}
+	live := make([]keyed, 0, m.live)
+	for h, e := range m.ents {
+		if e != nil {
+			live = append(live, keyed{e.ID, int32(h)})
+		}
+	}
+	slices.SortFunc(live, func(a, b keyed) int { return strings.Compare(a.id, b.id) })
+	m.order = make([]int32, len(live))
+	for i, k := range live {
+		m.order[i] = k.h
+	}
 }
 
 // toStarts turns per-key counts into each key's first position in a

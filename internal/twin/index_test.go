@@ -2,6 +2,7 @@ package twin
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -80,14 +81,18 @@ func TestQueryResultsAreCallerOwned(t *testing.T) {
 
 // TestMutatorsDropTheIndex: for each mutator, query (building the index),
 // mutate, and query again; the second answer must reflect the mutation.
+// The model's kept ID order must survive Relate, Unrelate and SetAttr
+// untouched, be dropped by Add and Remove, and come back sorted from the
+// next build.
 func TestMutatorsDropTheIndex(t *testing.T) {
 	schema, rules := DefaultSchema(), DefaultRules()
 	cases := []struct {
 		name   string
+		before func(t *testing.T, m *Model) // nil, or a step ahead of the mutation
 		mutate func(t *testing.T, m *Model)
 		check  func(t *testing.T, m *Model)
 	}{
-		{"Add", func(t *testing.T, m *Model) {
+		{"Add", nil, func(t *testing.T, m *Model) {
 			mustAdd(t, m, newEntity("a-door", KindDoor, map[string]float64{"width_m": 0.5}))
 		}, func(t *testing.T, m *Model) {
 			if got := entityIDs(m.EntitiesOfKind(KindDoor)); !reflect.DeepEqual(got, []string{"a-door", "door"}) {
@@ -101,6 +106,7 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 			mustAdd(t, m, newEntity("sw-c", KindSwitch,
 				map[string]float64{"radix": 32, "rate_gbps": 100, "ru": 2, "power_w": 100}))
 			CheckAll(m, schema, rules) // rebuild after the Add, so only Relate can drop it
+		}, func(t *testing.T, m *Model) {
 			mustRelate(t, m, "rack", VerbContains, "sw-c")
 		}, func(t *testing.T, m *Model) {
 			if got := m.Related("rack", VerbContains); !reflect.DeepEqual(got, []string{"sw-a", "sw-b", "sw-c"}) {
@@ -114,7 +120,7 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 				t.Errorf("overfull rack and feed not seen: %v", vs)
 			}
 		}},
-		{"Unrelate", func(t *testing.T, m *Model) {
+		{"Unrelate", nil, func(t *testing.T, m *Model) {
 			m.Unrelate("cable", VerbRoutesThrough, "panel")
 		}, func(t *testing.T, m *Model) {
 			if got := m.Related("cable", VerbRoutesThrough); !reflect.DeepEqual(got, []string{"tray"}) {
@@ -128,7 +134,14 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 				t.Errorf("panel loss still counted: %v", vs)
 			}
 		}},
-		{"Remove", func(t *testing.T, m *Model) {
+		{"SetAttr", nil, func(t *testing.T, m *Model) {
+			m.Entity("door").SetAttr("width_m", 0.5)
+		}, func(t *testing.T, m *Model) {
+			if vs := CheckAll(m, schema, rules); len(vs) != 1 || vs[0].Rule != "door-width" {
+				t.Errorf("narrow door not seen: %v", vs)
+			}
+		}},
+		{"Remove", nil, func(t *testing.T, m *Model) {
 			if err := m.Remove("sw-b"); err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +165,25 @@ func TestMutatorsDropTheIndex(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := indexFixture(t) // its CheckAll has built the index
 			m.Related("rack", VerbContains)
+			if c.before != nil {
+				c.before(t, m)
+			}
+			order := m.order
 			c.mutate(t, m)
+			keeps := c.name != "Add" && c.name != "Remove"
+			if keeps && !slices.Equal(m.order, order) {
+				t.Errorf("%s moved the order", c.name)
+			}
+			if !keeps && m.order != nil {
+				t.Errorf("%s kept an order it invalidates", c.name)
+			}
 			c.check(t, m)
+			if keeps && &m.order[0] != &order[0] {
+				t.Errorf("the index build after %s re-made the order", c.name)
+			}
+			if got, want := orderIDs(m), sortedLiveIDs(m); !slices.Equal(got, want) {
+				t.Errorf("order after %s = %v, want %v", c.name, got, want)
+			}
 		})
 	}
 }

@@ -53,7 +53,8 @@ func (e *Entity) UnmarshalJSON(data []byte) error {
 // MarshalJSON serializes the model deterministically: entities sorted by
 // ID, relations in insertion order.
 func (m *Model) MarshalJSON() ([]byte, error) {
-	out := modelJSON{Entities: m.entitiesOf(m.index().sorted), Relations: m.Relations()}
+	m.index() // makes the kept order if Add or Remove dropped it
+	out := modelJSON{Entities: m.entitiesOf(m.order), Relations: m.Relations()}
 	return json.Marshal(out)
 }
 

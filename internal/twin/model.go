@@ -193,20 +193,31 @@ type Relation struct {
 
 // Model is the twin: a set of entities and relations.
 //
-// Internally every entity is a dense int32 handle: Add interns its ID
-// once, and relations, the index and the rules work on handles. The
-// string API (Entity, Relate, Related, RelatedTo, EntitiesOfKind,
-// Relations, MarshalJSON) translates at the boundary. The zero Model is
-// an empty twin, ready to use.
+// Internally every entity is a dense int32 handle: Add appends it to the
+// handle store, and relations, the index and the rules work on handles.
+// The string API (Entity, Relate, Related, RelatedTo, EntitiesOfKind,
+// Relations, MarshalJSON) translates at the boundary; the ID → handle
+// map behind it is built on the first string lookup, so a model nobody
+// looks an ID up in (FromNetwork's, on the evaluate path) never hashes
+// one. The zero Model is an empty twin, ready to use.
 //
-// Queries (Related, RelatedTo, EntitiesOfKind, CheckAll and the rules)
-// build an index on first use and cache it in the model, so a Model is
-// not safe for concurrent use, not even by readers alone. Give each
-// goroutine its own model.
+// The model keeps its live handles in ID order. Add and Remove drop the
+// order, and the next index build re-makes it with one string sort;
+// relation changes and SetAttr leave it valid, and FromNetwork installs
+// it whole, with no comparisons.
+//
+// Calls build state on first use and cache it in the model: any call
+// that looks an ID up (Entity, Add, Relate, Unrelate, Remove, Related,
+// RelatedTo) builds the ID map, and the queries (Related, RelatedTo,
+// EntitiesOfKind, MarshalJSON, CheckAll and the rules) build the index.
+// So a Model is not safe for concurrent use, not even by readers alone.
+// Give each goroutine its own model.
 type Model struct {
-	ids  map[string]int32 // live entity ID → handle
-	ents []*Entity        // handle → entity; nil once removed
-	kind []int32          // handle → kind code
+	ids   map[string]int32 // live entity ID → handle; nil until a string lookup needs it
+	ents  []*Entity        // handle → entity; nil once removed
+	kind  []int32          // handle → kind code
+	live  int              // entities added and not removed
+	order []int32          // live handles by ID; Add and Remove drop it to nil
 	// rels, in insertion order, is the source of truth: schema verb
 	// findings, MarshalJSON and Unrelate's first-match all follow it.
 	rels  []rel
@@ -252,7 +263,6 @@ func NewModel() *Model { return &Model{} }
 // init interns the standard vocabulary and makes the handle store; the
 // first Add or query of a zero Model runs it.
 func (m *Model) init(entities, relations int) {
-	m.ids = make(map[string]int32, entities)
 	m.ents = make([]*Entity, 0, entities)
 	m.kind = make([]int32, 0, entities)
 	if relations > 0 { // an unrelated model keeps a nil slice: JSON null
@@ -266,37 +276,55 @@ func (m *Model) init(entities, relations int) {
 	}
 }
 
-// Add inserts an entity; duplicate IDs are modeling errors.
-func (m *Model) Add(e *Entity) error {
-	_, err := m.add(e)
-	return err
+// idMap returns the live ID → handle map, building it from the handle
+// store on the first call.
+func (m *Model) idMap() map[string]int32 {
+	if m.ids == nil {
+		m.ids = make(map[string]int32, m.live)
+		for h, e := range m.ents {
+			if e != nil {
+				m.ids[e.ID] = int32(h)
+			}
+		}
+	}
+	return m.ids
 }
 
-// add is Add returning the new entity's handle.
-func (m *Model) add(e *Entity) (int32, error) {
+// Add inserts an entity; duplicate IDs are modeling errors.
+func (m *Model) Add(e *Entity) error {
 	if e.ID == "" {
-		return -1, physerr.OutOfRange("twin: entity with empty ID")
+		return physerr.OutOfRange("twin: entity with empty ID")
 	}
-	if _, dup := m.ids[e.ID]; dup {
-		return -1, physerr.OutOfRange("twin: duplicate entity %q", e.ID)
+	if _, dup := m.idMap()[e.ID]; dup {
+		return physerr.OutOfRange("twin: duplicate entity %q", e.ID)
 	}
 	if e.lay != nil && e.lay != layoutOf(e.Kind) {
-		return -1, physerr.OutOfRange("twin: entity %q changed kind to %q after its first SetAttr", e.ID, e.Kind)
+		return physerr.OutOfRange("twin: entity %q changed kind to %q after its first SetAttr", e.ID, e.Kind)
 	}
-	if m.ids == nil {
+	if m.kinds.names == nil {
 		m.init(0, 0)
 	}
+	m.add(e, m.kinds.intern(e.Kind))
+	return nil
+}
+
+// add appends e, whose kind has code k and whose ID no live entity
+// holds, and returns its handle.
+func (m *Model) add(e *Entity, k int32) int32 {
 	h := int32(len(m.ents))
-	m.ids[e.ID] = h
+	if m.ids != nil {
+		m.ids[e.ID] = h
+	}
 	m.ents = append(m.ents, e)
-	m.kind = append(m.kind, m.kinds.intern(e.Kind))
-	m.idx = nil
-	return h, nil
+	m.kind = append(m.kind, k)
+	m.live++
+	m.order, m.idx = nil, nil
+	return h
 }
 
 // Entity fetches by ID (nil if absent).
 func (m *Model) Entity(id string) *Entity {
-	if h, ok := m.ids[id]; ok {
+	if h, ok := m.idMap()[id]; ok {
 		return m.ents[h]
 	}
 	return nil
@@ -305,12 +333,13 @@ func (m *Model) Entity(id string) *Entity {
 // Remove deletes an entity and every relation touching it. Its handle
 // is retired, never reused.
 func (m *Model) Remove(id string) error {
-	h, ok := m.ids[id]
+	h, ok := m.idMap()[id]
 	if !ok {
 		return physerr.OutOfRange("twin: remove of unknown entity %q", id)
 	}
 	delete(m.ids, id)
 	m.ents[h] = nil
+	m.live--
 	kept := m.rels[:0]
 	for _, r := range m.rels {
 		if r.from != h && r.to != h {
@@ -318,17 +347,18 @@ func (m *Model) Remove(id string) error {
 		}
 	}
 	m.rels = kept
-	m.idx = nil
+	m.order, m.idx = nil, nil
 	return nil
 }
 
 // Relate records a relation; both endpoints must exist.
 func (m *Model) Relate(from string, verb Verb, to string) error {
-	hf, ok := m.ids[from]
+	ids := m.idMap()
+	hf, ok := ids[from]
 	if !ok {
 		return physerr.OutOfRange("twin: relation from unknown entity %q", from)
 	}
-	ht, ok := m.ids[to]
+	ht, ok := ids[to]
 	if !ok {
 		return physerr.OutOfRange("twin: relation to unknown entity %q", to)
 	}
@@ -344,8 +374,9 @@ func (m *Model) relate(from, verb, to int32) {
 
 // Unrelate removes the first matching relation (no-op if absent).
 func (m *Model) Unrelate(from string, verb Verb, to string) {
-	hf, okf := m.ids[from]
-	ht, okt := m.ids[to]
+	ids := m.idMap()
+	hf, okf := ids[from]
+	ht, okt := ids[to]
 	v := m.verbs.lookup(verb)
 	if !okf || !okt || v < 0 {
 		return
@@ -362,7 +393,7 @@ func (m *Model) Unrelate(from string, verb Verb, to string) {
 // Related returns the IDs related from `from` by verb, sorted. The slice
 // is the caller's.
 func (m *Model) Related(from string, verb Verb) []string {
-	h, ok := m.ids[from]
+	h, ok := m.idMap()[from]
 	if !ok {
 		return nil
 	}
@@ -372,7 +403,7 @@ func (m *Model) Related(from string, verb Verb) []string {
 // RelatedTo returns the IDs with a verb-relation pointing at `to`,
 // sorted. The slice is the caller's.
 func (m *Model) RelatedTo(to string, verb Verb) []string {
-	h, ok := m.ids[to]
+	h, ok := m.idMap()[to]
 	if !ok {
 		return nil
 	}
@@ -387,7 +418,7 @@ func (m *Model) EntitiesOfKind(k Kind) []*Entity {
 }
 
 // NumEntities returns the entity count.
-func (m *Model) NumEntities() int { return len(m.ids) }
+func (m *Model) NumEntities() int { return m.live }
 
 // NumRelations returns the relation count.
 func (m *Model) NumRelations() int { return len(m.rels) }

@@ -42,7 +42,7 @@ type refModelJSON struct {
 // share no state and each op must be applied to both.
 func newRefModel(m *Model) *refModel {
 	r := &refModel{entities: map[string]*refEntity{}, relations: m.Relations()}
-	for id, h := range m.ids {
+	for id, h := range m.idMap() {
 		r.entities[id] = toRef(m.ents[h])
 	}
 	return r

@@ -1,9 +1,6 @@
 package twin
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Schema pins what the deployment automation can represent: the closed
 // set of entity kinds, the numeric attributes each kind must carry, and
@@ -117,23 +114,43 @@ func (s *Schema) Check(m *Model) []Violation {
 	for k, name := range m.kinds.names {
 		_, known[k] = s.Required[name]
 	}
-	for _, h := range x.sorted {
+	for _, h := range m.order {
 		if e := m.ents[h]; !known[m.kind[h]] {
 			vs = append(vs, Violation{Rule: "schema:unknown-kind", EntityID: e.ID,
 				Severity: SevError,
 				Detail:   fmt.Sprintf("kind %q is outside the capability envelope", e.Kind)})
 		}
 	}
-	// The permitted (from, to) kind-code pairs of each verb code; a kind
-	// the model never met matches no entity.
-	allowed := make([][][2]int32, len(m.verbs.names))
+	// The verb rule as one table. col numbers the C kind codes that the
+	// pairs of the model's verbs name, and is -1 for every other kind; a
+	// kind the model never met has no code and matches no entity. Then
+	// allowed[(v·C + col[from])·C + col[to]] says verb code v may link
+	// the two: V·C² bools, however many kinds the model holds.
+	col := make([]int32, len(m.kinds.names))
+	for k := range col {
+		col[k] = -1
+	}
+	var nc int32
+	for _, verb := range m.verbs.names {
+		for _, pair := range s.AllowedVerbs[verb] {
+			for _, kind := range pair {
+				if k := m.kinds.lookup(kind); k >= 0 && col[k] < 0 {
+					col[k], nc = nc, nc+1
+				}
+			}
+		}
+	}
+	allowed := make([]bool, int32(len(m.verbs.names))*nc*nc)
 	for v, verb := range m.verbs.names {
 		for _, pair := range s.AllowedVerbs[verb] {
-			allowed[v] = append(allowed[v], [2]int32{m.kinds.lookup(pair[0]), m.kinds.lookup(pair[1])})
+			if from, to := m.kinds.lookup(pair[0]), m.kinds.lookup(pair[1]); from >= 0 && to >= 0 {
+				allowed[(int32(v)*nc+col[from])*nc+col[to]] = true
+			}
 		}
 	}
 	for _, r := range m.rels {
-		if !slices.Contains(allowed[r.verb], [2]int32{m.kind[r.from], m.kind[r.to]}) {
+		cf, ct := col[m.kind[r.from]], col[m.kind[r.to]]
+		if cf < 0 || ct < 0 || !allowed[(r.verb*nc+cf)*nc+ct] {
 			from, to := m.ents[r.from], m.ents[r.to]
 			vs = append(vs, Violation{Rule: "schema:verb", EntityID: from.ID,
 				Severity: SevError,

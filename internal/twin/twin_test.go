@@ -1,6 +1,9 @@
 package twin
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,6 +95,46 @@ func TestSchemaVerbCheck(t *testing.T) {
 	vs := DefaultSchema().Check(m)
 	if len(vs) != 1 || vs[0].Rule != "schema:verb" {
 		t.Errorf("violations = %v, want one verb error", vs)
+	}
+}
+
+// TestSchemaVerbTableIsSetBySchema: the verb rule's table spans only
+// the kinds the allowed pairs name. A custom kind in a custom schema's
+// pair is judged like a vocabulary kind, and a model holding thousands
+// of other kinds adds no square-sized table to a check.
+func TestSchemaVerbTableIsSetBySchema(t *testing.T) {
+	const chip, interposer, bonds = Kind("chip"), Kind("interposer"), Verb("bonds")
+	s := &Schema{Required: map[Kind][]string{chip: nil, interposer: nil},
+		AllowedVerbs: map[Verb][][2]Kind{bonds: {{chip, interposer}}}}
+	m := NewModel()
+	mustAdd(t, m, &Entity{ID: "c", Kind: chip})
+	mustAdd(t, m, &Entity{ID: "i", Kind: interposer})
+	for i := 0; i < 2000; i++ {
+		k := Kind(fmt.Sprintf("kind-%d", i))
+		s.Required[k] = nil
+		mustAdd(t, m, &Entity{ID: string(k), Kind: k})
+	}
+	mustRelate(t, m, "c", bonds, "i")
+	mustRelate(t, m, "i", bonds, "c")
+	mustRelate(t, m, "kind-0", bonds, "kind-1")
+	mustRelate(t, m, "c", VerbContains, "i")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vs := s.Check(m)
+	runtime.ReadMemStats(&after)
+	var flagged []string
+	for _, v := range vs {
+		if v.Rule != "schema:verb" {
+			t.Fatalf("unexpected finding %v", v)
+		}
+		flagged = append(flagged, v.EntityID)
+	}
+	if want := []string{"i", "kind-0", "c"}; !reflect.DeepEqual(flagged, want) {
+		t.Errorf("verb findings from %v, want %v", flagged, want)
+	}
+	// A table over every kind code would be 5·2011² bools, about 20 MB.
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("Check allocated %d bytes for a model of 2,002 custom kinds", b)
 	}
 }
 
