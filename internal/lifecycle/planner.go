@@ -557,12 +557,7 @@ func chooseSplices(f floorModel, rng *rand.Rand, climbSeed uint64, t *topology.T
 func applySplices(t *topology.Topology, newID int, chosen []int) []topology.Rewire {
 	rewires := make([]topology.Rewire, 0, len(chosen))
 	for _, id := range chosen {
-		e := t.Edges[id]
-		a, b := e.U, e.V
-		t.RemoveEdge(id)
-		t.Link(newID, a)
-		t.Link(newID, b)
-		rewires = append(rewires, topology.Rewire{A: a, B: b})
+		rewires = append(rewires, t.Splice(newID, id))
 	}
 	return rewires
 }

@@ -143,11 +143,7 @@ func spliceDouble(t *Topology, u int, rng *rand.Rand) (Rewire, bool) {
 		if e.U == u || e.V == u || t.HasEdgeBetween(u, e.U) || t.HasEdgeBetween(u, e.V) {
 			continue
 		}
-		a, b := e.U, e.V
-		t.RemoveEdge(id)
-		t.Link(u, a)
-		t.Link(u, b)
-		return Rewire{A: a, B: b}, true
+		return t.Splice(u, id), true
 	}
 	return Rewire{}, false
 }

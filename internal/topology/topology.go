@@ -104,6 +104,17 @@ func (t *Topology) Link(u, v int) int {
 	return t.Graph.AddEdge(u, v, float64(rate))
 }
 
+// Splice breaks live link id and links both freed ports to switch u,
+// returning the broken link's endpoints. The two new links take the next
+// two edge IDs, first to the old link's U end, then to its V end.
+func (t *Topology) Splice(u, id int) Rewire {
+	e := t.Edges[id]
+	t.RemoveEdge(id)
+	t.Link(u, e.U)
+	t.Link(u, e.V)
+	return Rewire{A: e.U, B: e.V}
+}
+
 // CloneTopology deep-copies the topology (graph and node metadata) so
 // failure experiments can remove links without touching the original.
 func (t *Topology) CloneTopology() *Topology {

@@ -556,3 +556,27 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
+
+// TestSplice pins the splice primitive the incremental adds share: the
+// broken link dies, its endpoints come back as the rewire record, and
+// the two new links to u take the next two edge IDs, U end first.
+func TestSplice(t *testing.T) {
+	tp := NewTopology("splice")
+	for i := 0; i < 3; i++ {
+		tp.AddSwitch(Node{Role: RoleToR, Radix: 4, Rate: 100})
+	}
+	id := tp.Link(1, 2)
+	rw := tp.Splice(0, id)
+	if rw != (Rewire{A: 1, B: 2}) {
+		t.Fatalf("rewire = %+v, want {1 2}", rw)
+	}
+	if tp.Live(id) || tp.HasEdgeBetween(1, 2) {
+		t.Fatal("spliced link is still live")
+	}
+	for i, want := range [][2]int{{0, 1}, {0, 2}} {
+		e := tp.Edges[id+1+i]
+		if e.U != want[0] || e.V != want[1] {
+			t.Fatalf("edge %d = %d–%d, want %d–%d", id+1+i, e.U, e.V, want[0], want[1])
+		}
+	}
+}

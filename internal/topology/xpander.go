@@ -88,11 +88,7 @@ func XpanderAddToR(t *Topology, cfg XpanderConfig, m int, rng *rand.Rand) (newID
 		if t.HasEdgeBetween(newID, e.U) || t.HasEdgeBetween(newID, e.V) {
 			continue
 		}
-		a, b := e.U, e.V
-		t.RemoveEdge(id)
-		t.Link(newID, a)
-		t.Link(newID, b)
-		rewires = append(rewires, Rewire{A: a, B: b})
+		rewires = append(rewires, t.Splice(newID, id))
 	}
 	if len(rewires) < need {
 		return newID, rewires, physerr.Infeasible("xpander: only %d of %d splices found for new ToR", len(rewires), need)

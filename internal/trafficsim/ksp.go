@@ -2,7 +2,6 @@ package trafficsim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"physdep/internal/graph"
@@ -28,35 +27,17 @@ const (
 const kspSlack = 1
 
 // kspScratch is the per-worker reusable state of path enumeration: the
-// BFS buffers for the per-destination distance field, the on-path marks,
-// and the dedup set with its reusable key buffer. One worker owns one
-// scratch at a time (par.ForWorkerCtx), so none of it needs locks.
+// BFS buffers for the per-destination distance field and the on-path
+// marks. One worker owns one scratch at a time (par.ForWorkerCtx), so
+// none of it needs locks.
 type kspScratch struct {
 	dist   []int
 	queue  []int
 	onPath []bool
-	seen   map[string]bool
-	key    []byte
 }
 
 func newKSPScratch(n int) *kspScratch {
-	return &kspScratch{
-		dist:   make([]int, n),
-		onPath: make([]bool, n),
-		seen:   make(map[string]bool, 16),
-		key:    make([]byte, 0, 64),
-	}
-}
-
-// pathKey encodes a node sequence into the scratch's reused byte buffer.
-// The fixed-width encoding is injective, so two distinct paths can never
-// collide the way a hash could — dedup semantics match exact comparison.
-func (sc *kspScratch) pathKey(nodes []int) []byte {
-	sc.key = sc.key[:0]
-	for _, u := range nodes {
-		sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(u))
-	}
-	return sc.key
+	return &kspScratch{dist: make([]int, n), onPath: make([]bool, n)}
 }
 
 // kShortestNodePaths enumerates up to k node-distinct paths from src
@@ -68,12 +49,19 @@ func (sc *kspScratch) pathKey(nodes []int) []byte {
 // rows come from the shared CSR snapshot (distinct, ascending — the
 // same sequence the old per-call table held), so enumeration order and
 // therefore every path set is unchanged.
+//
+// Each path is found once, with no dedup set. Pass s runs the DFS with
+// a budget of dist+s hops, so a path that reaches dst with `remaining`
+// hops unspent has length dist+s−remaining. Pass s accepts a path only
+// at remaining == 0, i.e. at length exactly dist+s: the shorter ones
+// were all found by earlier passes, which ran to completion — had any
+// of them filled the quota, pass s would not run. Within one pass,
+// distinct DFS branches give distinct node sequences.
 func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, k int, sc *kspScratch) [][]int {
 	if distTo[src] < 0 {
 		return nil
 	}
 	var paths [][]int
-	clear(sc.seen)
 	cur := []int{src}
 	onPath := sc.onPath
 	// Rotate neighbor exploration per (src, dst) so different pairs keep
@@ -88,9 +76,7 @@ func kShortestNodePaths(snap *graph.Snapshot, src, dst int, distTo []int, k int,
 			return
 		}
 		if u == dst {
-			sig := sc.pathKey(cur)
-			if !sc.seen[string(sig)] {
-				sc.seen[string(sig)] = true
+			if remaining == 0 {
 				paths = append(paths, append([]int(nil), cur...))
 			}
 			return

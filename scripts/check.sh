@@ -244,6 +244,7 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzRouteBetween       ./internal/floorplan"
     "FuzzPlanCables         ./internal/cabling"
     "FuzzKSP                ./internal/trafficsim"
+    "FuzzKSPPathsMatchReference ./internal/trafficsim"
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
     "FuzzFreeze             ./internal/graph"
