@@ -164,7 +164,7 @@ func BenchmarkAblationMinimalRewiring(b *testing.B) {
 		cur[0][1] -= 4
 		cur[1][0] -= 4
 		cur[1][1] += 4
-		if err := cf.Wire(cur); err != nil {
+		if _, err := cf.Rewire(cur); err != nil {
 			b.Fatal(err)
 		}
 		target := lifecycle.UniformDemand(8, 4, 16)

@@ -68,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cf.Wire(lifecycle.UniformDemand(8, 4, 8)); err != nil {
+	if _, err := cf.Rewire(lifecycle.UniformDemand(8, 4, 8)); err != nil {
 		log.Fatal(err)
 	}
 	cStep, _, err := lifecycle.ExpandClosViaPanels(cf, 4, 8, 64)

@@ -36,7 +36,7 @@ func main() {
 	demand[0][1] -= 2
 	demand[1][0] -= 2
 	demand[1][1] += 2
-	if err := cf.Wire(demand); err != nil {
+	if _, err := cf.Rewire(demand); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("starting fabric: %d agg blocks × %d uplinks through %d patch panels\n\n",

@@ -107,7 +107,7 @@ func E20DayOneVsLifetime(ctx context.Context) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := cf.Wire(lifecycle.UniformDemand(blocksAt(0), 8, uplinks)); err != nil {
+			if _, err := cf.Rewire(lifecycle.UniformDemand(blocksAt(0), 8, uplinks)); err != nil {
 				return nil, err
 			}
 			cum := float64(blocksAt(0))*blockCapex +

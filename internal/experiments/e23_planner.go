@@ -66,7 +66,7 @@ func E23PlannerGrowthCost(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cf.Wire(lifecycle.UniformDemand(16, 8, 16)); err != nil {
+	if _, err := cf.Rewire(lifecycle.UniformDemand(16, 8, 16)); err != nil {
 		return nil, err
 	}
 	var cum lifecycle.ExpansionStep

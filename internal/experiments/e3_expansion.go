@@ -37,7 +37,7 @@ func E3ExpansionComplexity(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := cf.Wire(lifecycle.UniformDemand(16, 8, d)); err != nil {
+		if _, err := cf.Rewire(lifecycle.UniformDemand(16, 8, d)); err != nil {
 			return nil, err
 		}
 		closStep, _, err := lifecycle.ExpandClosViaPanels(cf, add, d, 64)
@@ -143,7 +143,7 @@ func E5IndirectionBenefit(ctx context.Context) (*Result, error) {
 		skew[0][1] -= 4
 		skew[1][0] -= 4
 		skew[1][1] += 4
-		if err := cf.Wire(skew); err != nil {
+		if _, err := cf.Rewire(skew); err != nil {
 			return nil, err
 		}
 		rep, err := cf.ExpandAggs(add, uplinks, panelPorts)

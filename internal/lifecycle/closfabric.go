@@ -45,15 +45,7 @@ func NewClosFabric(aggs, spines, uplinksPerAgg, panelPorts int) (*ClosFabric, er
 	nPanels := (total + panelPorts - 1) / panelPorts
 	cf := &ClosFabric{Aggs: aggs, Spines: spines}
 	for p := 0; p < nPanels; p++ {
-		cf.Panels = append(cf.Panels,
-			patchpanel.New(patchpanel.PanelKind, fmt.Sprintf("panel-%d", p), panelPorts, 0.5))
-		fo := make([]int, panelPorts)
-		bo := make([]int, panelPorts)
-		for i := range fo {
-			fo[i], bo[i] = -1, -1
-		}
-		cf.frontOwner = append(cf.frontOwner, fo)
-		cf.backOwner = append(cf.backOwner, bo)
+		cf.addPanel(panelPorts)
 	}
 	// Attach agg uplinks and spine downlinks to ports round-robin so each
 	// panel sees a balanced slice of every block.
@@ -75,57 +67,18 @@ func NewClosFabric(aggs, spines, uplinksPerAgg, panelPorts int) (*ClosFabric, er
 	return cf, nil
 }
 
-// Wire jumpers the fabric to realize the demand matrix want[a][s] =
-// number of agg-a↔spine-s trunks, using the cross-panel decomposition
-// solver so panel-local port ordering can't strand demand.
-func (cf *ClosFabric) Wire(want [][]int) error {
-	nP := len(cf.Panels)
-	ff := make([][]int, nP)
-	fb := make([][]int, nP)
-	for pi, panel := range cf.Panels {
-		ff[pi] = make([]int, cf.Aggs)
-		fb[pi] = make([]int, cf.Spines)
-		for f := 0; f < panel.Ports; f++ {
-			if a := cf.frontOwner[pi][f]; a != -1 && panel.BackOf(f) == -1 {
-				ff[pi][a]++
-			}
-			if s := cf.backOwner[pi][f]; s != -1 && panel.FrontOf(f) == -1 {
-				fb[pi][s]++
-			}
-		}
+// addPanel appends panel-<n>, an unjumpered panel of ports ports at
+// 0.5 dB, whose ports no block owns yet, and returns its owner rows.
+func (cf *ClosFabric) addPanel(ports int) (frontOwner, backOwner []int) {
+	cf.Panels = append(cf.Panels,
+		patchpanel.New(patchpanel.PanelKind, fmt.Sprintf("panel-%d", len(cf.Panels)), ports, 0.5))
+	frontOwner, backOwner = make([]int, ports), make([]int, ports)
+	for i := range frontOwner {
+		frontOwner[i], backOwner[i] = -1, -1
 	}
-	place, err := decomposeAcrossPanels(copyMatrix(want), ff, fb)
-	if err != nil {
-		return err
-	}
-	for pi, panel := range cf.Panels {
-		need := place[pi]
-		for f := 0; f < panel.Ports; f++ {
-			a := cf.frontOwner[pi][f]
-			if a == -1 || panel.BackOf(f) != -1 {
-				continue
-			}
-			for b := 0; b < panel.Ports; b++ {
-				s := cf.backOwner[pi][b]
-				if s == -1 || panel.FrontOf(b) != -1 || need[a][s] == 0 {
-					continue
-				}
-				if err := panel.Connect(f, b); err != nil {
-					return err
-				}
-				need[a][s]--
-				break
-			}
-		}
-		for a := range need {
-			for s, n := range need[a] {
-				if n > 0 {
-					return fmt.Errorf("lifecycle: panel %d could not seat %d trunks agg %d → spine %d (bug)", pi, n, a, s)
-				}
-			}
-		}
-	}
-	return nil
+	cf.frontOwner = append(cf.frontOwner, frontOwner)
+	cf.backOwner = append(cf.backOwner, backOwner)
+	return frontOwner, backOwner
 }
 
 // Demand returns the currently realized trunk-count matrix.
@@ -192,83 +145,62 @@ func (r RewireReport) LaborMinutes(perStep units.Minutes) units.Minutes {
 // Σ(target − min(current, target)). The cross-panel placement of the
 // moved trunks is solved by greedy most-free placement with augmenting
 // repair (moving a tentative unit between panels to unlock a stuck one).
+//
+// First wiring is a Rewire from no jumpers: nothing is kept, and every
+// trunk is seated first fit as a new connect.
 func (cf *ClosFabric) Rewire(target [][]int) (RewireReport, error) {
 	if len(target) != cf.Aggs {
 		return RewireReport{}, fmt.Errorf("lifecycle: target has %d agg rows, want %d", len(target), cf.Aggs)
 	}
 	nP := len(cf.Panels)
-	// Step 1: per-panel current counts and keeper counts. Keeping
-	// min(current, target) per pair maximizes kept jumpers; distribute
-	// the kept quota over panels in panel order.
-	keepCnt := make([][][]int, nP) // keepCnt[p][a][s]
-	for p := range keepCnt {
-		keepCnt[p] = zeroMatrix(cf.Aggs, cf.Spines)
-	}
+	// Step 1: keepers and free ports, in one walk. Keeping min(current,
+	// target) per pair maximizes kept jumpers; keepers are taken in panel
+	// and port order. A kept front enters its panel's target map and
+	// leaves the free counts.
 	remaining := copyMatrix(target)
+	targetMaps := make([][]int, nP) // per panel: front -> target back (-1 none)
+	ff := zeroMatrix(nP, cf.Aggs)   // free fronts per (panel, agg)
+	fb := zeroMatrix(nP, cf.Spines) // free backs per (panel, spine)
 	for pi, panel := range cf.Panels {
-		for f := 0; f < panel.Ports; f++ {
-			a := cf.frontOwner[pi][f]
-			b := panel.BackOf(f)
-			if a == -1 || b == -1 {
-				continue
-			}
-			s := cf.backOwner[pi][b]
-			if s != -1 && remaining[a][s] > 0 {
-				remaining[a][s]--
-				keepCnt[pi][a][s]++
-			}
-		}
-	}
-	// Step 2: free fronts/backs per panel after keepers.
-	ff := make([][]int, nP) // free fronts per (panel, agg)
-	fb := make([][]int, nP) // free backs per (panel, spine)
-	for pi, panel := range cf.Panels {
-		ff[pi] = make([]int, cf.Aggs)
-		fb[pi] = make([]int, cf.Spines)
-		for f := 0; f < panel.Ports; f++ {
-			if a := cf.frontOwner[pi][f]; a != -1 {
-				ff[pi][a]++
-			}
+		targetMap := make([]int, panel.Ports)
+		for f := range targetMap {
+			targetMap[f] = -1
 			if s := cf.backOwner[pi][f]; s != -1 {
 				fb[pi][s]++
 			}
-		}
-		for a := 0; a < cf.Aggs; a++ {
-			for s := 0; s < cf.Spines; s++ {
-				ff[pi][a] -= keepCnt[pi][a][s]
-				fb[pi][s] -= keepCnt[pi][a][s]
+			a := cf.frontOwner[pi][f]
+			if a == -1 {
+				continue
+			}
+			ff[pi][a]++
+			b := panel.BackOf(f)
+			if b == -1 {
+				continue
+			}
+			if s := cf.backOwner[pi][b]; s != -1 && remaining[a][s] > 0 {
+				remaining[a][s]--
+				targetMap[f] = b
+				ff[pi][a]--
+				fb[pi][s]--
 			}
 		}
+		targetMaps[pi] = targetMap
 	}
-	// Step 3: decompose the remaining demand across panels.
+	// Step 2: decompose the remaining demand across panels.
 	place, err := decomposeAcrossPanels(remaining, ff, fb)
 	if err != nil {
 		return RewireReport{}, err
 	}
-	// Step 4: materialize per-panel port-level target maps and apply.
+	// Step 3: seat each panel's placements first fit and apply.
 	var rep RewireReport
 	for pi, panel := range cf.Panels {
-		targetMap := make([]int, panel.Ports)
+		targetMap := targetMaps[pi]
 		backUsed := make([]bool, panel.Ports)
-		for f := range targetMap {
-			targetMap[f] = -1
-		}
-		// Keepers: retain existing jumpers up to keepCnt quota per pair.
-		quota := copyMatrix(keepCnt[pi])
-		for f := 0; f < panel.Ports; f++ {
-			a := cf.frontOwner[pi][f]
-			b := panel.BackOf(f)
-			if a == -1 || b == -1 {
-				continue
-			}
-			s := cf.backOwner[pi][b]
-			if s != -1 && quota[a][s] > 0 {
-				quota[a][s]--
-				targetMap[f] = b
+		for _, b := range targetMap {
+			if b != -1 {
 				backUsed[b] = true
 			}
 		}
-		// Placements: need[a][s] new jumpers on this panel.
 		need := place[pi]
 		for f := 0; f < panel.Ports; f++ {
 			a := cf.frontOwner[pi][f]
@@ -323,24 +255,14 @@ func (cf *ClosFabric) Rewire(target [][]int) (RewireReport, error) {
 // unit gets stuck. Because each relocation consumes two resources the
 // augmentation is not complete, so the outer loop retries with
 // deterministically shuffled orders until a pass succeeds. Returns
-// per-panel count matrices.
+// per-panel count matrices; each try works on its own copies of ff and
+// fb, so the caller's are left as given.
 func decomposeAcrossPanels(R [][]int, ff, fb [][]int) ([][][]int, error) {
-	// Preserve inputs; each attempt works on fresh copies.
-	ffInit := copyMatrix(ff)
-	fbInit := copyMatrix(fb)
 	const attempts = 64
 	var lastErr error
 	for try := 0; try < attempts; try++ {
-		ffTry := copyMatrix(ffInit)
-		fbTry := copyMatrix(fbInit)
-		place, err := decomposeOnce(R, ffTry, fbTry, uint64(try))
+		place, err := decomposeOnce(R, copyMatrix(ff), copyMatrix(fb), uint64(try))
 		if err == nil {
-			// Propagate residuals to the caller's slices, which some
-			// callers reuse for accounting.
-			for p := range ff {
-				copy(ff[p], ffTry[p])
-				copy(fb[p], fbTry[p])
-			}
 			return place, nil
 		}
 		lastErr = err
@@ -545,24 +467,14 @@ func (cf *ClosFabric) ExpandAggs(newAggs, uplinksPerAgg, panelPorts int) (Rewire
 	needPorts := newAggs * uplinksPerAgg
 	added := 0
 	for added < needPorts {
-		pi := len(cf.Panels)
-		cf.Panels = append(cf.Panels,
-			patchpanel.New(patchpanel.PanelKind, fmt.Sprintf("panel-%d", pi), panelPorts, 0.5))
-		fo := make([]int, panelPorts)
-		bo := make([]int, panelPorts)
-		for i := range fo {
-			fo[i], bo[i] = -1, -1
-		}
+		fo, bo := cf.addPanel(panelPorts)
 		// Fronts for new aggs; backs must host the spines' matching new
 		// downlinks (spine side also grows to absorb the new uplinks).
-		half := panelPorts
-		for i := 0; i < half && added < needPorts; i++ {
+		for i := 0; i < panelPorts && added < needPorts; i++ {
 			fo[i] = oldAggs + added/uplinksPerAgg
 			bo[i] = added % cf.Spines // new spine downlinks, spread evenly
 			added++
 		}
-		cf.frontOwner = append(cf.frontOwner, fo)
-		cf.backOwner = append(cf.backOwner, bo)
 	}
 	target := UniformDemand(cf.Aggs, cf.Spines, uplinksPerAgg)
 	return cf.Rewire(target)

@@ -85,7 +85,7 @@ func TestWireRealizesDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := UniformDemand(4, 2, 8)
-	if err := cf.Wire(want); err != nil {
+	if _, err := cf.Rewire(want); err != nil {
 		t.Fatal(err)
 	}
 	got := cf.Demand()
@@ -104,7 +104,7 @@ func TestRewireIdentityIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := UniformDemand(4, 2, 8)
-	if err := cf.Wire(want); err != nil {
+	if _, err := cf.Rewire(want); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := cf.Rewire(want)
@@ -123,7 +123,7 @@ func TestRewireMinimalMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := [][]int{{4, 0}, {0, 4}} // agg0 all to spine0, agg1 all to spine1
-	if err := cf.Wire(cur); err != nil {
+	if _, err := cf.Rewire(cur); err != nil {
 		t.Fatal(err)
 	}
 	target := [][]int{{2, 2}, {2, 2}}
@@ -150,7 +150,7 @@ func TestExpandAggsRealizesNewUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cf.Wire(UniformDemand(4, 4, 8)); err != nil {
+	if _, err := cf.Rewire(UniformDemand(4, 4, 8)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := cf.ExpandAggs(2, 8, 32)
@@ -237,7 +237,7 @@ func TestClosExpansionBeatsExpanderOnLiveRewires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cf.Wire(UniformDemand(8, 4, 16)); err != nil {
+	if _, err := cf.Rewire(UniformDemand(8, 4, 16)); err != nil {
 		t.Fatal(err)
 	}
 	closStep, _, err := ExpandClosViaPanels(cf, 2, 16, 64)
@@ -375,10 +375,10 @@ func TestValidateRecordsDuplicate(t *testing.T) {
 	}
 }
 
-// Deterministic property sweep: Wire realizes any demand matrix that is feasible by
-// construction. We sample a hidden per-panel solution first (respecting
-// each panel's port ownership), sum it into a demand matrix, and require
-// Wire to realize that matrix — the decomposition solver must rediscover
+// Deterministic property sweep: first wiring realizes any demand matrix
+// that is feasible by construction. We sample a hidden per-panel solution
+// first (respecting each panel's port ownership), sum it into a demand
+// matrix, and require Rewire on the unwired fabric to realize that matrix — the decomposition solver must rediscover
 // some valid split.
 func TestQuickWireRealizesFeasibleDemands(t *testing.T) {
 	trial := func(seed uint64) bool {
@@ -422,7 +422,7 @@ func TestQuickWireRealizesFeasibleDemands(t *testing.T) {
 				demand[a][s]++
 			}
 		}
-		if err := cf.Wire(demand); err != nil {
+		if _, err := cf.Rewire(demand); err != nil {
 			t.Logf("seed %d: feasible demand not realized: %v", seed, err)
 			return false
 		}
@@ -485,7 +485,7 @@ func TestQuickRewireOptimalMoves(t *testing.T) {
 		}
 		cur := sample()
 		target := sample()
-		if err := cf.Wire(cur); err != nil {
+		if _, err := cf.Rewire(cur); err != nil {
 			return false
 		}
 		rep, err := cf.Rewire(target)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"physdep/internal/costmodel"
 	"physdep/internal/graph"
@@ -375,25 +376,14 @@ func rewireNodes(rewires []topology.Rewire) []int {
 	return out
 }
 
-// distinctRacks maps nodes to their racks, deduplicated and ascending —
-// the deterministic per-order visit list.
+// distinctRacks maps nodes, in place, to their racks, deduplicated and
+// ascending — the deterministic per-order visit list.
 func distinctRacks(f floorModel, nodes []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, n := range nodes {
-		r := f.rackOf(n)
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
+	for i, n := range nodes {
+		nodes[i] = f.rackOf(n)
 	}
-	// Insertion sort: visit lists are tiny (≤ R/2·2 + 1 racks).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
 }
 
 // addTrunk performs one pure-addition capacity augment: a parallel trunk
@@ -569,20 +559,20 @@ func applySplices(t *topology.Topology, newID int, chosen []int) []topology.Rewi
 type orderState struct {
 	orders []workOrder
 	seq    []int
-	// swappable[s] lists seq positions belonging to stage s; only stages
-	// with ≥ 2 orders appear.
-	swappable [][]int
-	stages    []int // keys of swappable, ascending
-	floor     floorModel
-	cur       float64
+	// spans are the [lo, hi) seq ranges of the stages with ≥ 2 orders,
+	// ascending; shared by every chain.
+	spans [][2]int
+	floor floorModel
+	cur   float64
 }
 
 func (s *orderState) Propose(rng *rand.Rand) (float64, func(), bool) {
-	if len(s.stages) == 0 {
+	if len(s.spans) == 0 {
 		return 0, nil, false
 	}
-	span := s.swappable[s.stages[rng.IntN(len(s.stages))]]
-	i, j := span[rng.IntN(len(span))], span[rng.IntN(len(span))]
+	span := s.spans[rng.IntN(len(s.spans))]
+	n := span[1] - span[0]
+	i, j := span[0]+rng.IntN(n), span[0]+rng.IntN(n)
 	if i == j {
 		return 0, nil, false
 	}
@@ -596,34 +586,38 @@ func (s *orderState) Propose(rng *rand.Rand) (float64, func(), bool) {
 	}, true
 }
 
-// routeCost prices a work sequence's floor overhead: the crew starts at
-// rack 0's aisle, visits each order's racks in listed sequence, and a
-// rack entered back-to-back is entered once. Minutes = visits·FloorVisit
-// + walk/pace.
-func routeCost(orders []workOrder, seq []int, f floorModel) float64 {
-	return floorMinutes(routeWalk(orders, seq, f, nil))
+// crew is the work crew on the floor: at is the rack aisle it stands
+// in, last the rack it last entered. A route starts from crew{last: -1},
+// at rack 0's aisle with no rack entered yet.
+type crew struct{ at, last int }
+
+// enter walks the crew into rack r and reports the metres walked. A rack
+// entered back-to-back is entered once: entering last again walks
+// nothing and reports entered false.
+func (c *crew) enter(f floorModel, r int) (walked units.Meters, entered bool) {
+	if r == c.last {
+		return 0, false
+	}
+	walked = f.dist(c.at, r)
+	c.at, c.last = r, r
+	return walked, true
 }
 
-// routeWalk simulates the crew route, optionally emitting each rack
-// entry via visit(rack, walkFromPrev).
-func routeWalk(orders []workOrder, seq []int, f floorModel, visit func(oi, rack int, walked units.Meters)) (visits int, walk units.Meters) {
-	cur := 0   // crew position (rack aisle)
-	last := -1 // last rack actually entered
+// routeCost prices a work sequence's floor overhead: the crew enters
+// each order's racks in sequence. Minutes = visits·FloorVisit +
+// walk/pace.
+func routeCost(orders []workOrder, seq []int, f floorModel) float64 {
+	c := crew{last: -1}
+	visits, walk := 0, units.Meters(0)
 	for _, oi := range seq {
 		for _, r := range orders[oi].racks {
-			if r == last {
-				continue
+			if d, ok := c.enter(f, r); ok {
+				visits++
+				walk += d
 			}
-			d := f.dist(cur, r)
-			walk += d
-			visits++
-			if visit != nil {
-				visit(oi, r, d)
-			}
-			cur, last = r, r
 		}
 	}
-	return visits, walk
+	return floorMinutes(visits, walk)
 }
 
 // orderWork picks the execution sequence: schedule order when
@@ -639,37 +633,23 @@ func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig, f flo
 		return seq, nil
 	}
 	identity := routeCost(orders, seq, f)
-	mkState := func() *orderState {
-		st := &orderState{orders: orders, seq: append([]int(nil), seq...), floor: f, cur: identity}
-		byStage := map[int][]int{}
-		for pos, oi := range st.seq {
-			byStage[orders[oi].stage] = append(byStage[orders[oi].stage], pos)
+	// Orders are made stage by stage, so each stage is one contiguous run
+	// of the identity sequence, and the anneal keeps it so.
+	var spans [][2]int
+	for lo := 0; lo < len(orders); {
+		hi := lo + 1
+		for hi < len(orders) && orders[hi].stage == orders[lo].stage {
+			hi++
 		}
-		maxStage := 0
-		for s := range byStage {
-			if s > maxStage {
-				maxStage = s
-			}
+		if hi-lo >= 2 {
+			spans = append(spans, [2]int{lo, hi})
 		}
-		st.swappable = make([][]int, maxStage+1)
-		for s, span := range byStage {
-			if len(span) >= 2 {
-				st.swappable[s] = span
-				st.stages = append(st.stages, s)
-			}
-		}
-		// byStage iterates non-deterministically; restore ascending order.
-		for i := 1; i < len(st.stages); i++ {
-			for j := i; j > 0 && st.stages[j] < st.stages[j-1]; j-- {
-				st.stages[j], st.stages[j-1] = st.stages[j-1], st.stages[j]
-			}
-		}
-		return st
+		lo = hi
 	}
 	states := make([]solver.Annealable, plannerRestarts)
 	chainStates := make([]*orderState, plannerRestarts)
 	for c := range states {
-		chainStates[c] = mkState()
+		chainStates[c] = &orderState{orders: orders, seq: slices.Clone(seq), spans: spans, floor: f, cur: identity}
 		states[c] = chainStates[c]
 	}
 	acfg := solver.AnnealConfig{Steps: cfg.AnnealSteps, T0: identity / 10, T1: 0.01, Seed: cfg.Seed ^ 0x6f726472}
@@ -688,9 +668,12 @@ func orderWork(ctx context.Context, orders []workOrder, cfg PlannerConfig, f flo
 	return seq, nil
 }
 
-// emitPlan walks the final sequence, emitting typed steps and cumulative
-// per-stage totals. Orders stay grouped by stage (the anneal only swaps
-// within stages), so stage boundaries in the sequence are contiguous.
+// emitPlan walks the final sequence once, emitting typed steps and
+// running totals. The anneal only swaps within a stage, so each stage is
+// one contiguous run of the sequence, and its cumulative row is the
+// plan's running totals after its last order: each order leaves its
+// stage's row at the totals so far, and the stage's last order leaves it
+// final.
 func emitPlan(fabric string, orders []workOrder, seq []int, stageStats []StageReport, f floorModel) *Plan {
 	p := &Plan{Fabric: fabric, Stages: stageStats}
 	c := plannerCosts
@@ -701,28 +684,18 @@ func emitPlan(fabric string, orders []workOrder, seq []int, stageStats []StageRe
 		p.Downtime += s.Downtime
 		p.Cable += s.Cable
 	}
-	// Pre-compute each order's visit steps keyed by sequence position.
-	type visitRec struct {
-		rack   int
-		walked units.Meters
-	}
-	visitsByPos := make(map[int][]visitRec, len(orders))
-	pos := make(map[int]int, len(seq)) // order index → seq position
-	for sp, oi := range seq {
-		pos[oi] = sp
-	}
-	routeWalk(orders, seq, f, func(oi, rack int, walked units.Meters) {
-		visitsByPos[pos[oi]] = append(visitsByPos[pos[oi]], visitRec{rack, walked})
-	})
-	stageWalk := make([]units.Meters, len(stageStats))
-	for sp, oi := range seq {
+	cr := crew{last: -1}
+	for _, oi := range seq {
 		o := orders[oi]
-		for _, v := range visitsByPos[sp] {
+		for _, r := range o.racks {
+			walked, ok := cr.enter(f, r)
+			if !ok {
+				continue
+			}
 			p.FloorVisits++
-			p.Walk += v.walked
-			stageWalk[o.stage] += v.walked
-			addStep(PlanStep{Stage: o.stage, Kind: StepFloorVisit, Rack: v.rack,
-				Minutes: c.FloorVisit + units.Minutes(float64(v.walked)/c.WalkMetersPerMinute)})
+			p.Walk += walked
+			addStep(PlanStep{Stage: o.stage, Kind: StepFloorVisit, Rack: r,
+				Minutes: c.FloorVisit + units.Minutes(float64(walked)/c.WalkMetersPerMinute)})
 		}
 		if o.install {
 			homeRack := f.rackOf(o.newID)
@@ -741,32 +714,9 @@ func emitPlan(fabric string, orders []workOrder, seq []int, stageStats []StageRe
 			addStep(PlanStep{Stage: o.stage, Kind: StepNewLink, Rack: f.rackOf(o.trunkU),
 				Minutes: c.NewLink, Cable: cable})
 		}
-	}
-	// Fill cumulative columns stage by stage from the emitted steps.
-	for i := range p.Stages {
-		p.Stages[i].Rewired, p.Stages[i].NewLinks, p.Stages[i].FloorVisits = 0, 0, 0
-		p.Stages[i].Labor, p.Stages[i].Downtime, p.Stages[i].Cable, p.Stages[i].Walk = 0, 0, 0, 0
-	}
-	for _, s := range p.Steps {
-		for si := s.Stage; si < len(p.Stages); si++ {
-			st := &p.Stages[si]
-			switch s.Kind {
-			case StepRewire:
-				st.Rewired++
-			case StepNewLink:
-				st.NewLinks++
-			case StepFloorVisit:
-				st.FloorVisits++
-			}
-			st.Labor += s.Minutes
-			st.Downtime += s.Downtime
-			st.Cable += s.Cable
-		}
-	}
-	var walkSoFar units.Meters
-	for i := range p.Stages {
-		walkSoFar += stageWalk[i]
-		p.Stages[i].Walk = walkSoFar
+		st := &p.Stages[o.stage]
+		st.Rewired, st.NewLinks, st.FloorVisits = p.Rewired, p.NewLinks, p.FloorVisits
+		st.Labor, st.Downtime, st.Cable, st.Walk = p.Labor, p.Downtime, p.Cable, p.Walk
 	}
 	return p
 }

@@ -8,7 +8,6 @@ import (
 // Rule is one physical-constraint check over a model. Rules are pure:
 // they read the model and report violations.
 type Rule interface {
-	Name() string
 	Check(m *Model) []Violation
 }
 
@@ -38,8 +37,6 @@ func CheckAll(m *Model, s *Schema, rules []Rule) []Violation {
 // TrayCapacityRule: the cross-sections routed through a tray must not
 // exceed its capacity.
 type TrayCapacityRule struct{}
-
-func (TrayCapacityRule) Name() string { return "tray-capacity" }
 
 func (TrayCapacityRule) Check(m *Model) []Violation {
 	var vs []Violation
@@ -74,8 +71,6 @@ func (TrayCapacityRule) Check(m *Model) []Violation {
 // RackSpaceRule: switches in a rack must fit its rack units.
 type RackSpaceRule struct{}
 
-func (RackSpaceRule) Name() string { return "rack-space" }
-
 func (RackSpaceRule) Check(m *Model) []Violation {
 	var vs []Violation
 	x := m.index()
@@ -100,8 +95,6 @@ func (RackSpaceRule) Check(m *Model) []Violation {
 // PlenumRule: cable cross-section terminating at a rack must fit its
 // plenum (the §3.1 "256 cables in a rack" problem).
 type PlenumRule struct{}
-
-func (PlenumRule) Name() string { return "rack-plenum" }
 
 func (PlenumRule) Check(m *Model) []Violation {
 	var vs []Violation
@@ -143,8 +136,6 @@ func (PlenumRule) Check(m *Model) []Violation {
 // means no constraint from that tray.
 type BendRadiusRule struct{}
 
-func (BendRadiusRule) Name() string { return "bend-radius" }
-
 func (BendRadiusRule) Check(m *Model) []Violation {
 	var vs []Violation
 	x := m.index()
@@ -175,8 +166,6 @@ func (BendRadiusRule) Check(m *Model) []Violation {
 // DoorWidthRule: any rack (or conjoined unit, via the "unit_width_m"
 // attribute) must pass through every door of its hall.
 type DoorWidthRule struct{}
-
-func (DoorWidthRule) Name() string { return "door-width" }
 
 func (DoorWidthRule) Check(m *Model) []Violation {
 	var vs []Violation
@@ -212,8 +201,6 @@ func (DoorWidthRule) Check(m *Model) []Violation {
 // its capacity.
 type PowerRule struct{}
 
-func (PowerRule) Name() string { return "power" }
-
 func (PowerRule) Check(m *Model) []Violation {
 	var vs []Violation
 	x := m.index()
@@ -242,8 +229,6 @@ func (PowerRule) Check(m *Model) []Violation {
 // attribute = electrical cable; those must route through no panel at
 // all, which the rule also flags).
 type LossBudgetRule struct{}
-
-func (LossBudgetRule) Name() string { return "loss-budget" }
 
 func (LossBudgetRule) Check(m *Model) []Violation {
 	var vs []Violation

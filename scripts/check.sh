@@ -202,14 +202,15 @@ cmp "$tmp/hall-spec-body" "$tmp/hall-file-body"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 
-echo "== lifecycle smoke (planner golden replay)"
-# The multi-step expansion planner end to end through the CLI: the E23
-# growth schedule (Jellyfish vs Xpander vs panel-Clos) must reproduce
-# its committed golden byte for byte. cmd/experiments prints each table
-# with Println, which appends one newline past the golden file's
-# content — the `echo` accounts for it.
-go run ./cmd/experiments -run E23 >"$tmp/e23.out"
-diff <(cat internal/experiments/testdata/golden/E23.txt; echo) "$tmp/e23.out"
+echo "== lifecycle smoke (panel Clos and growth planner golden replay)"
+# The lifecycle layer end to end through the CLI: E3 (panel-Clos
+# expansion vs splice growth), E23 (the multi-step growth planner,
+# Jellyfish vs Xpander vs panel-Clos) and E24 (annealed vs naive work
+# ordering) must each reproduce its committed golden byte for byte.
+# cmd/experiments prints each table with Println, which appends one
+# newline past the golden file's content — the `echo` accounts for it.
+go run ./cmd/experiments -run E3,E23,E24 >"$tmp/lifecycle.out"
+diff <(for id in E3 E23 E24; do cat "internal/experiments/testdata/golden/$id.txt"; echo; done) "$tmp/lifecycle.out"
 
 if [ "${BENCHGATE_SKIP:-}" = "1" ]; then
   echo "== benchgate (skipped: BENCHGATE_SKIP=1)"
