@@ -115,9 +115,10 @@ func newSweepScratch(n int) sweepScratch {
 // nodes; the exhaustive sweep passes sources == nodes). perSource, when
 // non-nil, receives each source's row sum and reachable count keyed by
 // its index in sources — per-index delivery, so the record (and
-// everything derived from it) is identical for any worker count. The
-// integer reduction over per-worker partials is associative, so the
-// combined PathStats is too.
+// everything derived from it) is identical for any worker count. Only
+// then does a batch count per-source rows; with perSource nil it counts
+// the totals alone. The integer reduction over per-worker partials is
+// associative, so the combined PathStats is too.
 //
 // The BFSs run bit-parallel, as in MS-BFS (Then et al., VLDB 2014):
 // sources go in batches of 64, one bit per source, and each level moves
@@ -149,15 +150,15 @@ func (g *Graph) sweepSources(ctx context.Context, sources, nodes []int, perSourc
 		}
 		lo := b * sweepWidth
 		batch := sources[lo:min(lo+sweepWidth, len(sources))]
-		var rowSum [sweepWidth]int64
-		var rowReach [sweepWidth]int
-		if err := snap.sweepBatch(ctx, sc, batch, nodes, mult, &parts[wk], &rowSum, &rowReach); err != nil {
+		if perSource == nil {
+			return snap.sweepBatch(ctx, sc, batch, nodes, mult, &parts[wk], nil)
+		}
+		var rows sweepRows
+		if err := snap.sweepBatch(ctx, sc, batch, nodes, mult, &parts[wk], &rows); err != nil {
 			return err
 		}
-		if perSource != nil {
-			for k := range batch {
-				perSource(lo+k, rowSum[k], rowReach[k])
-			}
+		for k := range batch {
+			perSource(lo+k, rows.sum[k], rows.reach[k])
 		}
 		return nil
 	})
@@ -180,14 +181,24 @@ func (g *Graph) sweepSources(ctx context.Context, sources, nodes []int, perSourc
 	return st, nil
 }
 
+// sweepRows is one batch's per-source record: row sum and reachable
+// count by source bit.
+type sweepRows struct {
+	sum   [sweepWidth]int64
+	reach [sweepWidth]int
+	cnt   vcounter
+}
+
 // sweepBatch runs one bit-parallel BFS from the ≤64 sources in batch
 // (bit k is batch[k]) over the distinct-neighbour table, with sc as its
-// state; mult counts each node's entries in nodes. It fills
-// rowSum/rowReach for each source and folds the batch into pt. A done
-// ctx stops it between levels with an error matching
-// physerr.ErrCanceled; that fails the sweep, so the partly written pt and
-// sc are never read again.
-func (s *Snapshot) sweepBatch(ctx context.Context, sc *sweepScratch, batch, nodes []int, mult []int32, pt *apPartial, rowSum *[sweepWidth]int64, rowReach *[sweepWidth]int) error {
+// state; mult counts each node's entries in nodes. It folds the batch's
+// totals into pt: at each level, the entries first reached count
+// mult[w]·popcount(next[w]) over the nodes w that grew. rows, when
+// non-nil, also gets each source's row, counted in the same pass by a
+// carry-save vertical counter. A done ctx stops it between levels with
+// an error matching physerr.ErrCanceled; that fails the sweep, so the
+// partly written pt, rows and sc are never read again.
+func (s *Snapshot) sweepBatch(ctx context.Context, sc *sweepScratch, batch, nodes []int, mult []int32, pt *apPartial, rows *sweepRows) error {
 	seen, cur, next := sc.seen, sc.cur, sc.next
 	clear(seen)
 	front := sc.front
@@ -249,32 +260,40 @@ func (s *Snapshot) sweepBatch(ctx context.Context, sc *sweepScratch, batch, node
 				}
 			}
 		}
-		// Count, per source bit, the entries of nodes first reached at
-		// level d.
-		var cnt vcounter
-		var reached uint64
+		// Count the entries of nodes first reached at level d: in total,
+		// and per source bit when rows are asked for.
+		var level int
 		for _, w := range grown {
 			x := next[w]
-			for m := mult[w]; m > 0; m-- {
-				cnt.add(x)
-				reached |= x
+			m := int(mult[w])
+			level += m * bits.OnesCount64(x)
+			if rows != nil {
+				for ; m > 0; m-- {
+					rows.cnt.add(x)
+				}
 			}
 		}
-		if reached != 0 {
+		if level > 0 {
 			pt.diam = max(pt.diam, d)
-			for r := reached; r != 0; r &= r - 1 {
-				k := bits.TrailingZeros64(r)
-				c := cnt.count(k)
-				rowSum[k] += int64(d) * int64(c)
-				rowReach[k] += c
+			pt.sum += int64(d) * int64(level)
+			pt.reach += level
+		}
+		if rows != nil {
+			// Bit k of plane j is bit j of source k's count: add its
+			// weight to the rows of the sources that have it.
+			cnt := &rows.cnt
+			cnt.flush()
+			for j, p := range cnt.plane[:cnt.planes] {
+				for ; p != 0; p &= p - 1 {
+					k := bits.TrailingZeros64(p)
+					rows.sum[k] += int64(d) << j
+					rows.reach[k] += 1 << j
+				}
 			}
+			cnt.reset()
 		}
 		front, grown = grown, front
 		cur, next = next, cur
-	}
-	for k := range len(batch) {
-		pt.sum += rowSum[k]
-		pt.reach += rowReach[k]
 	}
 	for _, v := range nodes {
 		pt.unreach += bits.OnesCount64(^seen[v] & full)
@@ -282,30 +301,88 @@ func (s *Snapshot) sweepBatch(ctx context.Context, sc *sweepScratch, batch, node
 	return nil
 }
 
+// vcounterBlock is the number of words a vcounter buffers before it
+// folds them into its planes.
+const vcounterBlock = 16
+
 // vcounter is a bit-sliced vertical counter: bit k of plane j is bit j
-// of the number of words added so far that had bit k set. Adding a word
-// is a ripple-carry add across the planes, which stops as soon as the
-// carry is empty.
+// of the number of words added so far that had bit k set. It buffers
+// words and folds each full block with a Harley–Seal carry-save tree
+// (Harley and Seal; Muła, Kurz and Lemire, 2018): planes 0–3 hold the
+// tree's ones, twos, fours and eights, which are bits 0–3 of each count,
+// and the block's sixteens word is ripple-added at plane 4, the carry
+// stopping as soon as it is empty. flush folds a partial block by
+// ripple-adding each buffered word at plane 0, so the planes hold the
+// counts only after a flush.
 type vcounter struct {
 	plane  [64]uint64
 	planes int // planes in use
+	buf    [vcounterBlock]uint64
+	n      int // words in buf
 }
 
 func (c *vcounter) add(x uint64) {
-	j := 0
+	c.buf[c.n] = x
+	if c.n++; c.n == vcounterBlock {
+		c.fold()
+		c.n = 0
+	}
+}
+
+// csa is a carry-save adder: per bit, a + b + c = 2·hi + lo.
+func csa(a, b, c uint64) (hi, lo uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// fold adds the 16 buffered words: a Harley–Seal tree into planes 0–3,
+// then one ripple add of the sixteens at plane 4.
+func (c *vcounter) fold() {
+	p, w := &c.plane, &c.buf
+	ones, twos, fours, eights := p[0], p[1], p[2], p[3]
+	var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+	twosA, ones = csa(ones, w[0], w[1])
+	twosB, ones = csa(ones, w[2], w[3])
+	foursA, twos = csa(twos, twosA, twosB)
+	twosA, ones = csa(ones, w[4], w[5])
+	twosB, ones = csa(ones, w[6], w[7])
+	foursB, twos = csa(twos, twosA, twosB)
+	eightsA, fours = csa(fours, foursA, foursB)
+	twosA, ones = csa(ones, w[8], w[9])
+	twosB, ones = csa(ones, w[10], w[11])
+	foursA, twos = csa(twos, twosA, twosB)
+	twosA, ones = csa(ones, w[12], w[13])
+	twosB, ones = csa(ones, w[14], w[15])
+	foursB, twos = csa(twos, twosA, twosB)
+	eightsB, fours = csa(fours, foursA, foursB)
+	sixteens, eights = csa(eights, eightsA, eightsB)
+	p[0], p[1], p[2], p[3] = ones, twos, fours, eights
+	c.planes = max(c.planes, 4)
+	c.ripple(sixteens, 4)
+}
+
+// ripple adds x·2^j to the counts.
+func (c *vcounter) ripple(x uint64, j int) {
 	for ; x != 0; j++ {
 		c.plane[j], x = c.plane[j]^x, c.plane[j]&x
 	}
 	c.planes = max(c.planes, j)
 }
 
-// count returns the number of added words that had bit k set.
-func (c *vcounter) count(k int) int {
-	n := 0
-	for j := range c.planes {
-		n |= int(c.plane[j]>>k&1) << j
+// flush adds the buffered words of a partial block.
+func (c *vcounter) flush() {
+	for _, x := range c.buf[:c.n] {
+		c.ripple(x, 0)
 	}
-	return n
+	c.n = 0
+}
+
+// reset zeroes the counts, clearing only the planes in use, so one
+// counter serves every level of a batch.
+func (c *vcounter) reset() {
+	clear(c.plane[:c.planes])
+	c.planes = 0
+	c.n = 0
 }
 
 // allNodes returns nodes itself, or the full [0, g.N) list when nil — the

@@ -26,11 +26,16 @@ type SweepRow struct {
 
 // SweepSourcesPair runs the bit-parallel sweep and its reference over the
 // same sources and node set, returning both PathStats and both per-index
-// row records.
-func SweepSourcesPair(g *Graph, sources, nodes []int) (st, refSt PathStats, rows, refRows []SweepRow, err error) {
+// row records. The sweep runs twice: bare is its PathStats with no row
+// callback, the totals-only path AllPairsStatsCtx takes, and st is its
+// PathStats with one.
+func SweepSourcesPair(g *Graph, sources, nodes []int) (bare, st, refSt PathStats, rows, refRows []SweepRow, err error) {
 	rows, refRows = make([]SweepRow, len(sources)), make([]SweepRow, len(sources))
 	record := func(into []SweepRow) func(int, int64, int) {
 		return func(i int, sum int64, reach int) { into[i] = SweepRow{sum, reach} }
+	}
+	if bare, err = g.sweepSources(context.Background(), sources, nodes, nil); err != nil {
+		return
 	}
 	if st, err = g.sweepSources(context.Background(), sources, nodes, record(rows)); err != nil {
 		return

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
@@ -19,27 +20,36 @@ var sweepWorkers = []int{1, 4}
 
 // assertSweepMatchesReference requires the bit-parallel sweep and its
 // reference to give equal PathStats and equal per-index rows, at every
-// worker count in sweepWorkers. It returns the reference stats.
+// worker count in sweepWorkers. The sweep's PathStats must match both
+// with a row callback and without one. It returns the reference stats.
 func assertSweepMatchesReference(t *testing.T, name string, g *graph.Graph, sources, nodes []int) (refSt graph.PathStats) {
 	t.Helper()
 	for _, w := range sweepWorkers {
 		par.SetWorkers(w)
-		var st graph.PathStats
-		var rows, refRows []graph.SweepRow
 		var err error
-		st, refSt, rows, refRows, err = graph.SweepSourcesPair(g, sources, nodes)
+		refSt, err = sweepMatchesReference(g, sources, nodes)
 		par.SetWorkers(0)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
-		if st != refSt {
-			t.Fatalf("%s workers %d: stats %+v, reference %+v", name, w, st, refSt)
-		}
-		if !slices.Equal(rows, refRows) {
-			t.Fatalf("%s workers %d: per-source rows differ from the reference", name, w)
-		}
 	}
 	return refSt
+}
+
+// sweepMatchesReference runs graph.SweepSourcesPair and returns the
+// reference stats, with an error naming the first difference.
+func sweepMatchesReference(g *graph.Graph, sources, nodes []int) (graph.PathStats, error) {
+	bare, st, refSt, rows, refRows, err := graph.SweepSourcesPair(g, sources, nodes)
+	switch {
+	case err != nil:
+	case bare != refSt:
+		err = fmt.Errorf("stats without rows %+v, reference %+v", bare, refSt)
+	case st != refSt:
+		err = fmt.Errorf("stats with rows %+v, reference %+v", st, refSt)
+	case !slices.Equal(rows, refRows):
+		err = errors.New("per-source rows differ from the reference")
+	}
+	return refSt, err
 }
 
 // TestSweepMatchesReference pins the sweep to the one-BFS-per-source
@@ -170,4 +180,73 @@ func TestSweepMatchesReferenceRandomMultigraphs(t *testing.T) {
 			assertSweepMatchesReference(t, fmt.Sprintf("%s sources %d", c.name, k), g, sources, all)
 		}
 	}
+}
+
+// FuzzSweepMatchesReference pins the sweep, without and with a row
+// callback, to the reference on byte-decoded multigraphs. data[0] sets
+// the node count, 1 to 200, and data[1] the source count, 1 to 200.
+// Then each byte triple (op, a, b) is one operation:
+//   - op%4 < 2: add edge a%n – b%n (a self-loop when they are equal);
+//   - op%4 == 2: remove edge (a<<8 | b) % len(Edges) if it is live;
+//   - op%4 == 3: put a%n into the node set 1 + b%3 times.
+//
+// With no op 3 the node set is every node. Source i is entry
+// (data[i%len(data)] + 31·i) % len(nodes) of the node set.
+func FuzzSweepMatchesReference(f *testing.F) {
+	// A 70-node ring swept from every node: the second batch starts past
+	// bit 63.
+	ring := []byte{69, 69}
+	for u := range 70 {
+		ring = append(ring, 0, byte(u), byte((u+1)%70))
+	}
+	f.Add(ring)
+	// A star whose leaves enter the node set two or three times each,
+	// with a parallel spoke and a self-loop on the hub.
+	star := []byte{8, 29, 0, 0, 0}
+	for leaf := byte(1); leaf < 9; leaf++ {
+		star = append(star, 0, 0, leaf, 3, leaf, 1+leaf%2)
+	}
+	star = append(star, 1, 0, 1, 3, 0, 0)
+	f.Add(star)
+	// Two components, a triangle and a path, with one edge removed and
+	// re-added.
+	f.Add([]byte{5, 9, 0, 0, 1, 0, 1, 2, 0, 2, 0, 0, 3, 4, 2, 0, 3, 0, 3, 4, 0, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%200
+		g := graph.New(n)
+		var nodes []int
+		for i := 2; i+2 < len(data); i += 3 {
+			op, a, b := data[i]%4, int(data[i+1]), int(data[i+2])
+			switch {
+			case op < 2:
+				g.AddEdge(a%n, b%n, 1)
+			case op == 2:
+				if len(g.Edges) > 0 {
+					if id := (a<<8 | b) % len(g.Edges); g.Live(id) {
+						g.RemoveEdge(id)
+					}
+				}
+			default:
+				for r := 1 + b%3; r > 0; r-- {
+					nodes = append(nodes, a%n)
+				}
+			}
+		}
+		if nodes == nil {
+			nodes = make([]int, n)
+			for v := range nodes {
+				nodes[v] = v
+			}
+		}
+		sources := make([]int, 1+int(data[1])%200)
+		for i := range sources {
+			sources[i] = nodes[(int(data[i%len(data)])+31*i)%len(nodes)]
+		}
+		if _, err := sweepMatchesReference(g, sources, nodes); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

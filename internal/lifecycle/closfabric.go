@@ -191,8 +191,13 @@ func (cf *ClosFabric) Rewire(target [][]int) (RewireReport, error) {
 	if err != nil {
 		return RewireReport{}, err
 	}
-	// Step 3: seat each panel's placements first fit and apply.
+	// Step 3: seat each panel's placements first fit and apply. First fit
+	// gives a front the lowest unused back whose spine it still needs, so
+	// each spine's backs go in ascending order: a cursor per spine over
+	// its free backs (backs[start[s]:end[s]]) finds the seat in
+	// O(spines).
 	var rep RewireReport
+	start := make([]int, cf.Spines+1)
 	for pi, panel := range cf.Panels {
 		targetMap := targetMaps[pi]
 		backUsed := make([]bool, panel.Ports)
@@ -201,21 +206,38 @@ func (cf *ClosFabric) Rewire(target [][]int) (RewireReport, error) {
 				backUsed[b] = true
 			}
 		}
+		clear(start)
+		for b, s := range cf.backOwner[pi] {
+			if s != -1 && !backUsed[b] {
+				start[s+1]++
+			}
+		}
+		for s := range cf.Spines {
+			start[s+1] += start[s]
+		}
+		backs := make([]int, start[cf.Spines])
+		end := append([]int(nil), start[:cf.Spines]...)
+		for b, s := range cf.backOwner[pi] {
+			if s != -1 && !backUsed[b] {
+				backs[end[s]] = b
+				end[s]++
+			}
+		}
 		need := place[pi]
-		for f := 0; f < panel.Ports; f++ {
-			a := cf.frontOwner[pi][f]
+		for f, a := range cf.frontOwner[pi] {
 			if a == -1 || targetMap[f] != -1 {
 				continue
 			}
-			for b := 0; b < panel.Ports; b++ {
-				s := cf.backOwner[pi][b]
-				if s == -1 || backUsed[b] || need[a][s] == 0 {
-					continue
+			best := -1
+			for s, n := range need[a] {
+				if n > 0 && start[s] < end[s] && (best == -1 || backs[start[s]] < backs[start[best]]) {
+					best = s
 				}
-				targetMap[f] = b
-				backUsed[b] = true
-				need[a][s]--
-				break
+			}
+			if best != -1 {
+				targetMap[f] = backs[start[best]]
+				start[best]++
+				need[a][best]--
 			}
 		}
 		for a := range need {

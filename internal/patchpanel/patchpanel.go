@@ -188,10 +188,14 @@ func (d *Device) PlanReconfigure(target []int) (*Plan, error) {
 		}
 	}
 	plan := &Plan{}
-	pending := map[int]bool{}
+	// pending[f] holds until front f is settled; left counts the fronts
+	// still pending.
+	pending := make([]bool, d.Ports)
+	left := 0
 	for f := range target {
 		if cur[f] != target[f] {
 			pending[f] = true
+			left++
 			switch {
 			case target[f] == -1:
 				plan.Removals++
@@ -208,13 +212,19 @@ func (d *Device) PlanReconfigure(target []int) (*Plan, error) {
 		curBack[b] = -1
 		cur[f] = -1
 	}
+	settle := func(f int) {
+		if pending[f] {
+			pending[f] = false
+			left--
+		}
+	}
 	connect := func(f, b int) {
 		plan.Steps = append(plan.Steps, Step{Op: OpConnect, Front: f, Back: b})
 		cur[f] = b
 		curBack[b] = f
-		delete(pending, f)
+		settle(f)
 	}
-	for len(pending) > 0 {
+	for left > 0 {
 		progressed := false
 		// Deterministic sweep: lowest front first.
 		for f := 0; f < d.Ports; f++ {
@@ -224,7 +234,7 @@ func (d *Device) PlanReconfigure(target []int) (*Plan, error) {
 			tb := target[f]
 			if tb == -1 {
 				disconnect(f)
-				delete(pending, f)
+				settle(f)
 				progressed = true
 				continue
 			}

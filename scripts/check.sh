@@ -249,6 +249,7 @@ if [ "$FUZZTIME" != "0" ]; then
     "FuzzTwinRules          ./internal/twin"
     "FuzzInterchangeLoad    ./internal/interchange"
     "FuzzFreeze             ./internal/graph"
+    "FuzzSweepMatchesReference ./internal/graph"
     "FuzzExecute            ./internal/deploy"
   )
   for entry in "${fuzz_targets[@]}"; do
