@@ -48,9 +48,8 @@ type Model struct {
 	FirstPassYield float64 // P(connection works without rework)
 
 	// --- Stranded capital (§2.3) ---
-	ServerCost        units.USD
-	ServerLifeYears   float64
-	ServersPerToRPort int // servers stranded per unconnected ToR (≈ server ports)
+	ServerCost      units.USD
+	ServerLifeYears float64
 }
 
 // Default returns the reference model. Absolute values are representative
@@ -83,9 +82,8 @@ func Default() *Model {
 
 		FirstPassYield: 0.985,
 
-		ServerCost:        12000,
-		ServerLifeYears:   4,
-		ServersPerToRPort: 1,
+		ServerCost:      12000,
+		ServerLifeYears: 4,
 	}
 }
 

@@ -13,36 +13,24 @@ import (
 	"physdep/internal/twin"
 )
 
-// buildTwinFixture places and plans a k=6 fat-tree and returns the twin.
-func buildTwinFixture() (*placement.Placement, *cabling.Plan, *twin.Model, error) {
+// twinLayout lays out the k=6 fat-tree the twin experiments check.
+func twinLayout() (*placement.Placement, *cabling.Plan, error) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 6, Rate: 100})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(4, 16))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, err := placement.Greedy(ft, f, placement.Config{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m, err := twin.FromNetwork(p, plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return p, plan, m, nil
+	return layout(ft, floorplan.DefaultHall(4, 16))
 }
 
 // E10TwinDryRun plants one violation of each rule class in a valid
 // build's twin, verifies the twin catches every one, and prices the
 // remediation against discovering them at install or live stages.
 func E10TwinDryRun(ctx context.Context) (*Result, error) {
-	_, _, m, err := buildTwinFixture()
+	p, plan, err := twinLayout()
+	if err != nil {
+		return nil, err
+	}
+	m, err := twin.FromNetwork(p, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +201,18 @@ func E14Envelope(ctx context.Context) (*Result, error) {
 	kinds := []twin.Kind{twin.KindSwitch, twin.KindCable, twin.KindBundle,
 		twin.Kind("freespace-optic"), twin.Kind("60ghz-dish"), twin.Kind("robot-arm")}
 	verbs := []twin.Verb{twin.VerbContains, twin.VerbConnects, twin.VerbRoutesThrough, twin.VerbFeeds}
+	// Only the twin is mutated, so every variant starts from one layout.
+	p, plan, err := twinLayout()
+	if err != nil {
+		return nil, err
+	}
 	inEnvelope, outEnvelope, physicsViolations := 0, 0, 0
 	const variants = 500
 	for v := 0; v < variants; v++ {
 		if err := ctx.Err(); err != nil {
 			return nil, physerr.Canceled(err)
 		}
-		_, _, m, err := buildTwinFixture()
+		m, err := twin.FromNetwork(p, plan)
 		if err != nil {
 			return nil, err
 		}

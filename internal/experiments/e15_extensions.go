@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"physdep/internal/cabling"
 	"physdep/internal/costmodel"
 	"physdep/internal/deploy"
 	"physdep/internal/floorplan"
-	"physdep/internal/placement"
 	"physdep/internal/repair"
 	"physdep/internal/topoeng"
 	"physdep/internal/topology"
@@ -182,6 +180,10 @@ func E18RobotCrews(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	p, plan, err := layout(ft, floorplan.DefaultHall(4, 12))
+	if err != nil {
+		return nil, err
+	}
 	human := costmodel.Default()
 	robot := human.RobotCrew()
 	res.Lines = append(res.Lines, fmt.Sprintf("%-8s %6s %12s %12s %10s %8s",
@@ -191,20 +193,8 @@ func E18RobotCrews(ctx context.Context) (*Result, error) {
 		model *costmodel.Model
 		techs int
 	}{{"human", human, 8}, {"robot", robot, 8}, {"robot", robot, 16}} {
-		f, err := floorplan.NewFloorplan(floorplan.DefaultHall(4, 12))
-		if err != nil {
-			return nil, err
-		}
-		p, err := placement.Greedy(ft, f, placement.Config{})
-		if err != nil {
-			return nil, err
-		}
-		plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-		if err != nil {
-			return nil, err
-		}
 		dp := deploy.Build(p, plan, v.model, deploy.BuildOptions{Prebundle: true})
-		s, err := deploy.ExecuteCtx(ctx, dp, v.model, f, deploy.ExecOptions{Techs: v.techs, Seed: 13})
+		s, err := deploy.ExecuteCtx(ctx, dp, v.model, p.Floor, deploy.ExecOptions{Techs: v.techs, Seed: 13})
 		if err != nil {
 			return nil, err
 		}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"physdep/internal/cabling"
 	"physdep/internal/costmodel"
 	"physdep/internal/deploy"
 	"physdep/internal/floorplan"
-	"physdep/internal/placement"
 	"physdep/internal/topology"
 )
 
@@ -27,15 +25,7 @@ func E21HumanFactors(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	m := costmodel.Default()
-	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(4, 12))
-	if err != nil {
-		return nil, err
-	}
-	p, err := placement.Greedy(ft, f, placement.Config{})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
+	p, plan, err := layout(ft, floorplan.DefaultHall(4, 12))
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +40,7 @@ func E21HumanFactors(ctx context.Context) (*Result, error) {
 			cap int
 			dst *float64
 		}{{0, &pt.unlimited}, {2, &pt.cap2}, {1, &pt.cap1}} {
-			s, err := deploy.ExecuteCtx(ctx, dp, m, f, deploy.ExecOptions{
+			s, err := deploy.ExecuteCtx(ctx, dp, m, p.Floor, deploy.ExecOptions{
 				Techs: techs, Seed: 5, YieldOverride: 1, MaxWorkersPerRack: v.cap})
 			if err != nil {
 				return nil, err

@@ -9,7 +9,6 @@ import (
 	"physdep/internal/costmodel"
 	"physdep/internal/deploy"
 	"physdep/internal/floorplan"
-	"physdep/internal/placement"
 	"physdep/internal/topology"
 	"physdep/internal/units"
 )
@@ -72,34 +71,22 @@ func E2MediaCrossover(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// e8Fixture deploys a mid-size fat-tree twice: once with pre-built
-// bundles, once pulling every cable individually.
+// e8Fixture deploys a mid-size fat-tree twice from one layout: once with
+// pre-built bundles, once pulling every cable individually.
 func e8Fixture(ctx context.Context) (withB, withoutB deploy.Schedule, model *costmodel.Model, err error) {
 	model = costmodel.Default()
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 8, Rate: 100})
 	if err != nil {
 		return
 	}
-	hall := floorplan.DefaultHall(4, 12)
+	p, plan, err := layout(ft, floorplan.DefaultHall(4, 12))
+	if err != nil {
+		return
+	}
 	for _, pre := range []bool{true, false} {
-		var f *floorplan.Floorplan
-		f, err = floorplan.NewFloorplan(hall)
-		if err != nil {
-			return
-		}
-		var p *placement.Placement
-		p, err = placement.Greedy(ft, f, placement.Config{})
-		if err != nil {
-			return
-		}
-		var plan *cabling.Plan
-		plan, err = cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-		if err != nil {
-			return
-		}
 		dp := deploy.Build(p, plan, model, deploy.BuildOptions{Prebundle: pre})
 		var s deploy.Schedule
-		s, err = deploy.ExecuteCtx(ctx, dp, model, f, deploy.ExecOptions{Techs: 8, Seed: 7})
+		s, err = deploy.ExecuteCtx(ctx, dp, model, p.Floor, deploy.ExecOptions{Techs: 8, Seed: 7})
 		if err != nil {
 			return
 		}

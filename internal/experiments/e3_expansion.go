@@ -150,7 +150,7 @@ func E5IndirectionBenefit(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		panelLabor := units.Minutes(float64(m.JumperMove) * float64(rep.Steps)).Hours()
+		panelLabor := rep.LaborMinutes(m.JumperMove).Hours()
 		res.Lines = append(res.Lines, fmt.Sprintf("%-18s %8d %14d %12d %12.1f",
 			fmt.Sprintf("panels+%d", add), add, rep.JumperMoves, rep.PanelsTouched,
 			float64(panelLabor)))

@@ -123,25 +123,9 @@ func ES2FleetScale(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// idealAlpha's formula over the sampled mean: re-running the
-		// exhaustive sweep it performs is the very thing this band cannot
-		// afford, and capacity is an O(E) sum.
-		capacity := 0.0
-		for _, e := range t.Edges {
-			if e.U == -1 {
-				continue
-			}
-			c := e.Cap
-			if c == 0 {
-				c = 1
-			}
-			capacity += 2 * c
-		}
-		demand := float64(escaleRadix-16) * 100 * float64(n)
-		ideal := 0.0
-		if st.ToRMean > 0 {
-			ideal = capacity / (demand * st.ToRMean)
-		}
+		// The bound over the sampled mean: an exhaustive sweep is the very
+		// thing this band cannot afford.
+		ideal := idealAlpha(t, float64(escaleRadix-16)*100*float64(n), st.ToRMean)
 		res.Lines = append(res.Lines, escaleRow(t, st)+fmt.Sprintf(" %8.3f", ideal))
 	}
 	return res, nil

@@ -12,9 +12,13 @@ import (
 	"runtime"
 	"strings"
 
+	"physdep/internal/cabling"
+	"physdep/internal/floorplan"
 	"physdep/internal/obs"
 	"physdep/internal/par"
 	"physdep/internal/physerr"
+	"physdep/internal/placement"
+	"physdep/internal/topology"
 )
 
 // Result is one regenerated table.
@@ -173,4 +177,24 @@ func RunManyCtx(ctx context.Context, ids []string) []Outcome {
 		}
 	}
 	return out
+}
+
+// layout places t greedily into an empty floorplan of hall and plans its
+// cables against the default catalog; p.Floor is the floorplan. Twin
+// construction, deploy.Build and deploy.ExecuteCtx only read a layout, so
+// an experiment lays out each fabric once and reuses it across variants.
+func layout(t *topology.Topology, hall floorplan.Hall) (*placement.Placement, *cabling.Plan, error) {
+	f, err := floorplan.NewFloorplan(hall)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := placement.Greedy(t, f, placement.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, plan, nil
 }

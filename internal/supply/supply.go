@@ -39,21 +39,11 @@ func AssessVendorLoss(f *floorplan.Floorplan, cat *cabling.Catalog,
 	for _, c := range base.Cables {
 		baseSpec[c.Demand.ID] = c.Spec.Name
 	}
-	var feasible []cabling.Demand
-	for _, d := range demands {
-		// The baseline plan above already validated every demand's
-		// locations, so this re-route cannot fail; the check keeps the
-		// no-panic contract if that ever changes.
-		route, rerr := f.RouteBetween(d.From, d.To)
-		if rerr != nil {
-			return Impact{}, fmt.Errorf("supply: demand %d: %w", d.ID, rerr)
-		}
-		if _, err := cat.SelectFiltered(d.Rate, route.Length, d.ExtraLoss, keep); err != nil {
-			imp.Infeasible = append(imp.Infeasible, d.ID)
-			continue
-		}
-		feasible = append(feasible, d)
+	feasible, infeasible, err := splitServable(f, cat, demands, keep)
+	if err != nil {
+		return Impact{}, err
 	}
+	imp.Infeasible = infeasible
 	if len(feasible) == 0 {
 		return imp, nil
 	}
@@ -132,18 +122,11 @@ func FungibilityTax(f *floorplan.Floorplan, cat *cabling.Catalog,
 	}
 	baseline = base.Summarize().MaterialCost
 	env := SecondBestCatalog(cat)
-	var feasible []cabling.Demand
-	for _, d := range demands {
-		route, rerr := f.RouteBetween(d.From, d.To)
-		if rerr != nil {
-			return 0, 0, 0, fmt.Errorf("supply: demand %d: %w", d.ID, rerr)
-		}
-		if _, serr := env.Select(d.Rate, route.Length, d.ExtraLoss); serr != nil {
-			infeasible++
-			continue
-		}
-		feasible = append(feasible, d)
+	feasible, unservable, err := splitServable(f, env, demands, nil)
+	if err != nil {
+		return 0, 0, 0, err
 	}
+	infeasible = len(unservable)
 	if len(feasible) > 0 {
 		ep, perr := cabling.PlanCables(f, env, feasible, cabling.Options{})
 		if perr != nil {
@@ -152,4 +135,25 @@ func FungibilityTax(f *floorplan.Floorplan, cat *cabling.Catalog,
 		envelope = ep.Summarize().MaterialCost
 	}
 	return baseline, envelope, infeasible, nil
+}
+
+// splitServable routes each demand and splits the set by whether cat has
+// media, restricted to specs keep accepts (nil keeps all), for its route:
+// servable demands in input order, and the IDs of the rest. The callers'
+// baseline plans have already validated every demand's locations, so a
+// routing error here only keeps the no-panic contract.
+func splitServable(f *floorplan.Floorplan, cat *cabling.Catalog, demands []cabling.Demand,
+	keep func(cabling.Spec) bool) (servable []cabling.Demand, unservable []int, err error) {
+	for _, d := range demands {
+		route, err := f.RouteBetween(d.From, d.To)
+		if err != nil {
+			return nil, nil, fmt.Errorf("supply: demand %d: %w", d.ID, err)
+		}
+		if _, err := cat.SelectFiltered(d.Rate, route.Length, d.ExtraLoss, keep); err != nil {
+			unservable = append(unservable, d.ID)
+			continue
+		}
+		servable = append(servable, d)
+	}
+	return servable, unservable, nil
 }

@@ -25,6 +25,12 @@ type DegradationPoint struct {
 // tolerate large numbers of concurrent failures" made measurable. Trials
 // where the ToR set disconnects score α = 0 and are counted.
 //
+// A trial that removes no link (a fraction that rounds to zero kills)
+// sees the whole fabric, which is the same every time: the first such
+// trial of the sweep solves it, and every later one reuses its α and its
+// disconnected verdict. The sums are the same floats in the same order
+// as solving each trial.
+//
 // The context is polled before each trial is started (hand-out
 // semantics, DESIGN.md §9 — a trial in flight runs to completion) and
 // threads into the KSP water-fill, so a deadline interrupts a long sweep
@@ -44,6 +50,11 @@ func FailureDegradationCtx(ctx context.Context, t *topology.Topology, m Matrix,
 		}
 	}
 	var out []DegradationPoint
+	// whole is the zero-kill trial's outcome, once one has been solved.
+	var whole struct {
+		solved, connected bool
+		alpha             float64
+	}
 	for _, frac := range fracs {
 		if frac < 0 || frac >= 1 {
 			return nil, fmt.Errorf("trafficsim: failure fraction %v out of [0,1)", frac)
@@ -56,24 +67,32 @@ func FailureDegradationCtx(ctx context.Context, t *topology.Topology, m Matrix,
 					return nil, physerr.Canceled(err)
 				}
 			}
-			rng := rand.New(rand.NewPCG(seed, uint64(trial)<<16|uint64(kill)))
-			c := t.CloneTopology()
-			perm := rng.Perm(len(live))
-			for i := 0; i < kill; i++ {
-				c.RemoveEdge(live[perm[i]])
+			alpha, connected := whole.alpha, whole.connected
+			if kill > 0 || !whole.solved {
+				rng := rand.New(rand.NewPCG(seed, uint64(trial)<<16|uint64(kill)))
+				c := t.CloneTopology()
+				perm := rng.Perm(len(live))
+				for i := 0; i < kill; i++ {
+					c.RemoveEdge(live[perm[i]])
+				}
+				alpha = 0
+				connected = torsConnected(c)
+				if connected {
+					var err error
+					if useKSP {
+						alpha, err = KSPThroughputCtx(ctx, c, m, JellyfishK)
+					} else {
+						alpha, err = ECMPThroughput(c, m)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("trafficsim: degraded trial %d at %v: %w", trial, frac, err)
+					}
+				}
+				if kill == 0 {
+					whole.solved, whole.connected, whole.alpha = true, connected, alpha
+				}
 			}
-			alpha := 0.0
-			if torsConnected(c) {
-				var err error
-				if useKSP {
-					alpha, err = KSPThroughputCtx(ctx, c, m, JellyfishK)
-				} else {
-					alpha, err = ECMPThroughput(c, m)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("trafficsim: degraded trial %d at %v: %w", trial, frac, err)
-				}
-			} else {
+			if !connected {
 				pt.Disconnected++
 			}
 			pt.MeanAlpha += alpha

@@ -219,6 +219,12 @@ else
   go run ./scripts/benchgate
 fi
 
+echo "== batch record (every experiment's wall time and allocs at one worker)"
+# Log only: one serial run of the whole batch puts each experiment's
+# span (wall time, allocs, bytes) in the log, the per-experiment numbers
+# ROADMAP's batch line quotes. A failed run still fails the gate.
+go run ./cmd/experiments -workers 1 -trace 2>&1 >/dev/null | grep 'experiment:'
+
 echo "== fleet evaluate (one 4k-switch core.EvaluateCtx, BenchmarkEvaluateFleet)"
 # One full evaluation of a 4,000-switch flat fabric in a 50×200 hall
 # keeps the fleet-scale path compiling and running, and puts its time on
