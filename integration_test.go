@@ -136,7 +136,11 @@ func TestVendorLossEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := cabling.SecondSourceCatalog()
-	imp, err := supply.AssessVendorLoss(f, cat, p.Demands(nil), "acme")
+	base, err := cabling.PlanCables(f, cat, p.Demands(nil), cabling.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp, err := supply.AssessVendorLoss(f, cat, base, p.Demands(nil), "acme")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,20 +116,25 @@ func E12Fungibility(ctx context.Context) (*Result, error) {
 	cat := cabling.SecondSourceCatalog()
 	res.Lines = append(res.Lines, fmt.Sprintf("%-22s %10s %12s %12s %10s",
 		"scenario", "demands", "infeasible", "cost_$", "delta%"))
-	base, err := supply.AssessVendorLoss(f, cat, demands, "nobody")
+	// One unconstrained plan is the baseline of every scenario below.
+	plan, err := cabling.PlanCables(f, cat, demands, cabling.Options{})
+	if err != nil {
+		return nil, err
+	}
+	base, err := supply.AssessVendorLoss(f, cat, plan, demands, "nobody")
 	if err != nil {
 		return nil, err
 	}
 	res.Lines = append(res.Lines, fmt.Sprintf("%-22s %10d %12d %12.0f %10s",
 		"both-vendors", base.Demands, 0, float64(base.BaselineCost), "-"))
-	lost, err := supply.AssessVendorLoss(f, cat, demands, "acme")
+	lost, err := supply.AssessVendorLoss(f, cat, plan, demands, "acme")
 	if err != nil {
 		return nil, err
 	}
 	delta := 100 * float64(lost.CostDelta) / float64(lost.BaselineCost)
 	res.Lines = append(res.Lines, fmt.Sprintf("%-22s %10d %12d %12.0f %9.1f%%",
 		"lose-primary(acme)", lost.Demands, len(lost.Infeasible), float64(lost.ConstrainedCost), delta))
-	baseline, envelope, infeasible, err := supply.FungibilityTax(f, cat, demands)
+	baseline, envelope, infeasible, err := supply.FungibilityTax(f, cat, plan, demands)
 	if err != nil {
 		return nil, err
 	}

@@ -426,16 +426,12 @@ func (g *Graph) AllPairsStatsCtx(ctx context.Context, nodes []int) (PathStats, e
 }
 
 // Connected reports whether all nodes are mutually reachable. The empty
-// graph is connected.
+// graph is connected. The BFS queue holds each node it reaches once, so
+// it never outgrows its N slots, which share one allocation with dist.
 func (g *Graph) Connected() bool {
 	if g.N == 0 {
 		return true
 	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
+	buf := make([]int, 2*g.N)
+	return len(g.BFSInto(0, buf[:g.N], buf[g.N:g.N])) == g.N
 }

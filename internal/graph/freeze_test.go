@@ -145,6 +145,36 @@ func TestAddNodesRowCapacity(t *testing.T) {
 	checkFrozen(t, g)
 }
 
+// TestReserveCutsRowsFromOneSlab adds three tiers of different degree
+// after one Reserve and checks that every row is its window of the
+// reserved slab, and that filling the rows and the edge list moves
+// neither: the build reallocates nothing.
+func TestReserveCutsRowsFromOneSlab(t *testing.T) {
+	g := New(0)
+	g.Reserve(5, 8, 4)
+	slab := g.spare
+	g.AddNodes(2, 2)
+	g.AddNodes(2, 1)
+	g.AddNodes(1, 2)
+	edges := &g.Edges[:1][0]
+	for _, e := range [][2]int{{0, 1}, {0, 4}, {1, 2}, {3, 4}} {
+		g.AddEdge(e[0], e[1], 1)
+	}
+	if &g.Edges[0] != edges {
+		t.Error("AddEdge reallocated the reserved edge list")
+	}
+	offsets := []int{0, 2, 4, 5, 6}
+	for u, off := range offsets {
+		if row := g.adj[u]; &row[0] != &slab[off] || len(row) != cap(row) {
+			t.Errorf("row %d (%v, cap %d) is not its full window at slab offset %d", u, row, cap(row), off)
+		}
+	}
+	if len(g.spare) != 0 {
+		t.Errorf("%d reserved slots left over, want 0", len(g.spare))
+	}
+	checkFrozen(t, g)
+}
+
 // FuzzFreeze decodes the input into additions and removals over at most
 // eight nodes, with optional freezes in between, and checks every frozen
 // snapshot against the live graph. The first byte sets the node count;

@@ -49,6 +49,7 @@ type Graph struct {
 	N     int
 	Edges []Edge
 	adj   [][]int // adj[u] = edge IDs incident to u; self-loops appear twice
+	spare []int   // the slab Reserve set aside, less the rows AddNodes cut
 	// snap caches the frozen CSR view of adj (see Freeze in csr.go). It is
 	// atomic so read-only kernels may freeze lazily while other goroutines
 	// are reading; every mutation clears it.
@@ -73,23 +74,38 @@ func (g *Graph) AddNode() int {
 	return g.N - 1
 }
 
-// AddNodes appends n nodes for a generator that knows their degree: their
-// adjacency rows are windows of one slab, each with capacity deg, and
-// room for n*deg/2 edges is reserved. Rows are three-index slices, so a
-// row that outgrows deg reallocates itself and never writes into its
-// neighbour's window. It panics on negative n or deg, an invariant
-// breach like New's.
+// Reserve readies g for a build whose size the caller knows: nodes more
+// nodes whose adjacency rows hold slots edge IDs in all, and edges more
+// edges. AddNodes then cuts its rows from one slab and neither it nor
+// AddEdge reallocates until the reservation is spent. It panics on a
+// negative count, an invariant breach like New's.
+func (g *Graph) Reserve(nodes, slots, edges int) {
+	if nodes < 0 || slots < 0 || edges < 0 {
+		panic(fmt.Sprintf("graph: Reserve(%d, %d, %d): negative count", nodes, slots, edges))
+	}
+	g.adj = slices.Grow(g.adj, nodes)
+	g.Edges = slices.Grow(g.Edges, edges)
+	g.spare = make([]int, slots)
+}
+
+// AddNodes appends n nodes for a generator that knows their degree: each
+// adjacency row is a window of capacity deg, cut from the slab Reserve
+// set aside or, once that runs short, from a fresh one. Rows are
+// three-index slices, so a row that outgrows deg reallocates itself and
+// never writes into its neighbour's window. It panics on negative n or
+// deg, an invariant breach like New's.
 func (g *Graph) AddNodes(n, deg int) {
 	if n < 0 || deg < 0 {
 		panic(fmt.Sprintf("graph: AddNodes(%d, %d): negative count", n, deg))
 	}
 	g.invalidateSnapshot()
-	slab := make([]int, n*deg)
-	g.adj = slices.Grow(g.adj, n)
-	for i := 0; i < n; i++ {
-		g.adj = append(g.adj, slab[i*deg:i*deg:(i+1)*deg])
+	if len(g.spare) < n*deg {
+		g.spare = make([]int, n*deg)
 	}
-	g.Edges = slices.Grow(g.Edges, n*deg/2)
+	for i := 0; i < n; i++ {
+		g.adj = append(g.adj, g.spare[i*deg:i*deg:(i+1)*deg])
+	}
+	g.spare = g.spare[n*deg:]
 	g.N += n
 }
 

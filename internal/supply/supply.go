@@ -24,15 +24,13 @@ type Impact struct {
 }
 
 // AssessVendorLoss replans the given demands with the named vendor's
-// parts excluded and compares against the unconstrained plan. Infeasible
+// parts excluded and compares against base, the unconstrained plan of
+// the same demands (cabling.PlanCables(f, cat, demands, Options{})),
+// which the caller plans once for every scenario it assesses. Infeasible
 // demands are collected rather than failing fast: the report is the
 // point.
-func AssessVendorLoss(f *floorplan.Floorplan, cat *cabling.Catalog,
+func AssessVendorLoss(f *floorplan.Floorplan, cat *cabling.Catalog, base *cabling.Plan,
 	demands []cabling.Demand, lostVendor string) (Impact, error) {
-	base, err := cabling.PlanCables(f, cat, demands, cabling.Options{})
-	if err != nil {
-		return Impact{}, fmt.Errorf("supply: baseline plan: %w", err)
-	}
 	imp := Impact{Demands: len(demands), BaselineCost: base.Summarize().MaterialCost}
 	keep := func(s cabling.Spec) bool { return s.Vendor != lostVendor }
 	baseSpec := map[int]string{}
@@ -112,14 +110,11 @@ func SecondBestCatalog(cat *cabling.Catalog) *cabling.Catalog {
 }
 
 // FungibilityTax compares material cost of a demand set planned against
-// the full catalog vs the second-best envelope — the premium paid for
-// being able to buy from anyone.
-func FungibilityTax(f *floorplan.Floorplan, cat *cabling.Catalog,
+// the full catalog (base, as AssessVendorLoss takes it) vs the
+// second-best envelope — the premium paid for being able to buy from
+// anyone.
+func FungibilityTax(f *floorplan.Floorplan, cat *cabling.Catalog, base *cabling.Plan,
 	demands []cabling.Demand) (baseline, envelope units.USD, infeasible int, err error) {
-	base, err := cabling.PlanCables(f, cat, demands, cabling.Options{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	baseline = base.Summarize().MaterialCost
 	env := SecondBestCatalog(cat)
 	feasible, unservable, err := splitServable(f, env, demands, nil)

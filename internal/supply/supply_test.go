@@ -26,11 +26,22 @@ func demandsAt(lengths []struct{ r1, s1, r2, s2 int }) []cabling.Demand {
 	return ds
 }
 
+// basePlan is the unconstrained plan AssessVendorLoss and FungibilityTax
+// compare against.
+func basePlan(t *testing.T, f *floorplan.Floorplan, cat *cabling.Catalog, ds []cabling.Demand) *cabling.Plan {
+	t.Helper()
+	p, err := cabling.PlanCables(f, cat, ds, cabling.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestAssessVendorLossNoAlternative(t *testing.T) {
 	f := newFloor(t)
 	cat := cabling.DefaultCatalog() // single vendor "acme"
 	ds := demandsAt([]struct{ r1, s1, r2, s2 int }{{0, 0, 0, 1}, {0, 0, 3, 9}})
-	imp, err := AssessVendorLoss(f, cat, ds, "acme")
+	imp, err := AssessVendorLoss(f, cat, basePlan(t, f, cat, ds), ds, "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +54,7 @@ func TestAssessVendorLossWithSecondSource(t *testing.T) {
 	f := newFloor(t)
 	cat := cabling.SecondSourceCatalog()
 	ds := demandsAt([]struct{ r1, s1, r2, s2 int }{{0, 0, 0, 1}, {0, 0, 3, 9}, {1, 2, 1, 3}})
-	imp, err := AssessVendorLoss(f, cat, ds, "acme")
+	imp, err := AssessVendorLoss(f, cat, basePlan(t, f, cat, ds), ds, "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +74,7 @@ func TestAssessVendorLossOfUnusedVendor(t *testing.T) {
 	cat := cabling.SecondSourceCatalog()
 	ds := demandsAt([]struct{ r1, s1, r2, s2 int }{{0, 0, 0, 2}})
 	// Losing "bolt" (never the cheapest) changes nothing.
-	imp, err := AssessVendorLoss(f, cat, ds, "bolt")
+	imp, err := AssessVendorLoss(f, cat, basePlan(t, f, cat, ds), ds, "bolt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +116,7 @@ func TestFungibilityTax(t *testing.T) {
 	ds := demandsAt([]struct{ r1, s1, r2, s2 int }{
 		{0, 0, 0, 1}, {0, 2, 1, 5}, {2, 0, 3, 9},
 	})
-	baseline, envelope, infeasible, err := FungibilityTax(f, cat, ds)
+	baseline, envelope, infeasible, err := FungibilityTax(f, cat, basePlan(t, f, cat, ds), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

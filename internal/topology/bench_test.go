@@ -3,6 +3,7 @@ package topology
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +16,52 @@ func BenchmarkFlatRandom(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := FlatRandom(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// generatorShape is one build the daemon benchmark makes on a miss, with
+// the allocation ceiling TestGeneratorAllocs holds it to: 5% above the
+// count the bulk build makes (9, 16, 11, 15 and 16 in the order below,
+// go1.24.0).
+type generatorShape struct {
+	name   string
+	build  func() (*Topology, error)
+	allocs float64
+}
+
+// generatorShapes are the fat-tree, both Jellyfish sizes and the Xpander
+// of the evaluate-miss workload, and serve-hot's smallest Jellyfish.
+var generatorShapes = []generatorShape{
+	{"fattree/k=8", func() (*Topology, error) { return FatTree(FatTreeConfig{K: 8, Rate: 100}) }, 9.45},
+	{"jellyfish/n=64", func() (*Topology, error) {
+		return Jellyfish(JellyfishConfig{N: 64, K: 16, R: 8, Rate: 100, Seed: 1})
+	}, 16.8},
+	{"xpander/d=8,lift=8", func() (*Topology, error) {
+		return Xpander(XpanderConfig{D: 8, Lift: 8, ServerPorts: 8, Rate: 100, Seed: 1})
+	}, 11.55},
+	{"jellyfish/n=96", func() (*Topology, error) {
+		return Jellyfish(JellyfishConfig{N: 96, K: 16, R: 8, Rate: 100, Seed: 1})
+	}, 15.75},
+	{"jellyfish/n=20", func() (*Topology, error) {
+		return Jellyfish(JellyfishConfig{N: 20, K: 8, R: 4, Rate: 100, Seed: 1})
+	}, 16.8},
+}
+
+// BenchmarkGenerators builds each of generatorShapes, plus a 2,000-switch
+// Jellyfish whose wiring time the open-list upkeep dominates.
+func BenchmarkGenerators(b *testing.B) {
+	shapes := append(slices.Clip(generatorShapes), generatorShape{"jellyfish/n=2000", func() (*Topology, error) {
+		return Jellyfish(JellyfishConfig{N: 2000, K: 16, R: 8, Rate: 100, Seed: 1})
+	}, 0})
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.build(); err != nil {
 					b.Fatal(err)
 				}
 			}

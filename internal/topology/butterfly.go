@@ -31,11 +31,13 @@ func FlattenedButterfly(cfg FlattenedButterflyConfig) (*Topology, error) {
 		n *= cfg.C
 	}
 	netDeg := cfg.Dims * (cfg.C - 1)
-	t := NewTopology(fmt.Sprintf("flatbutterfly-c%d-d%d", cfg.C, cfg.Dims))
-	for i := 0; i < n; i++ {
-		t.AddSwitch(Node{Role: RoleToR, Radix: netDeg + cfg.ServerPorts, Rate: cfg.Rate,
-			ServerPorts: cfg.ServerPorts, Pod: i / cfg.C, Label: fmt.Sprintf("tor-%d", i)})
-	}
+	t := newFabric(fmt.Sprintf("flatbutterfly-c%d-d%d", cfg.C, cfg.Dims), n*netDeg/2, func(f *fabric) {
+		sw := f.switches(n, netDeg, Node{Role: RoleToR, Radix: netDeg + cfg.ServerPorts, Rate: cfg.Rate,
+			ServerPorts: cfg.ServerPorts}, "tor-")
+		for i := range sw {
+			sw[i].Pod = i / cfg.C
+		}
+	})
 	// Connect switches differing in exactly one base-C digit.
 	stride := 1
 	for d := 0; d < cfg.Dims; d++ {
@@ -51,5 +53,5 @@ func FlattenedButterfly(cfg FlattenedButterflyConfig) (*Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }

@@ -21,37 +21,36 @@ func FatTree(cfg FatTreeConfig) (*Topology, error) {
 		return nil, err
 	}
 	k := cfg.K
-	t := NewTopology(fmt.Sprintf("fattree-k%d", k))
 	half := k / 2
-	// Core switches: (k/2)² arranged in half groups of half.
-	core := make([]int, half*half)
-	for i := range core {
-		core[i] = t.AddSwitch(Node{Role: RoleCore, Radix: k, Rate: cfg.Rate, Pod: -1,
-			Label: fmt.Sprintf("core-%d", i)})
-	}
+	// Node IDs: the (k/2)² cores, then per pod its k/2 aggregation
+	// switches followed by its k/2 ToRs.
+	t := newFabric(fmt.Sprintf("fattree-k%d", k), k*k*k/2, func(f *fabric) {
+		f.switches(half*half, k, Node{Role: RoleCore, Radix: k, Rate: cfg.Rate, Pod: -1}, "core-")
+		for p := 0; p < k; p++ {
+			f.switches(half, k, Node{Role: RoleAgg, Radix: k, Rate: cfg.Rate, Pod: p}, "agg-", p)
+			f.switches(half, half, Node{Role: RoleToR, Radix: k, Rate: cfg.Rate, Pod: p,
+				ServerPorts: half}, "tor-", p)
+		}
+	})
 	for p := 0; p < k; p++ {
-		aggs := make([]int, half)
+		agg := half*half + p*k // pod p's first aggregation switch
+		// Aggregation switch a in each pod connects to core group a
+		// (cores a*half .. a*half+half-1).
 		for a := 0; a < half; a++ {
-			aggs[a] = t.AddSwitch(Node{Role: RoleAgg, Radix: k, Rate: cfg.Rate, Pod: p,
-				Label: fmt.Sprintf("agg-%d-%d", p, a)})
-			// Aggregation switch a in each pod connects to core group a
-			// (cores a*half .. a*half+half-1).
 			for c := 0; c < half; c++ {
-				t.Link(aggs[a], core[a*half+c])
+				t.Link(agg+a, a*half+c)
 			}
 		}
 		for e := 0; e < half; e++ {
-			tor := t.AddSwitch(Node{Role: RoleToR, Radix: k, Rate: cfg.Rate, Pod: p,
-				ServerPorts: half, Label: fmt.Sprintf("tor-%d-%d", p, e)})
-			for _, a := range aggs {
-				t.Link(tor, a)
+			for a := 0; a < half; a++ {
+				t.Link(agg+half+e, agg+a)
 			}
 		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 // LeafSpineConfig parameterizes a 2-tier leaf–spine fabric.
@@ -73,23 +72,28 @@ func LeafSpine(cfg LeafSpineConfig) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := NewTopology(fmt.Sprintf("leafspine-%dx%d", cfg.Leaves, cfg.Spines))
-	spines := make([]int, cfg.Spines)
-	for s := range spines {
-		spines[s] = t.AddSwitch(Node{Role: RoleSpine, Radix: cfg.SpineRadix, Rate: cfg.Rate,
-			Pod: -1, Label: fmt.Sprintf("spine-%d", s)})
-	}
+	// A spine's row holds the average uplink load; the round-robin deal
+	// can leave a few spines one or more links over it, and their rows
+	// grow on their own.
+	spineDeg := (cfg.Leaves*cfg.UplinksPerTor + cfg.Spines - 1) / cfg.Spines
+	t := newFabric(fmt.Sprintf("leafspine-%dx%d", cfg.Leaves, cfg.Spines), cfg.Leaves*cfg.UplinksPerTor, func(f *fabric) {
+		f.switches(cfg.Spines, spineDeg, Node{Role: RoleSpine, Radix: cfg.SpineRadix, Rate: cfg.Rate,
+			Pod: -1}, "spine-")
+		leaves := f.switches(cfg.Leaves, cfg.UplinksPerTor, Node{Role: RoleToR, Radix: cfg.LeafRadix,
+			Rate: cfg.Rate, ServerPorts: cfg.ServerPorts}, "leaf-")
+		for l := range leaves {
+			leaves[l].Pod = l
+		}
+	})
 	for l := 0; l < cfg.Leaves; l++ {
-		leaf := t.AddSwitch(Node{Role: RoleToR, Radix: cfg.LeafRadix, Rate: cfg.Rate,
-			ServerPorts: cfg.ServerPorts, Pod: l, Label: fmt.Sprintf("leaf-%d", l)})
 		for u := 0; u < cfg.UplinksPerTor; u++ {
-			t.Link(leaf, spines[(l+u)%cfg.Spines])
+			t.Link(cfg.Spines+l, (l+u)%cfg.Spines)
 		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 // VL2Config parameterizes the VL2 fabric (Greenberg et al. SIGCOMM'09):
@@ -108,32 +112,36 @@ func VL2(cfg VL2Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := NewTopology(fmt.Sprintf("vl2-da%d-di%d", cfg.DA, cfg.DI))
 	nAgg := cfg.DI
 	nInt := cfg.DA / 2
 	nToR := cfg.DA * cfg.DI / 4
-	ints := make([]int, nInt)
-	for i := range ints {
-		ints[i] = t.AddSwitch(Node{Role: RoleIntermediate, Radix: cfg.DI, Rate: cfg.Rate,
-			Pod: -1, Label: fmt.Sprintf("int-%d", i)})
-	}
-	aggs := make([]int, nAgg)
-	for a := range aggs {
-		aggs[a] = t.AddSwitch(Node{Role: RoleAgg, Radix: cfg.DA, Rate: cfg.Rate,
-			Pod: a, Label: fmt.Sprintf("agg-%d", a)})
-		for _, i := range ints {
-			t.Link(aggs[a], i)
+	// Node IDs: intermediates, then aggregation switches, then ToRs. The
+	// ToRs' 2·nToR = DA·DI/2 uplinks deal evenly onto the DI
+	// aggregation switches, DA/2 each.
+	t := newFabric(fmt.Sprintf("vl2-da%d-di%d", cfg.DA, cfg.DI), nAgg*nInt+2*nToR, func(f *fabric) {
+		f.switches(nInt, nAgg, Node{Role: RoleIntermediate, Radix: cfg.DI, Rate: cfg.Rate, Pod: -1}, "int-")
+		aggs := f.switches(nAgg, nInt+cfg.DA/2, Node{Role: RoleAgg, Radix: cfg.DA, Rate: cfg.Rate}, "agg-")
+		for a := range aggs {
+			aggs[a].Pod = a
+		}
+		tors := f.switches(nToR, 2, Node{Role: RoleToR, Radix: cfg.ServerPorts + 2, Rate: cfg.Rate,
+			ServerPorts: cfg.ServerPorts}, "tor-")
+		for r := range tors {
+			tors[r].Pod = r % nAgg
+		}
+	})
+	for a := 0; a < nAgg; a++ {
+		for i := 0; i < nInt; i++ {
+			t.Link(nInt+a, i)
 		}
 	}
 	for r := 0; r < nToR; r++ {
-		tor := t.AddSwitch(Node{Role: RoleToR, Radix: cfg.ServerPorts + 2, Rate: cfg.Rate,
-			ServerPorts: cfg.ServerPorts, Pod: r % nAgg, Label: fmt.Sprintf("tor-%d", r)})
 		// Dual-home to two consecutive aggregation switches.
-		t.Link(tor, aggs[(2*r)%nAgg])
-		t.Link(tor, aggs[(2*r+1)%nAgg])
+		t.Link(nInt+nAgg+r, nInt+(2*r)%nAgg)
+		t.Link(nInt+nAgg+r, nInt+(2*r+1)%nAgg)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }

@@ -28,19 +28,18 @@ func FatClique(cfg FatCliqueConfig) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := NewTopology(fmt.Sprintf("fatclique-%dx%dx%d", cfg.Ks, cfg.Kb, cfg.Kf))
 	netDeg := (cfg.Ks - 1) + (cfg.Kb - 1) + (cfg.Kf - 1)
+	n := cfg.Kf * cfg.Kb * cfg.Ks
 	// id(f, b, s) = ((f*Kb)+b)*Ks + s
 	id := func(f, b, s int) int { return (f*cfg.Kb+b)*cfg.Ks + s }
-	for f := 0; f < cfg.Kf; f++ {
-		for b := 0; b < cfg.Kb; b++ {
-			for s := 0; s < cfg.Ks; s++ {
-				t.AddSwitch(Node{Role: RoleToR, Radix: netDeg + cfg.ServerPorts,
-					Rate: cfg.Rate, ServerPorts: cfg.ServerPorts, Pod: f,
-					Label: fmt.Sprintf("sw-%d-%d-%d", f, b, s)})
+	t := newFabric(fmt.Sprintf("fatclique-%dx%dx%d", cfg.Ks, cfg.Kb, cfg.Kf), n*netDeg/2, func(fb *fabric) {
+		for f := 0; f < cfg.Kf; f++ {
+			for b := 0; b < cfg.Kb; b++ {
+				fb.switches(cfg.Ks, netDeg, Node{Role: RoleToR, Radix: netDeg + cfg.ServerPorts,
+					Rate: cfg.Rate, ServerPorts: cfg.ServerPorts, Pod: f}, "sw-", f, b)
 			}
 		}
-	}
+	})
 	// Level 1: intra-sub-block full mesh.
 	for f := 0; f < cfg.Kf; f++ {
 		for b := 0; b < cfg.Kb; b++ {
@@ -82,5 +81,5 @@ func FatClique(cfg FatCliqueConfig) (*Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }

@@ -3,8 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
-	"strconv"
-	"strings"
 
 	"physdep/internal/physerr"
 	"physdep/internal/units"
@@ -102,20 +100,15 @@ func FlatRandom(cfg FlatRandomConfig) (*Topology, error) {
 }
 
 // wireFlatRandom runs one stub-matching attempt. The fabric is built
-// into its final shape: AddNodes gives every switch an adjacency row of
-// capacity R, the labels tor-0 … tor-(N−1) are windows of one string, and
-// a node-ID neighbour table answers "is u–v already a link?" and "is the
-// fabric connected?" without touching edge records.
-func wireFlatRandom(cfg FlatRandomConfig, rng *rand.Rand) (*flatWiring, error) {
-	t := NewTopology(fmt.Sprintf("flatrandom-n%d-r%d", cfg.N, cfg.R))
-	t.AddNodes(cfg.N, cfg.R)
-	t.Nodes = make([]Node, cfg.N)
-	for i := range t.Nodes {
-		t.Nodes[i] = Node{ID: i, Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
-			ServerPorts: cfg.K - cfg.R, Pod: -1}
-	}
-	labelNodes(t.Nodes, "tor-")
-	w := &flatWiring{t: t, r: cfg.R, nb: make([]int32, cfg.N*cfg.R), deg: make([]int32, cfg.N)}
+// into its final shape (newFabric), and a node-ID neighbour table answers
+// "is u–v already a link?" and "is the fabric connected?" without
+// touching edge records.
+func wireFlatRandom(cfg FlatRandomConfig, rng *rand.Rand) (*wiring, error) {
+	f := newFabric(fmt.Sprintf("flatrandom-n%d-r%d", cfg.N, cfg.R), cfg.N*cfg.R/2, func(f *fabric) {
+		f.switches(cfg.N, cfg.R, Node{Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
+			ServerPorts: cfg.K - cfg.R, Pod: -1}, "tor-")
+	})
+	w := newWiring(&f.Topology, cfg.R)
 	// Each node contributes R stubs; one shuffle, then pair consecutive
 	// stubs. Pairs that would self-loop or duplicate an existing link are
 	// deferred rather than rejected — rejecting would bias the degree
@@ -149,89 +142,13 @@ func wireFlatRandom(cfg FlatRandomConfig, rng *rand.Rand) (*flatWiring, error) {
 			return nil, fmt.Errorf("flatrandom: no splice for stuck pair (%d, %d)", u, v)
 		}
 	}
-	return w, nil
-}
-
-// labelNodes sets nodes[i].Label to prefix+i. All labels are windows of
-// one string (a Builder never rewrites bytes it has written), one
-// allocation in place of one per node.
-func labelNodes(nodes []Node, prefix string) {
-	var num [20]byte
-	var b strings.Builder
-	b.Grow(len(nodes) * (len(prefix) + len(strconv.AppendInt(num[:0], int64(len(nodes)), 10))))
-	for i := range nodes {
-		start := b.Len()
-		b.WriteString(prefix)
-		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
-		nodes[i].Label = b.String()[start:]
-	}
-}
-
-// flatWiring is one attempt's fabric plus its node-ID neighbour table:
-// node u's neighbours are nb[u*r : u*r+deg[u]], in no particular order.
-// No node ever holds more than r links, so the rows never overflow.
-type flatWiring struct {
-	t   *Topology
-	r   int
-	nb  []int32
-	deg []int32
-}
-
-// connected reports whether every node is reachable from node 0: a BFS
-// over the neighbour table with a visited bitmap and a queue that holds
-// each node once, so it never grows past its preallocated N.
-func (w *flatWiring) connected() bool {
-	n := len(w.deg)
-	seen := make([]uint64, (n+63)/64)
-	queue := make([]int32, 1, n) // node 0
-	seen[0] = 1
-	for head := 0; head < len(queue); head++ {
-		u := int(queue[head])
-		for _, v := range w.nb[u*w.r : u*w.r+int(w.deg[u])] {
-			if bit := uint64(1) << (v & 63); seen[v>>6]&bit == 0 {
-				seen[v>>6] |= bit
-				queue = append(queue, v)
-			}
-		}
-	}
-	return len(queue) == n
-}
-
-// linked reports whether u and v are already joined by a link.
-func (w *flatWiring) linked(u, v int) bool {
-	for _, x := range w.nb[u*w.r : u*w.r+int(w.deg[u])] {
-		if int(x) == v {
-			return true
-		}
-	}
-	return false
-}
-
-// link adds the link u–v to the fabric and to the table.
-func (w *flatWiring) link(u, v int) {
-	w.t.Link(u, v)
-	w.nb[u*w.r+int(w.deg[u])] = int32(v)
-	w.deg[u]++
-	w.nb[v*w.r+int(w.deg[v])] = int32(u)
-	w.deg[v]++
-}
-
-// drop swap-deletes v from u's row.
-func (w *flatWiring) drop(u, v int) {
-	row := w.nb[u*w.r : u*w.r+int(w.deg[u])]
-	for i, x := range row {
-		if int(x) == v {
-			row[i] = row[len(row)-1]
-			w.deg[u]--
-			return
-		}
-	}
+	return &w, nil
 }
 
 // pairPass shuffles stubs and links consecutive pairs, returning the
 // stubs of pairs that would have formed a self-loop or duplicate link.
 // The returned slice always has even length.
-func (w *flatWiring) pairPass(stubs []int32, rng *rand.Rand) []int32 {
+func (w *wiring) pairPass(stubs []int32, rng *rand.Rand) []int32 {
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	leftover := stubs[:0]
 	for i := 0; i+1 < len(stubs); i += 2 {
@@ -249,7 +166,7 @@ func (w *flatWiring) pairPass(stubs []int32, rng *rand.Rand) []int32 {
 // for a compatible (a, b) to splice through. Bounded probes keep the
 // repair O(1) expected; a false return aborts the attempt and the caller
 // re-seeds.
-func (w *flatWiring) splice(u, v int, rng *rand.Rand) bool {
+func (w *wiring) splice(u, v int, rng *rand.Rand) bool {
 	edges := w.t.Edges
 	for try := 0; try < 256; try++ {
 		e := edges[rng.IntN(len(edges))]
@@ -267,9 +184,7 @@ func (w *flatWiring) splice(u, v int, rng *rand.Rand) bool {
 				continue
 			}
 		}
-		w.t.RemoveEdge(e.ID)
-		w.drop(a, b)
-		w.drop(b, a)
+		w.unlink(e.ID)
 		w.link(u, a)
 		w.link(v, b)
 		return true

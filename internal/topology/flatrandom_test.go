@@ -42,20 +42,27 @@ func TestFlatRandomWireMatchesReference(t *testing.T) {
 			if errA != nil {
 				continue
 			}
-			if got.Name != want.Name || got.N != want.N {
-				t.Fatalf("%s: %q with %d nodes, reference %q with %d", name, got.Name, got.N, want.Name, want.N)
-			}
-			if !slices.Equal(got.Edges, want.Edges) {
-				t.Fatalf("%s: edge lists differ", name)
-			}
-			if !slices.Equal(got.Nodes, want.Nodes) {
-				t.Fatalf("%s: nodes differ", name)
-			}
-			for u := 0; u < got.N; u++ {
-				if !slices.Equal(got.IncidentEdges(u), want.IncidentEdges(u)) {
-					t.Fatalf("%s: node %d's adjacency row differs", name, u)
-				}
-			}
+			requireSameFabric(t, name, got, want)
+		}
+	}
+}
+
+// requireSameFabric fails t unless got and want have the same name,
+// nodes, edge list (tombstones included) and adjacency slot order.
+func requireSameFabric(t *testing.T, name string, got, want *Topology) {
+	t.Helper()
+	if got.Name != want.Name || got.N != want.N {
+		t.Fatalf("%s: %q with %d nodes, reference %q with %d", name, got.Name, got.N, want.Name, want.N)
+	}
+	if !slices.Equal(got.Edges, want.Edges) {
+		t.Fatalf("%s: edge lists differ", name)
+	}
+	if !slices.Equal(got.Nodes, want.Nodes) {
+		t.Fatalf("%s: nodes differ", name)
+	}
+	for u := 0; u < got.N; u++ {
+		if !slices.Equal(got.IncidentEdges(u), want.IncidentEdges(u)) {
+			t.Fatalf("%s: node %d's adjacency row differs", name, u)
 		}
 	}
 }

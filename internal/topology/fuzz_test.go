@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"physdep/internal/units"
@@ -19,7 +20,9 @@ func clampParam(v int, lim int) int {
 // FuzzTopologyGenerators drives every generator with arbitrary small
 // configs. The invariant under test is the library boundary contract: a
 // generator either returns a topology that passes Validate or returns an
-// error — it never panics, whatever the config.
+// error — it never panics, whatever the config. A valid build must also
+// be well formed (checkStructure): the bulk builds cut rows from one slab
+// and labels from one string, and a slip there would still validate.
 func FuzzTopologyGenerators(f *testing.F) {
 	f.Add(uint8(0), 4, 0, 0, 0, uint64(1), float64(100))
 	f.Add(uint8(1), 4, 2, 2, 4, uint64(1), float64(100))
@@ -86,5 +89,51 @@ func FuzzTopologyGenerators(f *testing.F) {
 		if verr := topo.Validate(); verr != nil {
 			t.Fatalf("gen %d built an invalid topology: %v", gen%11, verr)
 		}
+		checkStructure(t, topo)
 	})
+}
+
+// checkStructure fails t unless every node's ID is its index, labels are
+// unique, every live edge sits in both endpoints' adjacency rows, and
+// each row ascends by edge ID and is exactly as long as the node's count
+// of live edge ends.
+func checkStructure(t *testing.T, topo *Topology) {
+	t.Helper()
+	if len(topo.Nodes) != topo.N {
+		t.Fatalf("%s: %d nodes for N=%d", topo.Name, len(topo.Nodes), topo.N)
+	}
+	labels := make(map[string]int, topo.N)
+	for i, n := range topo.Nodes {
+		if n.ID != i {
+			t.Fatalf("%s: node %d has ID %d", topo.Name, i, n.ID)
+		}
+		if j, dup := labels[n.Label]; dup {
+			t.Fatalf("%s: nodes %d and %d share label %q", topo.Name, j, i, n.Label)
+		}
+		labels[n.Label] = i
+	}
+	ends := make([]int, topo.N)
+	rows := make([][]int, topo.N)
+	for u := range rows {
+		rows[u] = topo.IncidentEdges(u)
+		if !slices.IsSorted(rows[u]) {
+			t.Fatalf("%s: node %d's row %v does not ascend", topo.Name, u, rows[u])
+		}
+	}
+	for _, e := range topo.Edges {
+		if e.U == -1 {
+			continue
+		}
+		ends[e.U]++
+		ends[e.V]++
+		if !slices.Contains(rows[e.U], e.ID) || !slices.Contains(rows[e.V], e.ID) {
+			t.Fatalf("%s: edge %+v missing from an endpoint's row", topo.Name, e)
+		}
+	}
+	for u, row := range rows {
+		if len(row) != ends[u] || topo.Degree(u) != ends[u] {
+			t.Fatalf("%s: node %d's row holds %d edges (degree %d), %d live edge ends",
+				topo.Name, u, len(row), topo.Degree(u), ends[u])
+		}
+	}
 }

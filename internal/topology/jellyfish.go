@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"physdep/internal/physerr"
 	"physdep/internal/units"
@@ -29,19 +30,32 @@ func Jellyfish(cfg JellyfishConfig) (*Topology, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^jellySeedMix))
-	t := NewTopology(fmt.Sprintf("jellyfish-n%d-r%d", cfg.N, cfg.R))
-	for i := 0; i < cfg.N; i++ {
-		t.AddSwitch(Node{Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
-			ServerPorts: cfg.K - cfg.R, Pod: -1, Label: fmt.Sprintf("tor-%d", i)})
-	}
-	if err := randomRegularWire(t, cfg.R, rng); err != nil {
+	w, err := wireJellyfish(cfg, rng)
+	if err != nil {
 		return nil, fmt.Errorf("jellyfish: %w", err)
 	}
-	if err := t.Validate(); err != nil {
+	if err := w.t.validate(w.connected); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return w.t, nil
 }
+
+// wireJellyfish builds the switches in their final shape (newFabric) and
+// wires them on a node-ID neighbour table (jellyWiring).
+func wireJellyfish(cfg JellyfishConfig, rng *rand.Rand) (*jellyWiring, error) {
+	f := newFabric(fmt.Sprintf("jellyfish-n%d-r%d", cfg.N, cfg.R), cfg.N*cfg.R/2+jellySpliceRoom, func(f *fabric) {
+		f.switches(cfg.N, cfg.R, Node{Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
+			ServerPorts: cfg.K - cfg.R, Pod: -1}, "tor-")
+	})
+	w := newJellyWiring(&f.Topology, cfg.R)
+	return w, w.wire(rng)
+}
+
+// jellySpliceRoom is the edge-list room a Jellyfish build reserves past
+// its N·R/2 links: each splice of the wiring leaves one tombstone, and a
+// build splices about once on average (never more than five times over
+// 3,000 seeds of each of the benchmark's shapes).
+const jellySpliceRoom = 8
 
 // jellySeedMix decorrelates the two PCG seed words ("jelly" in ASCII).
 const jellySeedMix uint64 = 0x6a656c6c79
@@ -61,50 +75,55 @@ func JellyfishAddToR(t *Topology, cfg JellyfishConfig, rng *rand.Rand) (newID in
 	newID = t.AddSwitch(Node{Role: RoleToR, Radix: cfg.K, Rate: cfg.Rate,
 		ServerPorts: cfg.K - cfg.R, Pod: -1, Label: fmt.Sprintf("tor-new%d", t.N)})
 	need := cfg.R / 2
+	var live []int
 	for len(rewires) < need {
-		rw, ok := spliceDouble(t, newID, rng)
+		live = liveEdgeIDs(live, t)
+		id, ok := spliceCandidate(t, newID, live, t.HasEdgeBetween, rng)
 		if !ok {
 			return newID, rewires, physerr.Infeasible("jellyfish: only %d of %d splices found", len(rewires), need)
 		}
-		rewires = append(rewires, rw)
+		rewires = append(rewires, t.Splice(newID, id))
 	}
 	return newID, rewires, nil
 }
 
-// randomRegularWire wires the (currently edge-free among themselves) nodes
-// of t into an r-regular simple graph using free network ports. Nodes may
-// already have edges; a node's free ports are what its degree still
-// lacks of the target r.
-func randomRegularWire(t *Topology, r int, rng *rand.Rand) error {
-	n := t.N
-	free := func(u int) int { return r - t.Degree(u) }
-	var open []int
-	refresh := func() {
-		open = open[:0]
-		for u := 0; u < n; u++ {
-			if free(u) > 0 {
-				open = append(open, u)
-			}
-		}
+// jellyWiring is one Jellyfish wiring: the neighbour table, the open
+// list — the switches with free ports, ascending — and scratch for the
+// live link IDs a splice shuffles. Every link made or broken updates the
+// open list in place, so before each draw it is exactly the list a
+// rescan of every switch would build, and every draw is the same.
+type jellyWiring struct {
+	wiring
+	open []int32
+	live []int
+}
+
+func newJellyWiring(t *Topology, r int) *jellyWiring {
+	w := &jellyWiring{wiring: newWiring(t, r), open: make([]int32, t.N)}
+	for u := range w.open {
+		w.open[u] = int32(u)
 	}
-	legal := func(u, v int) bool {
-		return u != v && !t.HasEdgeBetween(u, v)
-	}
+	return w
+}
+
+// wire joins random pairs of open switches into an r-regular simple
+// graph, splicing through an existing link when no legal pair turns up.
+func (w *jellyWiring) wire(rng *rand.Rand) error {
+	n, r := len(w.deg), w.r
 	for attempts := 0; ; attempts++ {
 		if attempts > 200*n*r {
 			return physerr.Infeasible("random regular wiring did not converge (n=%d r=%d)", n, r)
 		}
-		refresh()
-		if len(open) == 0 {
+		if len(w.open) == 0 {
 			return nil
 		}
 		// Try random legal pair among open nodes.
 		placed := false
 		for try := 0; try < 50; try++ {
-			u := open[rng.IntN(len(open))]
-			v := open[rng.IntN(len(open))]
-			if legal(u, v) {
-				t.Link(u, v)
+			u := int(w.open[rng.IntN(len(w.open))])
+			v := int(w.open[rng.IntN(len(w.open))])
+			if u != v && !w.linked(u, v) {
+				w.join(u, v)
 				placed = true
 				break
 			}
@@ -115,72 +134,91 @@ func randomRegularWire(t *Topology, r int, rng *rand.Rand) error {
 		// Stuck: the Jellyfish splice. Pick an open node u and a random
 		// existing edge (a, b) with a,b ∉ {u} and not adjacent to u; replace
 		// (a,b) with (u,a) and (u,b), consuming two of u's free ports.
-		u := open[rng.IntN(len(open))]
-		if free(u) < 2 {
+		u := int(w.open[rng.IntN(len(w.open))])
+		if r-int(w.deg[u]) < 2 {
 			// With one free port we cannot splice; pair two open nodes via
 			// double swap: pick edge (a,b) where a not adjacent to u, then
 			// rewire (a,b)+(u free) -> (u,a) leaving b open for a later pass.
-			if !spliceSingle(t, u, rng) {
+			if !w.spliceSingle(u, rng) {
 				return physerr.Infeasible("wiring stuck with odd remainder at node %d", u)
 			}
 			continue
 		}
-		if _, ok := spliceDouble(t, u, rng); !ok {
+		w.live = liveEdgeIDs(w.live, w.t)
+		id, ok := spliceCandidate(w.t, u, w.live, w.linked, rng)
+		if !ok {
 			return physerr.Infeasible("wiring stuck: no splice candidate for node %d", u)
+		}
+		a, b := w.cut(id)
+		w.join(u, a)
+		w.join(u, b)
+	}
+}
+
+// join links u and v and drops from the open list whichever of them
+// fills.
+func (w *jellyWiring) join(u, v int) {
+	w.link(u, v)
+	for _, x := range [2]int{u, v} {
+		if int(w.deg[x]) == w.r {
+			i, _ := slices.BinarySearch(w.open, int32(x))
+			w.open = slices.Delete(w.open, i, i+1)
 		}
 	}
 }
 
-// spliceDouble implements the Jellyfish repair: remove a random edge
-// (a, b) with a, b both non-adjacent to u and distinct from u, then add
-// (u, a) and (u, b). On success it returns the rewire record — the two
-// in-service switches whose live link was broken.
-func spliceDouble(t *Topology, u int, rng *rand.Rand) (Rewire, bool) {
-	live := liveEdgeIDs(t)
+// cut breaks live link id, puts back on the open list whichever end was
+// full, and returns the ends.
+func (w *jellyWiring) cut(id int) (a, b int) {
+	a, b = w.unlink(id)
+	for _, x := range [2]int{a, b} {
+		if int(w.deg[x]) == w.r-1 {
+			i, _ := slices.BinarySearch(w.open, int32(x))
+			w.open = slices.Insert(w.open, i, int32(x))
+		}
+	}
+	return a, b
+}
+
+// spliceCandidate shuffles live, t's live link IDs, and returns the
+// first link whose ends are distinct from u and not linked to it: the
+// link the Jellyfish repair replaces with two links to u.
+func spliceCandidate(t *Topology, u int, live []int, linked func(a, b int) bool, rng *rand.Rand) (int, bool) {
 	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	for _, id := range live {
 		e := t.Edges[id]
-		if e.U == u || e.V == u || t.HasEdgeBetween(u, e.U) || t.HasEdgeBetween(u, e.V) {
+		if e.U == u || e.V == u || linked(u, e.U) || linked(u, e.V) {
 			continue
 		}
-		return t.Splice(u, id), true
+		return id, true
 	}
-	return Rewire{}, false
+	return 0, false
 }
 
 // spliceSingle frees progress when u has exactly one free port: remove an
 // edge (a, b) with a non-adjacent to u, add (u, a); b regains a free port
 // and the outer loop continues.
-func spliceSingle(t *Topology, u int, rng *rand.Rand) bool {
-	live := liveEdgeIDs(t)
+func (w *jellyWiring) spliceSingle(u int, rng *rand.Rand) bool {
+	w.live = liveEdgeIDs(w.live, w.t)
+	live := w.live
 	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	for _, id := range live {
-		e := t.Edges[id]
+		e := w.t.Edges[id]
 		if e.U == u || e.V == u {
 			continue
 		}
 		var a int
 		switch {
-		case !t.HasEdgeBetween(u, e.U):
+		case !w.linked(u, e.U):
 			a = e.U
-		case !t.HasEdgeBetween(u, e.V):
+		case !w.linked(u, e.V):
 			a = e.V
 		default:
 			continue
 		}
-		t.RemoveEdge(id)
-		t.Link(u, a)
+		w.cut(id)
+		w.join(u, a)
 		return true
 	}
 	return false
-}
-
-func liveEdgeIDs(t *Topology) []int {
-	var ids []int
-	for _, e := range t.Edges {
-		if e.U != -1 {
-			ids = append(ids, e.ID)
-		}
-	}
-	return ids
 }

@@ -28,26 +28,28 @@ func JupiterSpine(cfg JupiterConfig) (*Topology, error) {
 	if err := cfg.validateSpine(); err != nil {
 		return nil, err
 	}
-	t := NewTopology(fmt.Sprintf("jupiter-spine-a%d-s%d", cfg.AggBlocks, cfg.SpineBlocks))
-	aggs := make([]int, cfg.AggBlocks)
-	for a := range aggs {
-		aggs[a] = t.AddSwitch(Node{Role: RoleAgg, Radix: cfg.UplinksPer + cfg.ServerPorts,
-			Rate: cfg.Rate, ServerPorts: cfg.ServerPorts, Pod: a,
-			Label: fmt.Sprintf("agg-%d", a)})
-	}
+	// Node IDs: the aggregation blocks, then the spine blocks.
+	t := newFabric(fmt.Sprintf("jupiter-spine-a%d-s%d", cfg.AggBlocks, cfg.SpineBlocks),
+		cfg.AggBlocks*cfg.UplinksPer, func(f *fabric) {
+			aggs := f.switches(cfg.AggBlocks, cfg.UplinksPer, Node{Role: RoleAgg,
+				Radix: cfg.UplinksPer + cfg.ServerPorts, Rate: cfg.Rate, ServerPorts: cfg.ServerPorts}, "agg-")
+			for a := range aggs {
+				aggs[a].Pod = a
+			}
+			f.switches(cfg.SpineBlocks, cfg.AggBlocks*cfg.TrunkWidth, Node{Role: RoleSpine,
+				Radix: cfg.AggBlocks * cfg.TrunkWidth, Rate: cfg.Rate, Pod: -1}, "spine-")
+		})
 	for s := 0; s < cfg.SpineBlocks; s++ {
-		spine := t.AddSwitch(Node{Role: RoleSpine, Radix: cfg.AggBlocks * cfg.TrunkWidth,
-			Rate: cfg.Rate, Pod: -1, Label: fmt.Sprintf("spine-%d", s)})
-		for _, a := range aggs {
+		for a := 0; a < cfg.AggBlocks; a++ {
 			for w := 0; w < cfg.TrunkWidth; w++ {
-				t.Link(a, spine)
+				t.Link(a, cfg.AggBlocks+s)
 			}
 		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 // JupiterDirect builds the evolved, spine-free Jupiter: aggregation
@@ -60,12 +62,15 @@ func JupiterDirect(cfg JupiterConfig) (*Topology, error) {
 		return nil, err
 	}
 	n := cfg.AggBlocks
-	t := NewTopology(fmt.Sprintf("jupiter-direct-a%d", n))
-	for a := 0; a < n; a++ {
-		t.AddSwitch(Node{Role: RoleAgg, Radix: cfg.UplinksPer + cfg.ServerPorts,
-			Rate: cfg.Rate, ServerPorts: cfg.ServerPorts, Pod: a,
-			Label: fmt.Sprintf("agg-%d", a)})
-	}
+	// Each block's row holds its whole uplink budget, an upper bound on
+	// the links the mesh gives it.
+	t := newFabric(fmt.Sprintf("jupiter-direct-a%d", n), n*cfg.UplinksPer/2, func(f *fabric) {
+		aggs := f.switches(n, cfg.UplinksPer, Node{Role: RoleAgg, Radix: cfg.UplinksPer + cfg.ServerPorts,
+			Rate: cfg.Rate, ServerPorts: cfg.ServerPorts}, "agg-")
+		for a := range aggs {
+			aggs[a].Pod = a
+		}
+	})
 	base := cfg.UplinksPer / (n - 1)
 	extra := cfg.UplinksPer % (n - 1)
 	// Pair (a, b), a < b: width = base, plus 1 while both sides have
@@ -91,5 +96,5 @@ func JupiterDirect(cfg JupiterConfig) (*Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }

@@ -38,21 +38,18 @@ func SlimFly(cfg SlimFlyConfig) (*Topology, error) {
 		isQR[v*v%q] = true
 	}
 	deg := (3*q - 1) / 2
-	t := NewTopology(fmt.Sprintf("slimfly-q%d", q))
 	// Node IDs: group 0 router (x, y) = x*q + y; group 1 router (m, c) =
 	// q² + m*q + c.
-	for x := 0; x < q; x++ {
-		for y := 0; y < q; y++ {
-			t.AddSwitch(Node{Role: RoleToR, Radix: deg + cfg.ServerPorts, Rate: cfg.Rate,
-				ServerPorts: cfg.ServerPorts, Pod: x, Label: fmt.Sprintf("r0-%d-%d", x, y)})
+	t := newFabric(fmt.Sprintf("slimfly-q%d", q), q*q*deg, func(f *fabric) {
+		for x := 0; x < q; x++ {
+			f.switches(q, deg, Node{Role: RoleToR, Radix: deg + cfg.ServerPorts, Rate: cfg.Rate,
+				ServerPorts: cfg.ServerPorts, Pod: x}, "r0-", x)
 		}
-	}
-	for m := 0; m < q; m++ {
-		for c := 0; c < q; c++ {
-			t.AddSwitch(Node{Role: RoleToR, Radix: deg + cfg.ServerPorts, Rate: cfg.Rate,
-				ServerPorts: cfg.ServerPorts, Pod: q + m, Label: fmt.Sprintf("r1-%d-%d", m, c)})
+		for m := 0; m < q; m++ {
+			f.switches(q, deg, Node{Role: RoleToR, Radix: deg + cfg.ServerPorts, Rate: cfg.Rate,
+				ServerPorts: cfg.ServerPorts, Pod: q + m}, "r1-", m)
 		}
-	}
+	})
 	id0 := func(x, y int) int { return x*q + y }
 	id1 := func(m, c int) int { return q*q + m*q + c }
 	// Intra-group-0: y−y′ ∈ QR.
@@ -88,7 +85,7 @@ func SlimFly(cfg SlimFlyConfig) (*Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 func isPrime(n int) bool {

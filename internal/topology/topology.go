@@ -86,7 +86,10 @@ func NewTopology(name string) *Topology {
 	return &Topology{Graph: graph.New(0), Name: name}
 }
 
-// AddSwitch appends a switch and returns its node ID.
+// AddSwitch appends a switch and returns its node ID. It is for one
+// switch added to a built fabric (JellyfishAddToR, XpanderAddToR) or a
+// fabric read switch by switch; generators lay out whole tiers in final
+// shape with newFabric.
 func (t *Topology) AddSwitch(n Node) int {
 	id := t.Graph.AddNode()
 	n.ID = id
@@ -166,7 +169,8 @@ func (t *Topology) NumSwitches() int { return len(t.Nodes) }
 func (t *Topology) Validate() error { return t.validate(t.Connected) }
 
 // validate is Validate with the connectivity test supplied: FlatRandom
-// answers it from its wiring's neighbour table, not the edge records.
+// and Jellyfish answer it from their wiring's neighbour table, not the
+// edge records.
 func (t *Topology) validate(connected func() bool) error {
 	for _, n := range t.Nodes {
 		used := t.Degree(n.ID) + n.ServerPorts

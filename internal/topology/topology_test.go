@@ -580,3 +580,23 @@ func TestSplice(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratorAllocs pins the bulk builds' allocation counts: each shape
+// is built in its final shape, so the count no longer scales with the
+// fabric (the per-switch builds made 123 to 527 here).
+func TestGeneratorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, s := range generatorShapes {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs", s.name, allocs)
+		if allocs > s.allocs {
+			t.Errorf("%s: %.0f allocs, ceiling %.0f", s.name, allocs, s.allocs)
+		}
+	}
+}

@@ -35,53 +35,47 @@ func TransitMesh(cfg TransitMeshConfig) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := NewTopology(fmt.Sprintf("transit-mesh-%do-%dn-%dt",
-		cfg.OldBlocks, cfg.NewBlocks, cfg.TransitBlocks))
-	oldRadix := (cfg.OldBlocks-1)*cfg.LinksWithinMesh +
-		cfg.TransitBlocks*cfg.LinksToTransit + cfg.ServerPorts
-	newRadix := (cfg.NewBlocks-1)*cfg.LinksWithinMesh +
-		cfg.TransitBlocks*cfg.LinksToTransit + cfg.ServerPorts
-	transitRadix := (cfg.OldBlocks + cfg.NewBlocks) * cfg.LinksToTransit
-	olds := make([]int, cfg.OldBlocks)
-	for i := range olds {
-		olds[i] = t.AddSwitch(Node{Role: RoleToR, Radix: oldRadix, Rate: cfg.OldRate,
-			ServerPorts: cfg.ServerPorts, Pod: 0, Label: fmt.Sprintf("old-%d", i)})
-	}
-	news := make([]int, cfg.NewBlocks)
-	for i := range news {
-		news[i] = t.AddSwitch(Node{Role: RoleToR, Radix: newRadix, Rate: cfg.NewRate,
-			ServerPorts: cfg.ServerPorts, Pod: 1, Label: fmt.Sprintf("new-%d", i)})
-	}
-	transits := make([]int, cfg.TransitBlocks)
-	for i := range transits {
-		// A transit block presents old-rate ports to the old side and
-		// new-rate ports to the new side; its node Rate is the new rate
-		// so Link() clamps each trunk to the slower endpoint correctly.
-		transits[i] = t.AddSwitch(Node{Role: RoleIntermediate, Radix: transitRadix,
-			Rate: cfg.NewRate, Pod: 2, Label: fmt.Sprintf("transit-%d", i)})
-	}
-	mesh := func(ids []int) {
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
+	oldDeg := (cfg.OldBlocks-1)*cfg.LinksWithinMesh + cfg.TransitBlocks*cfg.LinksToTransit
+	newDeg := (cfg.NewBlocks-1)*cfg.LinksWithinMesh + cfg.TransitBlocks*cfg.LinksToTransit
+	transitDeg := (cfg.OldBlocks + cfg.NewBlocks) * cfg.LinksToTransit
+	links := (cfg.OldBlocks*oldDeg + cfg.NewBlocks*newDeg + cfg.TransitBlocks*transitDeg) / 2
+	// Node IDs: old blocks, then new blocks, then transit blocks.
+	t := newFabric(fmt.Sprintf("transit-mesh-%do-%dn-%dt", cfg.OldBlocks, cfg.NewBlocks, cfg.TransitBlocks),
+		links, func(f *fabric) {
+			f.switches(cfg.OldBlocks, oldDeg, Node{Role: RoleToR, Radix: oldDeg + cfg.ServerPorts,
+				Rate: cfg.OldRate, ServerPorts: cfg.ServerPorts, Pod: 0}, "old-")
+			f.switches(cfg.NewBlocks, newDeg, Node{Role: RoleToR, Radix: newDeg + cfg.ServerPorts,
+				Rate: cfg.NewRate, ServerPorts: cfg.ServerPorts, Pod: 1}, "new-")
+			// A transit block presents old-rate ports to the old side and
+			// new-rate ports to the new side; its node Rate is the new rate
+			// so Link() clamps each trunk to the slower endpoint correctly.
+			f.switches(cfg.TransitBlocks, transitDeg, Node{Role: RoleIntermediate, Radix: transitDeg,
+				Rate: cfg.NewRate, Pod: 2}, "transit-")
+		})
+	// mesh fully meshes blocks lo … hi−1.
+	mesh := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
 				for w := 0; w < cfg.LinksWithinMesh; w++ {
-					t.Link(ids[i], ids[j])
+					t.Link(i, j)
 				}
 			}
 		}
 	}
-	mesh(olds)
-	mesh(news)
-	for _, b := range append(append([]int(nil), olds...), news...) {
-		for _, tr := range transits {
+	blocks := cfg.OldBlocks + cfg.NewBlocks
+	mesh(0, cfg.OldBlocks)
+	mesh(cfg.OldBlocks, blocks)
+	for b := 0; b < blocks; b++ {
+		for tr := 0; tr < cfg.TransitBlocks; tr++ {
 			for w := 0; w < cfg.LinksToTransit; w++ {
-				t.Link(b, tr)
+				t.Link(b, blocks+tr)
 			}
 		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 // CrossGenPortCost compares the two ways of attaching cross-generation

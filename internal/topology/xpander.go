@@ -31,18 +31,22 @@ func Xpander(cfg XpanderConfig) (*Topology, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x78706472)) // "xpdr"
-	t := NewTopology(fmt.Sprintf("xpander-d%d-l%d", cfg.D, cfg.Lift))
 	meta := cfg.D + 1
 	// node ID of copy c of meta-node m = m*Lift + c
-	for m := 0; m < meta; m++ {
-		for c := 0; c < cfg.Lift; c++ {
-			t.AddSwitch(Node{Role: RoleToR, Radix: cfg.D + cfg.ServerPorts, Rate: cfg.Rate,
-				ServerPorts: cfg.ServerPorts, Pod: m, Label: fmt.Sprintf("tor-%d-%d", m, c)})
+	t := newFabric(fmt.Sprintf("xpander-d%d-l%d", cfg.D, cfg.Lift), meta*cfg.D/2*cfg.Lift, func(f *fabric) {
+		for m := 0; m < meta; m++ {
+			f.switches(cfg.Lift, cfg.D, Node{Role: RoleToR, Radix: cfg.D + cfg.ServerPorts, Rate: cfg.Rate,
+				ServerPorts: cfg.ServerPorts, Pod: m}, "tor-", m)
 		}
-	}
+	})
+	// Each matching is rng.Perm(Lift), drawn into one reused buffer.
+	perm := make([]int, cfg.Lift)
 	for i := 0; i < meta; i++ {
 		for j := i + 1; j < meta; j++ {
-			perm := rng.Perm(cfg.Lift)
+			for c := range perm {
+				perm[c] = c
+			}
+			rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 			for c := 0; c < cfg.Lift; c++ {
 				t.Link(i*cfg.Lift+c, j*cfg.Lift+perm[c])
 			}
@@ -51,7 +55,7 @@ func Xpander(cfg XpanderConfig) (*Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &t.Topology, nil
 }
 
 // XpanderAddToR grows a built Xpander by one ToR in meta-node m, using the
@@ -72,7 +76,7 @@ func XpanderAddToR(t *Topology, cfg XpanderConfig, m int, rng *rand.Rand) (newID
 	// already used; replace (a, b) with (new, a) and (new, b). Each such
 	// splice consumes 2 of the new node's D ports and rewires 1 link.
 	need := cfg.D / 2
-	live := liveEdgeIDs(t)
+	live := liveEdgeIDs(nil, t)
 	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	for _, id := range live {
 		if len(rewires) == need {

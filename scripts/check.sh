@@ -237,6 +237,13 @@ echo "== ToR path statistics (flatrandom and ring, 1.8k exhaustive and 5k/20k sa
 # fabric and on a ring whose diameter is half its size.
 go test -run '^$' -bench BasicStats -benchtime 1x ./internal/topology
 
+echo "== generator builds (evaluate-miss and serve-hot miss shapes, 2k Jellyfish; BenchmarkGenerators)"
+# Log only: one build of each fabric the daemon benchmark builds on a
+# miss, plus a 2,000-switch Jellyfish, puts each build's time and
+# allocations in the log. TestGeneratorAllocs, in the race-free test
+# runs, is what fails on an allocation regression.
+go test -run '^$' -bench Generators -benchtime 1x ./internal/topology
+
 if [ "${ESCALE_SKIP:-}" = "1" ]; then
   echo "== E-scale smoke (skipped: ESCALE_SKIP=1)"
 else
